@@ -235,8 +235,8 @@ fn main() {
         // unfused row reproduces the per-row `log_normalize` loop the
         // matrix walk used to be (one dispatch and two heap-free but
         // separate exp passes per 4-wide row), the fused row is the
-        // shipping `log_normalize_rows` with the per-row temporaries
-        // hoisted into stack blocks.
+        // shipping `log_normalize_rows` (packed rows on the AVX2 leg,
+        // staged four-row blocks on the scalar legs).
         bench("log_normalize_rows_unfused", &mut || {
             rows.data_mut().copy_from_slice(&log_inputs);
             for r in 0..rows.rows() {
@@ -252,14 +252,13 @@ fn main() {
         // The fused E-step centrepiece: prior init + strided gather +
         // log-sum-exp + normalize in one pass per posterior row.
         bench("fused_posterior_rows", &mut || {
-            for (r, row_bases) in bases.chunks_exact(ANSWERS_PER_ROW).enumerate() {
-                fused::fused_posterior_row(
-                    rows.row_mut(r),
-                    &log_prior,
-                    &table,
-                    row_bases.iter().copied(),
-                );
-            }
+            fused::fused_posterior_rows(rows.data_mut(), &log_prior, &table, |r| {
+                Some(
+                    bases[r * ANSWERS_PER_ROW..(r + 1) * ANSWERS_PER_ROW]
+                        .iter()
+                        .copied(),
+                )
+            });
             black_box(rows.row(0)[0]);
         });
         bench("weighted_log_dot", &mut || {

@@ -11,7 +11,7 @@
 //! symmetric smoothing count purely for numerical safety.
 
 use crowd_data::{Dataset, TaskType};
-use crowd_stats::{fused_posterior_row, safe_ln_map_into, ConvergenceTracker, DMat};
+use crowd_stats::{fused_posterior_rows, safe_ln_map_into, ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -488,38 +488,27 @@ fn refresh_log_tables(
 /// Π_w q^w[j][v_t^w]`, accumulated in log space from the precomputed
 /// tables and written back in place.
 ///
-/// Each task row is one [`fused_posterior_row`] call — prior init,
-/// strided table gather, log-sum-exp and normalize in a single pass,
-/// written directly into the posterior row (no scratch copy, zero heap
-/// allocation, zero transcendental calls in the answer loop). Above the
-/// size threshold the tasks fan out over the executor in disjoint row
-/// blocks; every task's row is computed by the same arithmetic, so the
-/// result is bit-identical either way.
+/// The task rows go through [`fused_posterior_rows`] — prior init,
+/// strided table gather, log-sum-exp and normalize per row, written
+/// directly into the posterior (no heap allocation, zero transcendental
+/// calls in the answer loop, the normalize staged over blocks of rows).
+/// Above the size threshold the tasks fan out over the executor in
+/// disjoint row blocks; every task's row is computed by the same
+/// arithmetic, so the result is bit-identical either way.
 fn e_step(cat: &Cat, log_conf: &DMat, log_prior: &[f64], post: &mut DMat, threads: usize) {
     let l = cat.l;
-    let stride = l * l;
+    let lc = log_conf.data();
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-    if threads <= 1 {
-        let lc = log_conf.data();
-        let mut fused_rows = 0u64;
-        for task in 0..cat.n {
-            if cat.golden[task].is_some() || cat.task_len(task) == 0 {
-                continue;
-            }
-            fused_posterior_row(
-                post.row_mut(task),
-                log_prior,
-                lc,
-                // Walk the worker's ℓ×ℓ block column `label` by stride.
-                cat.task_row(task)
-                    .iter()
-                    .map(|&(worker, label)| worker as usize * stride + label as usize),
-            );
-            fused_rows += 1;
-        }
+    let sweep = |first_task: usize, rows: &mut [f64]| {
+        let fused_rows = fused_posterior_rows(rows, log_prior, lc, |offset| {
+            let task = first_task + offset;
+            posterior_bases(l, cat.golden[task], cat.task_row(task))
+        });
         crate::methods::obs_fused_rows().add(fused_rows);
+    };
+    if threads <= 1 {
+        sweep(0, post.data_mut());
     } else {
-        let lc = log_conf.data();
         // ~4 chunks per thread balances uneven task degrees without a
         // shared cursor.
         let tasks_per_chunk = cat.n.div_ceil(threads * 4).max(1);
@@ -527,29 +516,29 @@ fn e_step(cat: &Cat, log_conf: &DMat, log_prior: &[f64], post: &mut DMat, thread
             threads,
             post.data_mut(),
             tasks_per_chunk * l,
-            |chunk_idx, rows| {
-                let first_task = chunk_idx * tasks_per_chunk;
-                let mut fused_rows = 0u64;
-                for (offset, row) in rows.chunks_mut(l).enumerate() {
-                    let task = first_task + offset;
-                    if cat.golden[task].is_some() || cat.task_len(task) == 0 {
-                        continue;
-                    }
-                    fused_posterior_row(
-                        row,
-                        log_prior,
-                        lc,
-                        cat.task_row(task)
-                            .iter()
-                            .map(|&(worker, label)| worker as usize * stride + label as usize),
-                    );
-                    fused_rows += 1;
-                }
-                crate::methods::obs_fused_rows().add(fused_rows);
-            },
+            |chunk_idx, rows| sweep(chunk_idx * tasks_per_chunk, rows),
         );
     }
     cat.clamp_golden(post);
+}
+
+/// The [`fused_posterior_rows`] bases of one task row: `None` for a
+/// golden or unanswered task (its row is left to the clamp / the
+/// uniform init), else each answer's column `label` of the worker's
+/// ℓ×ℓ block, walked by stride.
+pub(super) fn posterior_bases(
+    l: usize,
+    golden: Option<u8>,
+    answers: &[(u32, u8)],
+) -> Option<impl Iterator<Item = usize> + '_> {
+    if golden.is_some() || answers.is_empty() {
+        return None;
+    }
+    Some(
+        answers
+            .iter()
+            .map(move |&(worker, label)| worker as usize * l * l + label as usize),
+    )
 }
 
 /// One E-step over the sharded substrate: shard `s` owns posterior rows
@@ -568,7 +557,6 @@ fn e_step_sharded(
     threads: usize,
 ) {
     let l = view.l;
-    let stride = l * l;
     let lc = log_conf.data();
     let golden = view.golden();
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
@@ -586,27 +574,12 @@ fn e_step_sharded(
             .into_iter()
             .map(|(s, block)| {
                 move || {
-                    let timer = crate::views::obs_estep_seconds().start_timer();
+                    let _timer = crate::views::obs_estep_seconds().start_timer();
                     let start = view.shard_tasks(s).start;
-                    let mut fused_rows = 0u64;
-                    for (local, row) in block.chunks_mut(l).enumerate() {
-                        let task = start + local;
-                        let answers = view.shard_task_row(s, local);
-                        if golden[task].is_some() || answers.is_empty() {
-                            continue;
-                        }
-                        fused_posterior_row(
-                            row,
-                            log_prior,
-                            lc,
-                            answers
-                                .iter()
-                                .map(|&(worker, label)| worker as usize * stride + label as usize),
-                        );
-                        fused_rows += 1;
-                    }
+                    let fused_rows = fused_posterior_rows(block, log_prior, lc, |local| {
+                        posterior_bases(l, golden[start + local], view.shard_task_row(s, local))
+                    });
                     crate::methods::obs_fused_rows().add(fused_rows);
-                    drop(timer);
                 }
             })
             .collect();
@@ -642,7 +615,7 @@ impl Ds {
     /// Run D&S on a task-range sharded view (per-shard E-steps, shard-
     /// ascending M-step fold) — bit-identical to [`Self::infer_view`] on
     /// the equivalent flat view at any shard count; see
-    /// [`DsEngine::run_sharded`].
+    /// `DsEngine::run_sharded`.
     pub fn infer_sharded(
         &self,
         view: &ShardedView,

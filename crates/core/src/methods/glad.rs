@@ -12,7 +12,7 @@
 use crowd_data::{Dataset, TaskType};
 use crowd_stats::kernels;
 use crowd_stats::{
-    exp_map_into, fused_two_term_row, ln_map_into, sigmoid_map_into, ConvergenceTracker,
+    exp_map_into, fused_two_term_rows, ln_map_into, sigmoid_map_into, ConvergenceTracker,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,6 +72,27 @@ fn sigmoid(x: f64) -> f64 {
         let e = kernels::exp(x);
         e / (1.0 + e)
     }
+}
+
+/// The [`fused_two_term_rows`] terms of one task row, read from the
+/// row's slices `lc`/`lw` of the answer-major correct/wrong log tables:
+/// `None` for a golden task (stays clamped) or an unanswered one (stays
+/// uniform), else `(label, lc[i], lw[i])` per answer.
+fn answer_terms<'a>(
+    golden: Option<u8>,
+    answers: &'a [(u32, u8)],
+    lc: &'a [f64],
+    lw: &'a [f64],
+) -> Option<impl Iterator<Item = (usize, f64, f64)> + 'a> {
+    if golden.is_some() || answers.is_empty() {
+        return None;
+    }
+    Some(
+        answers
+            .iter()
+            .zip(lc.iter().zip(lw))
+            .map(|(&(_, label), (&c, &w))| (label as usize, c, w)),
+    )
 }
 
 impl TruthInference for Glad {
@@ -204,30 +225,13 @@ impl Glad {
             ln_map_into(&mut lw, |i| (1.0 - sig[i].clamp(1e-9, 1.0 - 1e-9)) / lm1);
             {
                 let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                let mut fused_rows = 0u64;
                 let mut cursor = 0usize;
-                for task in 0..cat.n {
+                let fused_rows = fused_two_term_rows(post.data_mut(), cat.l, |task| {
                     let row = cat.task_row(task);
-                    let deg = row.len();
-                    if cat.golden[task].is_some() || deg == 0 {
-                        cursor += deg;
-                        continue;
-                    }
-                    let out = post.row_mut(task);
-                    out.fill(0.0);
-                    fused_two_term_row(
-                        out,
-                        row.iter()
-                            .zip(
-                                lc[cursor..cursor + deg]
-                                    .iter()
-                                    .zip(&lw[cursor..cursor + deg]),
-                            )
-                            .map(|(&(_, label), (&lci, &lwi))| (label as usize, lci, lwi)),
-                    );
-                    fused_rows += 1;
-                    cursor += deg;
-                }
+                    let at = cursor;
+                    cursor += row.len();
+                    answer_terms(cat.golden[task], row, &lc[at..cursor], &lw[at..cursor])
+                });
                 crate::methods::obs_fused_rows().add(fused_rows);
             }
             cat.clamp_golden(&mut post);
@@ -243,11 +247,15 @@ impl Glad {
             // The β table and σ evaluations batch over the whole answer
             // log exactly as in the E-step; accumulation order is
             // unchanged.
-            for _ in 0..self.gradient_steps {
+            for step in 0..self.gradient_steps {
                 grad_alpha.fill(0.0);
                 grad_logbeta.fill(0.0);
-                exp_map_into(&mut beta, |i| log_beta[i]);
-                fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
+                // The E-step filled `beta` and `sig` from this α and
+                // ln β; only later steps see updated parameters.
+                if step > 0 {
+                    exp_map_into(&mut beta, |i| log_beta[i]);
+                    fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
+                }
                 let mut cursor = 0usize;
                 for task in 0..cat.n {
                     let b = beta[task];
@@ -379,32 +387,19 @@ impl Glad {
             {
                 let _timer = crate::views::obs_estep_seconds().start_timer();
                 let _ktimer = crate::methods::obs_kernel_estep_seconds().start_timer();
+                let l = view.l;
                 let mut fused_rows = 0u64;
                 for s in 0..view.num_shards() {
-                    let mut cursor = view.shard_entry_offset(s);
                     let range = view.shard_tasks(s);
-                    for task in range.clone() {
-                        let row = view.shard_task_row(s, task - range.start);
-                        let deg = row.len();
-                        if view.golden()[task].is_some() || deg == 0 {
-                            cursor += deg;
-                            continue;
-                        }
-                        let out = post.row_mut(task);
-                        out.fill(0.0);
-                        fused_two_term_row(
-                            out,
-                            row.iter()
-                                .zip(
-                                    lc[cursor..cursor + deg]
-                                        .iter()
-                                        .zip(&lw[cursor..cursor + deg]),
-                                )
-                                .map(|(&(_, label), (&lci, &lwi))| (label as usize, lci, lwi)),
-                        );
-                        fused_rows += 1;
-                        cursor += deg;
-                    }
+                    let mut cursor = view.shard_entry_offset(s);
+                    let block = &mut post.data_mut()[range.start * l..range.end * l];
+                    fused_rows += fused_two_term_rows(block, l, |local| {
+                        let row = view.shard_task_row(s, local);
+                        let at = cursor;
+                        cursor += row.len();
+                        let golden = view.golden()[range.start + local];
+                        answer_terms(golden, row, &lc[at..cursor], &lw[at..cursor])
+                    });
                 }
                 crate::methods::obs_fused_rows().add(fused_rows);
             }
@@ -412,11 +407,15 @@ impl Glad {
 
             {
                 let _timer = crate::views::obs_reduce_seconds().start_timer();
-                for _ in 0..self.gradient_steps {
+                for step in 0..self.gradient_steps {
                     grad_alpha.fill(0.0);
                     grad_logbeta.fill(0.0);
-                    exp_map_into(&mut beta, |i| log_beta[i]);
-                    fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
+                    // As in the flat path: step 0 reuses the E-step's
+                    // `beta` and `sig`.
+                    if step > 0 {
+                        exp_map_into(&mut beta, |i| log_beta[i]);
+                        fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
+                    }
                     for s in 0..view.num_shards() {
                         let mut cursor = view.shard_entry_offset(s);
                         let range = view.shard_tasks(s);

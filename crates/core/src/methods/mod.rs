@@ -7,7 +7,7 @@
 use std::sync::OnceLock;
 
 /// Posterior rows produced by the fused row kernels
-/// ([`crowd_stats::fused_posterior_row`] / `fused_two_term_row`) — one
+/// ([`crowd_stats::fused_posterior_rows`] / `fused_two_term_rows`) — one
 /// count per task row per E-step sweep, added in bulk per sweep/chunk.
 pub(crate) fn obs_fused_rows() -> &'static crowd_obs::Counter {
     static H: OnceLock<crowd_obs::Counter> = OnceLock::new();

@@ -14,7 +14,7 @@
 
 use crowd_data::{Dataset, TaskType};
 use crowd_stats::special::digamma;
-use crowd_stats::{fused_posterior_row, fused_two_term_row, ln_map_into, ConvergenceTracker};
+use crowd_stats::{fused_posterior_rows, fused_two_term_rows, ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,6 +23,9 @@ use crate::framework::{
     WorkerQuality,
 };
 use crate::views::{initial_accuracy, Cat};
+
+use super::ds::posterior_bases;
+use super::zc::two_term_answers;
 
 /// Mean-field variational inference over the confusion-matrix model.
 #[derive(Debug, Clone, Copy)]
@@ -89,19 +92,9 @@ impl TruthInference for ViMf {
             ln_map_into(&mut ln_wrong, |w| {
                 ((1.0 - acc[w]) / (l - 1) as f64).max(1e-9)
             });
-            for task in 0..cat.n {
-                if cat.golden[task].is_some() || cat.task_len(task) == 0 {
-                    continue;
-                }
-                let row = post.row_mut(task);
-                row.fill(0.0);
-                fused_two_term_row(
-                    row,
-                    cat.task(task).map(|(worker, label)| {
-                        (label as usize, ln_correct[worker], ln_wrong[worker])
-                    }),
-                );
-            }
+            fused_two_term_rows(post.data_mut(), l, |task| {
+                two_term_answers(cat.golden[task], cat.task_row(task), &ln_correct, &ln_wrong)
+            });
             cat.clamp_golden(&mut post);
         }
 
@@ -141,30 +134,17 @@ impl TruthInference for ViMf {
                 }
             }
 
-            // Update q(z_i): one fused posterior-row pass per task —
-            // zero init, table gather against `eln` walking each
+            // Update q(z_i): one fused posterior-row pass over the tasks
+            // — zero init, table gather against `eln` walking each
             // worker's ℓ×ℓ block column `label` by stride (the same
             // access pattern as the D&S E-step), log-sum-exp and
-            // normalize, written straight into the posterior row.
+            // normalize, written straight into the posterior rows.
             let el = eln.data();
-            let stride = l * l;
             {
                 let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                let mut fused_rows = 0u64;
-                for task in 0..cat.n {
-                    if cat.golden[task].is_some() || cat.task_len(task) == 0 {
-                        continue;
-                    }
-                    fused_posterior_row(
-                        post.row_mut(task),
-                        &zero_prior,
-                        el,
-                        cat.task_row(task)
-                            .iter()
-                            .map(|&(worker, label)| worker as usize * stride + label as usize),
-                    );
-                    fused_rows += 1;
-                }
+                let fused_rows = fused_posterior_rows(post.data_mut(), &zero_prior, el, |task| {
+                    posterior_bases(l, cat.golden[task], cat.task_row(task))
+                });
                 crate::methods::obs_fused_rows().add(fused_rows);
             }
             cat.clamp_golden(&mut post);

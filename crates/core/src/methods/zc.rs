@@ -11,7 +11,7 @@
 //! matching the paper's §6.3.2–6.3.3 method lists.
 
 use crowd_data::{Dataset, TaskType};
-use crowd_stats::{fused_two_term_row, safe_ln_map_into, ConvergenceTracker};
+use crowd_stats::{fused_two_term_rows, safe_ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -116,24 +116,9 @@ impl Zc {
             safe_ln_map_into(&mut ln_wrong, |w| (1.0 - quality[w]) / lm1);
             {
                 let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                let mut fused_rows = 0u64;
-                for task in 0..cat.n {
-                    if cat.golden[task].is_some() {
-                        continue; // stays clamped
-                    }
-                    if cat.task_len(task) == 0 {
-                        continue; // stays uniform
-                    }
-                    let row = post.row_mut(task);
-                    row.fill(0.0);
-                    fused_two_term_row(
-                        row,
-                        cat.task(task).map(|(worker, label)| {
-                            (label as usize, ln_correct[worker], ln_wrong[worker])
-                        }),
-                    );
-                    fused_rows += 1;
-                }
+                let fused_rows = fused_two_term_rows(post.data_mut(), cat.l, |task| {
+                    two_term_answers(cat.golden[task], cat.task_row(task), &ln_correct, &ln_wrong)
+                });
                 crate::methods::obs_fused_rows().add(fused_rows);
             }
             cat.clamp_golden(&mut post);
@@ -236,26 +221,14 @@ impl Zc {
                         move || {
                             let _timer = crate::views::obs_estep_seconds().start_timer();
                             let start = view.shard_tasks(s).start;
-                            let mut fused_rows = 0u64;
-                            for (local, row) in block.chunks_mut(l).enumerate() {
-                                let task = start + local;
-                                let answers = view.shard_task_row(s, local);
-                                if golden[task].is_some() || answers.is_empty() {
-                                    continue;
-                                }
-                                row.fill(0.0);
-                                fused_two_term_row(
-                                    row,
-                                    answers.iter().map(|&(worker, label)| {
-                                        (
-                                            label as usize,
-                                            ln_correct[worker as usize],
-                                            ln_wrong[worker as usize],
-                                        )
-                                    }),
-                                );
-                                fused_rows += 1;
-                            }
+                            let fused_rows = fused_two_term_rows(block, l, |local| {
+                                two_term_answers(
+                                    golden[start + local],
+                                    view.shard_task_row(s, local),
+                                    ln_correct,
+                                    ln_wrong,
+                                )
+                            });
                             crate::methods::obs_fused_rows().add(fused_rows);
                         }
                     })
@@ -306,6 +279,25 @@ impl Zc {
             posteriors: Some(post.into_nested()),
         })
     }
+}
+
+/// The [`fused_two_term_rows`] terms of one task row under per-worker
+/// correct/wrong log tables: `None` for a golden task (stays clamped) or
+/// an unanswered one (stays uniform), else `(label, ln_correct[w],
+/// ln_wrong[w])` per answer.
+pub(super) fn two_term_answers<'a>(
+    golden: Option<u8>,
+    answers: &'a [(u32, u8)],
+    ln_correct: &'a [f64],
+    ln_wrong: &'a [f64],
+) -> Option<impl Iterator<Item = (usize, f64, f64)> + 'a> {
+    if golden.is_some() || answers.is_empty() {
+        return None;
+    }
+    Some(answers.iter().map(|&(worker, label)| {
+        let w = worker as usize;
+        (label as usize, ln_correct[w], ln_wrong[w])
+    }))
 }
 
 #[cfg(test)]

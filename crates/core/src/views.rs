@@ -381,20 +381,35 @@ impl Cat {
     }
 }
 
-/// MAP label of one posterior row with seeded uniform tie-breaking.
+/// MAP label of one posterior row with seeded uniform tie-breaking:
+/// the labels within `1e-12` of the row maximum tie, and the RNG draws
+/// only when there is more than one. Two passes and no allocation — the
+/// first counts the ties, the second finds the chosen one.
+///
+/// A row with no finite maximum ties the labels equal to its maximum
+/// (the `+inf` labels, or every label of an all-`-inf` row); a row with
+/// nothing comparable at all (all NaN) ties every label, like a uniform
+/// row.
 fn decode_row(p: &[f64], rng: &mut StdRng) -> u8 {
     let best = p.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let ties: Vec<u8> = p
+    // `v == best` only decides for an infinite `best`, where `v − best`
+    // is NaN; otherwise it implies the distance test.
+    let near_best = |v: f64| v == best || (v - best).abs() < 1e-12;
+    let ties = p.iter().filter(|&&v| near_best(v)).count();
+    let every_label = ties == 0;
+    let count = if every_label { p.len() } else { ties };
+    let k = if count == 1 {
+        0
+    } else {
+        rng.gen_range(0..count)
+    };
+    let (label, _) = p
         .iter()
         .enumerate()
-        .filter(|(_, &v)| (v - best).abs() < 1e-12)
-        .map(|(i, _)| i as u8)
-        .collect();
-    if ties.len() == 1 {
-        ties[0]
-    } else {
-        ties[rng.gen_range(0..ties.len())]
-    }
+        .filter(|&(_, &v)| every_label || near_best(v))
+        .nth(k)
+        .expect("k counts the ties");
+    label as u8
 }
 
 /// Dense numeric view (CSR, like [`Cat`] with `f64` values).
@@ -734,6 +749,71 @@ mod tests {
             Csr::from_triples_counted(&[2, 2], triples.iter().copied())
         });
         assert!(r.is_err(), "overcount must panic");
+    }
+
+    /// The tie-collecting decode `decode_row` replaced: same labels and
+    /// the same RNG draws on every row with a finite maximum.
+    fn collected_ties_decode(p: &[f64], rng: &mut StdRng) -> u8 {
+        let best = p.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let ties: Vec<u8> = p
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| (v - best).abs() < 1e-12)
+            .map(|(i, _)| i as u8)
+            .collect();
+        if ties.len() == 1 {
+            ties[0]
+        } else {
+            ties[rng.gen_range(0..ties.len())]
+        }
+    }
+
+    #[test]
+    fn decode_row_matches_collected_ties_on_finite_rows() {
+        use rand::SeedableRng;
+        let rows: [&[f64]; 6] = [
+            &[0.1, 0.7, 0.2],
+            &[0.5, 0.5, 0.0],
+            &[0.25, 0.25, 0.25, 0.25],
+            &[0.4, 0.4 + 1e-13, 0.2],
+            &[1.0],
+            &[0.0, 0.3, 0.3, 0.3, 0.1],
+        ];
+        let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for _ in 0..50 {
+            for p in rows {
+                assert_eq!(
+                    decode_row(p, &mut a),
+                    collected_ties_decode(p, &mut b),
+                    "{p:?}"
+                );
+            }
+        }
+        // Same number of draws: the streams are still in step.
+        assert_eq!(a.gen_range(0..u32::MAX), b.gen_range(0..u32::MAX));
+    }
+
+    #[test]
+    fn decode_row_defines_rows_without_a_finite_maximum() {
+        use rand::SeedableRng;
+        let inf = f64::INFINITY;
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..20 {
+            // All -inf / all NaN: every label ties.
+            assert!(decode_row(&[-inf; 3], &mut rng) < 3);
+            assert!(decode_row(&[f64::NAN; 4], &mut rng) < 4);
+            // +inf labels tie with each other only.
+            assert!([0, 2].contains(&decode_row(&[inf, 1.0, inf], &mut rng)));
+        }
+        // A lone comparable maximum decodes without a draw.
+        let mut fresh = StdRng::seed_from_u64(3);
+        let before = fresh.clone();
+        assert_eq!(decode_row(&[f64::NAN, -inf, f64::NAN], &mut fresh), 1);
+        assert_eq!(decode_row(&[0.2, inf, f64::NAN], &mut fresh), 1);
+        assert_eq!(
+            fresh.gen_range(0..u32::MAX),
+            before.clone().gen_range(0..u32::MAX)
+        );
     }
 
     #[test]

@@ -300,36 +300,135 @@ pub(crate) fn log_normalize_scalar(xs: &mut [f64]) {
 }
 
 /// [`log_normalize`] applied to every row of a matrix — the whole-
-/// posterior form of the E-step's final step.
-///
-/// The per-row `log_sum_exp` temporaries are hoisted into stack blocks
-/// ([`fused::log_normalize_rows_blocked`]) so the matrix is swept in
-/// two linear passes (row statistics, then `exp(x − lse)`) instead of
-/// three passes per row — this is where the old per-row form paid ~2×
-/// the cost of its parts. ℓ = 4 matrices take the in-register row path
-/// instead.
+/// posterior form of the E-step's final step, through the same legs as
+/// [`log_normalize_rows_flat`].
 pub fn log_normalize_rows(m: &mut DMat) {
-    if m.rows() == 0 || m.cols() == 0 {
-        return;
+    if m.cols() != 0 {
+        log_normalize_rows_flat(m.cols(), m.data_mut());
     }
-    let cols = m.cols();
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
-    if cols <= LANES && simd::avx2_active() {
-        log_normalize_rows_flat(cols, m.data_mut());
-        return;
+}
+
+/// Rows per block of the staged scalar row kernels
+/// ([`log_normalize_rows_flat`], [`log_sum_exp_rows_flat`]).
+const STAGE_ROWS: usize = 4;
+
+/// Every row's [`log_sum_exp_scalar`] for one block of [`STAGE_ROWS`]
+/// rows, one step at a time across the block: all maxima, then all
+/// `exp(x − max)` terms, then all `ln`s. Within a row the arithmetic is
+/// the per-row kernel's, op for op — the `f64::max` fold, the exact
+/// `1.0` for the max lane, the left-to-right `Sum`, and `lse = max` for
+/// a row whose max is not finite — so the result is bit-identical. What
+/// changes is the schedule: a row's `exp` → sum → `ln` chain is
+/// dependent, but the block's four chains are not, so their libm calls
+/// overlap in the pipeline instead of each paying the call's full
+/// latency.
+#[inline(always)]
+fn staged_log_sum_exp<const L: usize>(rows: &[[f64; L]; STAGE_ROWS]) -> [f64; STAGE_ROWS] {
+    let max: [f64; STAGE_ROWS] =
+        std::array::from_fn(|r| rows[r].iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    let mut terms = [[0.0f64; L]; STAGE_ROWS];
+    for ((t, row), &m) in terms.iter_mut().zip(rows).zip(&max) {
+        if m.is_finite() {
+            for (t, &x) in t.iter_mut().zip(row) {
+                *t = if x == m { 1.0 } else { exp(x - m) };
+            }
+        }
     }
-    fused::log_normalize_rows_blocked(cols, m.data_mut());
+    let mut lse = max;
+    for (lse, t) in lse.iter_mut().zip(&terms) {
+        if lse.is_finite() {
+            *lse += ln(t.iter().sum::<f64>());
+        }
+    }
+    lse
+}
+
+/// The scalar legs (`std`, `fast-math-scalar`) of
+/// [`log_normalize_rows_flat`]: staged blocks for `cols ≤ 4`, the
+/// per-row kernel for wider rows.
+fn log_normalize_rows_scalar(cols: usize, data: &mut [f64]) {
+    match cols {
+        1 => log_normalize_rows_staged::<1>(data),
+        2 => log_normalize_rows_staged::<2>(data),
+        3 => log_normalize_rows_staged::<3>(data),
+        4 => log_normalize_rows_staged::<4>(data),
+        _ => data.chunks_exact_mut(cols).for_each(log_normalize_scalar),
+    }
+}
+
+/// The scalar legs of [`log_sum_exp_rows_flat`], split like
+/// [`log_normalize_rows_scalar`].
+fn log_sum_exp_rows_scalar(cols: usize, data: &[f64], out: &mut [f64]) {
+    match cols {
+        1 => log_sum_exp_rows_staged::<1>(data, out),
+        2 => log_sum_exp_rows_staged::<2>(data, out),
+        3 => log_sum_exp_rows_staged::<3>(data, out),
+        4 => log_sum_exp_rows_staged::<4>(data, out),
+        _ => {
+            for (row, o) in data.chunks_exact(cols).zip(out.iter_mut()) {
+                *o = log_sum_exp_scalar(row);
+            }
+        }
+    }
+}
+
+/// [`log_normalize_rows_scalar`] for `L ≤ 4`: each block of
+/// [`STAGE_ROWS`] rows runs [`staged_log_sum_exp`] and then every row's
+/// `exp(x − lse)` (uniform mass for a non-finite `lse`, as in
+/// [`log_normalize_scalar`]); the `< STAGE_ROWS`-row remainder runs the
+/// per-row kernel.
+fn log_normalize_rows_staged<const L: usize>(data: &mut [f64]) {
+    let (rows, _) = data.as_chunks_mut::<L>();
+    let mut blocks = rows.chunks_exact_mut(STAGE_ROWS);
+    for block in &mut blocks {
+        let block: &mut [[f64; L]; STAGE_ROWS] = block.try_into().expect("exact block");
+        let lses = staged_log_sum_exp(block);
+        for (row, lse) in block.iter_mut().zip(lses) {
+            if lse.is_finite() {
+                for x in row.iter_mut() {
+                    *x = exp(*x - lse);
+                }
+            } else {
+                *row = [1.0 / L as f64; L];
+            }
+        }
+    }
+    for row in blocks.into_remainder() {
+        log_normalize_scalar(row);
+    }
+}
+
+/// [`log_sum_exp_rows_scalar`] for `L ≤ 4`: staged blocks as in
+/// [`log_normalize_rows_staged`], per-row remainder.
+fn log_sum_exp_rows_staged<const L: usize>(data: &[f64], out: &mut [f64]) {
+    let (rows, _) = data.as_chunks::<L>();
+    let mut blocks = rows.chunks_exact(STAGE_ROWS);
+    let mut outs = out.chunks_exact_mut(STAGE_ROWS);
+    for (block, o) in (&mut blocks).zip(&mut outs) {
+        o.copy_from_slice(&staged_log_sum_exp(block.try_into().expect("exact block")));
+    }
+    for (row, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
+        *o = log_sum_exp_scalar(row);
+    }
 }
 
 /// [`log_normalize`] applied to each `cols`-wide row of a packed flat
-/// buffer — bit-identical to calling it row by row, but narrow rows
-/// (`cols ≤ 4`, the posterior shapes) batch four rows per vector
-/// iteration under `fast-math-avx2`
-/// ([`simd::log_normalize_rows_packed`]): one dispatch for the whole
-/// buffer, and the per-row `ln` vectorises **across** rows. This is
-/// the kernel for hot loops that softmax many tiny rows (Minimax's
-/// dual ascent normalises one ℓ-wide model row per (answer,
-/// hypothesis) pair).
+/// buffer — bit-identical to calling it row by row. This is the kernel
+/// for hot loops that softmax many tiny rows (Minimax's dual ascent
+/// normalises one ℓ-wide model row per (answer, hypothesis) pair, the
+/// multi-row E-step kernels in [`fused`] a block of posterior rows).
+/// Narrow rows (`cols ≤ 4`, the posterior shapes) are batched:
+///
+/// - under `fast-math-avx2`, four rows per vector iteration
+///   ([`simd::log_normalize_rows_packed`]): one dispatch for the whole
+///   buffer, and the per-row `ln` vectorises **across** rows;
+/// - on the scalar legs (`std`, `fast-math-scalar`), four rows per
+///   staged block — every row's max, then every row's `exp(x − max)`
+///   terms, then every row's `ln`, then every row's `exp(x − lse)` — so
+///   neighbouring rows' `exp`/`ln` calls overlap instead of running at
+///   libm latency.
+///
+/// Wider rows run the per-row kernel.
 ///
 /// # Panics
 /// Panics if `data.len()` is not a multiple of `cols` (`cols == 0`
@@ -356,14 +455,12 @@ pub fn log_normalize_rows_flat(cols: usize, data: &mut [f64]) {
         }
         return;
     }
-    for row in data.chunks_exact_mut(cols) {
-        log_normalize_scalar(row);
-    }
+    log_normalize_rows_scalar(cols, data);
 }
 
 /// [`log_sum_exp`] of each `cols`-wide row of a packed flat buffer,
 /// written to `out` — bit-identical to the per-row call, batched like
-/// [`log_normalize_rows_flat`] under `fast-math-avx2`.
+/// [`log_normalize_rows_flat`] on every leg.
 ///
 /// # Panics
 /// Panics if `data.len()` is not a multiple of `cols` or `out` is not
@@ -391,9 +488,7 @@ pub fn log_sum_exp_rows_flat(cols: usize, data: &[f64], out: &mut [f64]) {
         }
         return;
     }
-    for (row, o) in data.chunks_exact(cols).zip(out.iter_mut()) {
-        *o = log_sum_exp_scalar(row);
-    }
+    log_sum_exp_rows_scalar(cols, data, out);
 }
 
 /// `Σ_i w_i · ln(max(x_i, 1e-12))` — the expected-log-likelihood
@@ -624,6 +719,54 @@ mod tests {
         assert!(m.row(0)[0] > m.row(0)[1]);
         // Degenerate row → uniform.
         assert!(m.row(2).iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-15));
+    }
+
+    /// `rows` rows of width `l`, cycling (from `shift`) through the row
+    /// kinds the staged legs must keep: ordinary, all `-inf`, holding
+    /// NaN, holding `+inf`, offset by −800, and tied maxima.
+    fn staged_fixture(l: usize, rows: usize, shift: usize) -> Vec<f64> {
+        let mut data = Vec::with_capacity(rows * l);
+        for r in 0..rows {
+            let mut row: Vec<f64> = (0..l).map(|j| 0.7 * j as f64 - 0.3 * r as f64).collect();
+            match (r + shift) % 6 {
+                1 => row.fill(f64::NEG_INFINITY),
+                2 => row[r % l] = f64::NAN,
+                3 => row[(r + 1) % l] = f64::INFINITY,
+                4 => row.iter_mut().for_each(|x| *x -= 800.0),
+                5 => {
+                    row[0] = 2.5;
+                    row[l - 1] = 2.5;
+                }
+                _ => {}
+            }
+            data.extend(row);
+        }
+        data
+    }
+
+    #[test]
+    fn staged_legs_match_per_row_kernels_bitwise() {
+        for l in 1..=6usize {
+            for rows in 0..=9usize {
+                for shift in 0..6 {
+                    let data = staged_fixture(l, rows, shift);
+                    let ctx = format!("l = {l}, rows = {rows}, shift = {shift}");
+
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+                    let mut want = data.clone();
+                    want.chunks_exact_mut(l).for_each(log_normalize_scalar);
+                    let mut got = data.clone();
+                    log_normalize_rows_scalar(l, &mut got);
+                    assert_eq!(bits(&want), bits(&got), "normalize {ctx}");
+
+                    let want: Vec<f64> = data.chunks_exact(l).map(log_sum_exp_scalar).collect();
+                    let mut got = vec![0.0; rows];
+                    log_sum_exp_rows_scalar(l, &data, &mut got);
+                    assert_eq!(bits(&want), bits(&got), "lse {ctx}");
+                }
+            }
+        }
     }
 
     #[test]

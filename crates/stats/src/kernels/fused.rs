@@ -8,18 +8,23 @@
 //! overhead on rows of length 2–4. Here each composite is one walk
 //! over the data:
 //!
-//! - [`fused_posterior_row`] — log-prior init + strided log-table
-//!   gather/accumulate over a CSR task row + log-sum-exp + normalize,
-//!   written directly into the posterior row (D&S/LFC/VI-MF shape);
-//! - [`fused_two_term_row`] — the correct/wrong two-term accumulate +
-//!   normalize (ZC/GLAD shape);
+//! - [`fused_posterior_rows`] — log-prior init + strided log-table
+//!   gather/accumulate over each CSR task row of a contiguous run +
+//!   log-sum-exp + normalize, written directly into the posterior rows
+//!   (D&S/LFC/VI-MF shape);
+//! - [`fused_two_term_rows`] — the correct/wrong two-term accumulate +
+//!   normalize over a run of rows (ZC/GLAD shape);
 //! - [`ln_map_into`]/[`safe_ln_map_into`]/[`exp_map_into`]/
 //!   [`sigmoid_map_into`] — `f(x)`-of-computed pipelines (`safe_ln` of
 //!   products, `sigmoid∘exp` chains) that fill from a closure and
 //!   transform in cache-resident blocks instead of write-everything /
-//!   transform-everything sweeps;
-//! - [`log_normalize_rows_blocked`] — the whole-matrix normalize with
-//!   the per-row `log_sum_exp` temporaries hoisted into stack blocks.
+//!   transform-everything sweeps.
+//!
+//! The multi-row kernels accumulate `ROW_BLOCK` rows at a time into a
+//! stack block and normalise the block with one
+//! [`super::log_normalize_rows_flat`] call: the staged four-row legs on
+//! the scalar backends, one packed-kernel dispatch under
+//! `fast-math-avx2`.
 //!
 //! Every fused kernel is **bit-identical** to the multi-pass
 //! composition it replaces, in every backend: the element operations,
@@ -28,60 +33,148 @@
 //! `fast-math-avx2` the transcendental legs run on the vector cores
 //! (which are themselves bit-identical to the scalar polynomial).
 
-#[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
-use super::simd;
-use super::{exp, exp_slice, ln_slice, log_normalize, safe_ln_slice, sigmoid_slice, LANES};
+use super::{
+    exp_slice, ln_slice, log_normalize, log_normalize_rows_flat, safe_ln_slice, sigmoid_slice,
+};
 
-/// Posterior row E-step, fused: `out ← log_prior`, then for every
-/// `base` yielded by the iterator `out[j] += table[base + j·ℓ]`
-/// (ℓ = `out.len()`, the per-label stride of the flat log-confusion
-/// table), then [`log_normalize`]. One pass over the answers, the
-/// normalize in registers for ℓ = 4.
+/// Posterior rows per block of the multi-row E-step kernels: a multiple
+/// of the staged legs' four rows, and small enough (≤ 512 bytes at
+/// ℓ = 4) that the block stays in L1 between accumulate and normalize.
+const ROW_BLOCK: usize = 16;
+
+/// Posterior E-step over a contiguous run of task rows, fused. `out`
+/// holds the run's rows, ℓ = `log_prior.len()` wide. For row `r`,
+/// `bases(r)` returns `None` to leave the row untouched (golden and
+/// unanswered tasks), or the table bases of the task's answers: the row
+/// becomes `log_prior`, plus `table[base + j·ℓ]` in every lane `j` for
+/// each base in the order given, normalised by [`log_normalize`]'s
+/// arithmetic. Returns the number of rows computed.
 ///
 /// # Panics
-/// Panics if `log_prior.len() != out.len()` or a base walks off the
-/// table.
-pub fn fused_posterior_row(
+/// Panics if `out.len()` is not a multiple of ℓ (ℓ = 0 requires an
+/// empty run) or a base walks off the table.
+pub fn fused_posterior_rows<I: Iterator<Item = usize>>(
     out: &mut [f64],
     log_prior: &[f64],
     table: &[f64],
-    bases: impl Iterator<Item = usize>,
-) {
-    out.copy_from_slice(log_prior);
-    let l = out.len();
-    if l == LANES {
-        let o: &mut [f64; LANES] = out.try_into().expect("length checked");
+    mut bases: impl FnMut(usize) -> Option<I>,
+) -> u64 {
+    normalized_rows(out, log_prior.len(), |r, row| {
+        let Some(bases) = bases(r) else {
+            return false;
+        };
+        row.copy_from_slice(log_prior);
+        let l = row.len();
         for b in bases {
-            o[0] += table[b];
-            o[1] += table[b + LANES];
-            o[2] += table[b + 2 * LANES];
-            o[3] += table[b + 3 * LANES];
+            for (j, o) in row.iter_mut().enumerate() {
+                *o += table[b + j * l];
+            }
         }
-    } else {
-        for b in bases {
-            let mut idx = b;
-            for o in out.iter_mut() {
-                *o += table[idx];
-                idx += l;
+        true
+    })
+}
+
+/// Two-term posterior E-step over a contiguous run of `l`-wide rows,
+/// fused. For row `r`, `terms(r)` returns `None` to leave the row
+/// untouched, or its `(label, on, off)` terms: the row starts at zero,
+/// gains `on` at `label` and `off` everywhere else for each term in the
+/// order given, and is normalised by [`log_normalize`]'s arithmetic.
+/// This is the ZC/GLAD accumulate shape, where each answer contributes
+/// its log-correct weight to the answered label and its log-wrong
+/// weight to every other label. Returns the number of rows computed.
+///
+/// # Panics
+/// Panics if `out.len()` is not a multiple of `l` (`l == 0` requires an
+/// empty run).
+pub fn fused_two_term_rows<I: Iterator<Item = (usize, f64, f64)>>(
+    out: &mut [f64],
+    l: usize,
+    mut terms: impl FnMut(usize) -> Option<I>,
+) -> u64 {
+    normalized_rows(out, l, |r, row| {
+        let Some(terms) = terms(r) else {
+            return false;
+        };
+        row.fill(0.0);
+        for (label, on, off) in terms {
+            for (j, o) in row.iter_mut().enumerate() {
+                *o += if j == label { on } else { off };
+            }
+        }
+        true
+    })
+}
+
+/// The body shared by the multi-row kernels: `fill(r, row)` writes row
+/// `r`'s log-domain values into `row` and returns `true`, or returns
+/// `false` without writing to skip it. Filled rows are normalised —
+/// blocks of [`ROW_BLOCK`] for `l ≤ 4`, the per-row path for wider
+/// rows.
+fn normalized_rows(
+    out: &mut [f64],
+    l: usize,
+    mut fill: impl FnMut(usize, &mut [f64]) -> bool,
+) -> u64 {
+    if out.is_empty() {
+        return 0;
+    }
+    assert!(
+        l != 0 && out.len().is_multiple_of(l),
+        "run of {} elements is not rows of width {l}",
+        out.len()
+    );
+    match l {
+        1 => normalized_row_blocks::<1>(out, fill),
+        2 => normalized_row_blocks::<2>(out, fill),
+        3 => normalized_row_blocks::<3>(out, fill),
+        4 => normalized_row_blocks::<4>(out, fill),
+        _ => {
+            let mut computed = 0;
+            for (r, row) in out.chunks_exact_mut(l).enumerate() {
+                if fill(r, row) {
+                    log_normalize(row);
+                    computed += 1;
+                }
+            }
+            computed
+        }
+    }
+}
+
+/// [`normalized_rows`] for `L ≤ 4`: filled rows gather into a stack
+/// block, which is normalised and scattered back when full and once
+/// more for the tail.
+fn normalized_row_blocks<const L: usize>(
+    out: &mut [f64],
+    mut fill: impl FnMut(usize, &mut [f64]) -> bool,
+) -> u64 {
+    let (rows, _) = out.as_chunks_mut::<L>();
+    let mut block = [[0.0f64; L]; ROW_BLOCK];
+    let mut dest = [0usize; ROW_BLOCK];
+    let mut filled = 0;
+    let mut computed = 0;
+    for r in 0..rows.len() {
+        if fill(r, &mut block[filled]) {
+            dest[filled] = r;
+            filled += 1;
+            computed += 1;
+            if filled == ROW_BLOCK {
+                normalize_block(&mut block, &dest, rows);
+                filled = 0;
             }
         }
     }
-    log_normalize(out);
+    normalize_block(&mut block[..filled], &dest[..filled], rows);
+    computed
 }
 
-/// Two-term posterior row E-step, fused: for every `(label, on, off)`
-/// term, `out[j] += if j == label { on } else { off }`, then
-/// [`log_normalize`]. The caller pre-initialises `out` (zeros, or a
-/// log-prior). This is the ZC/GLAD accumulate shape, where each answer
-/// contributes its log-correct weight to the answered label and its
-/// log-wrong weight to every other label.
-pub fn fused_two_term_row(out: &mut [f64], terms: impl Iterator<Item = (usize, f64, f64)>) {
-    for (label, on, off) in terms {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o += if j == label { on } else { off };
-        }
+/// One [`log_normalize_rows_flat`] call over a gathered block, then
+/// `rows[dest[i]] ← block[i]`.
+fn normalize_block<const L: usize>(block: &mut [[f64; L]], dest: &[usize], rows: &mut [[f64; L]]) {
+    log_normalize_rows_flat(L, block.as_flattened_mut());
+    for (row, &d) in block.iter().zip(dest) {
+        rows[d] = *row;
     }
-    log_normalize(out);
 }
 
 /// Fill/transform block size: big enough to amortise one dispatcher
@@ -129,190 +222,103 @@ pub fn sigmoid_map_into(out: &mut [f64], mut f: impl FnMut(usize) -> f64) {
     map_into!(out, f, sigmoid_slice)
 }
 
-/// `out[i] = exp(xs[i] − offs[i])` for one lane block, `1.0` where
-/// `xs[i] == offs[i]` when `one_on_eq` — scalar legs here, vector
-/// lanes in [`simd::exp_sub4`].
-#[inline]
-fn exp_sub_lanes(
-    xs: &[f64; LANES],
-    offs: &[f64; LANES],
-    out: &mut [f64; LANES],
-    one_on_eq: bool,
-    simd_on: bool,
-) {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
-    if simd_on {
-        // SAFETY: the caller checked `simd::avx2_active()`.
-        unsafe { simd::exp_sub4(xs, offs, out, one_on_eq) };
-        return;
-    }
-    let _ = simd_on;
-    for i in 0..LANES {
-        out[i] = if one_on_eq && xs[i] == offs[i] {
-            1.0
-        } else {
-            exp(xs[i] - offs[i])
-        };
-    }
-}
-
-/// Rows handled per stack block by [`log_normalize_rows_blocked`].
-const ROW_BLOCK: usize = 64;
-
-/// [`log_normalize`] over every `cols`-wide row of `data`, with the
-/// per-row temporaries (max, exp-sum, log-sum-exp) hoisted into stack
-/// blocks of [`ROW_BLOCK`] rows. The matrix is swept in two linear
-/// passes per block — row statistics, then `exp(x − lse)` — with the
-/// exp work batched across row boundaries in [`LANES`]-wide chunks
-/// (lanes carry their own row's offset, so short rows of 2–3 labels
-/// still fill the vector unit). Bit-identical to the per-row form:
-/// per-element operations and the within-row left-to-right summation
-/// order are unchanged.
-pub(crate) fn log_normalize_rows_blocked(cols: usize, data: &mut [f64]) {
-    debug_assert!(cols > 0 && data.len().is_multiple_of(cols));
-    let simd_on =
-        cfg!(all(feature = "fast-math", target_arch = "x86_64")) && super::simd::avx2_active();
-    let uniform = 1.0 / cols as f64;
-    let rows = data.len() / cols;
-    let mut maxs = [0.0f64; ROW_BLOCK];
-    let mut sums = [0.0f64; ROW_BLOCK];
-    let mut lses = [0.0f64; ROW_BLOCK];
-    for r0 in (0..rows).step_by(ROW_BLOCK) {
-        let bn = ROW_BLOCK.min(rows - r0);
-        let block = &mut data[r0 * cols..(r0 + bn) * cols];
-        // Pass 1a: per-row max (cheap, no transcendentals).
-        for (bi, row) in block.chunks_exact(cols).enumerate() {
-            maxs[bi] = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            sums[bi] = 0.0;
-        }
-        // Pass 1b: Σ exp(x − max) per row, batched across rows. Lanes
-        // are accumulated into their rows in flat (row-major) order,
-        // preserving each row's left-to-right sum. Degenerate rows
-        // (non-finite max) produce garbage sums that pass 2 discards.
-        let mut xin = [0.0f64; LANES];
-        let mut offs = [0.0f64; LANES];
-        let mut eout = [0.0f64; LANES];
-        let mut rows_of = [0usize; LANES];
-        let (mut r, mut c) = (0usize, 0usize);
-        let mut i = 0;
-        while i + LANES <= block.len() {
-            xin.copy_from_slice(&block[i..i + LANES]);
-            for lane in 0..LANES {
-                rows_of[lane] = r;
-                offs[lane] = maxs[r];
-                c += 1;
-                if c == cols {
-                    c = 0;
-                    r += 1;
-                }
-            }
-            exp_sub_lanes(&xin, &offs, &mut eout, true, simd_on);
-            for lane in 0..LANES {
-                sums[rows_of[lane]] += eout[lane];
-            }
-            i += LANES;
-        }
-        while i < block.len() {
-            let x = block[i];
-            sums[r] += if x == maxs[r] { 1.0 } else { exp(x - maxs[r]) };
-            c += 1;
-            if c == cols {
-                c = 0;
-                r += 1;
-            }
-            i += 1;
-        }
-        // Row lse = max + ln(sum); the ln runs batched over the block.
-        // Rows whose max is non-finite keep lse = max (the
-        // `log_sum_exp` early return), and any non-finite lse (NaN in
-        // the row, all −∞) means "spread uniformly" in pass 2.
-        ln_slice(&mut sums[..bn]);
-        for bi in 0..bn {
-            lses[bi] = if maxs[bi].is_finite() {
-                maxs[bi] + sums[bi]
-            } else {
-                maxs[bi]
-            };
-        }
-        // Pass 2: x ← exp(x − lse), batched across rows; degenerate
-        // rows are overwritten with the uniform vector afterwards.
-        let (mut r, mut c) = (0usize, 0usize);
-        let mut i = 0;
-        while i + LANES <= block.len() {
-            xin.copy_from_slice(&block[i..i + LANES]);
-            for off in offs.iter_mut() {
-                *off = lses[r];
-                c += 1;
-                if c == cols {
-                    c = 0;
-                    r += 1;
-                }
-            }
-            exp_sub_lanes(&xin, &offs, &mut eout, false, simd_on);
-            block[i..i + LANES].copy_from_slice(&eout);
-            i += LANES;
-        }
-        while i < block.len() {
-            block[i] = exp(block[i] - lses[r]);
-            c += 1;
-            if c == cols {
-                c = 0;
-                r += 1;
-            }
-            i += 1;
-        }
-        for bi in 0..bn {
-            if !lses[bi].is_finite() {
-                block[bi * cols..(bi + 1) * cols].fill(uniform);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{log_normalize, log_normalize_scalar, safe_ln, sigmoid_slice};
+    use super::super::{log_normalize_scalar, safe_ln, sigmoid_slice};
     use super::*;
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Rows of a run the E-step skips: golden and unanswered tasks,
+    /// placed on both sides of every [`ROW_BLOCK`] boundary, in runs,
+    /// and (in runs longer than a block) as the first and last rows.
+    fn skipped(r: usize, rows: usize) -> bool {
+        (rows > ROW_BLOCK && (r == 0 || r + 1 == rows))
+            || (r > 0 && r.is_multiple_of(ROW_BLOCK))
+            || r % ROW_BLOCK == ROW_BLOCK - 1
+            || r % 7 == 3
+            || (2 * ROW_BLOCK + 2..2 * ROW_BLOCK + 5).contains(&r)
+    }
+
+    /// Run lengths crossing zero, one and several blocks, with tails.
+    const RUNS: [usize; 6] = [0, 1, 5, ROW_BLOCK, ROW_BLOCK + 3, 3 * ROW_BLOCK + 2];
+
+    /// Sentinel left in skipped rows, which the kernels must not touch.
+    const UNTOUCHED: f64 = -123.25;
+
     #[test]
     fn fused_posterior_row_matches_unfused_composition() {
-        for l in [2usize, 3, 4, 7] {
+        for l in 1..=7usize {
             let table: Vec<f64> = (0..l * l * 5).map(|i| -0.01 * i as f64 - 0.3).collect();
             let prior: Vec<f64> = (0..l).map(|j| -1.1 - 0.2 * j as f64).collect();
-            let bases = [0usize, l * l, 3 * l * l + 1, l * l + l - 1];
-            // Unfused reference: copy, strided accumulate, normalize.
-            let mut want = prior.clone();
-            for &b in &bases {
-                let mut idx = b;
-                for o in want.iter_mut() {
-                    *o += table[idx];
-                    idx += l;
+            let bases = |r: usize| [r % 5 * l * l, (r + 2) % 5 * l * l + l - 1, r % l];
+            for rows in RUNS {
+                // Unfused per-row reference: copy, strided accumulate,
+                // normalize.
+                let mut want = vec![UNTOUCHED; rows * l];
+                let mut computed = 0;
+                for (r, row) in want.chunks_exact_mut(l).enumerate() {
+                    if skipped(r, rows) {
+                        continue;
+                    }
+                    row.copy_from_slice(&prior);
+                    for b in bases(r) {
+                        let mut idx = b;
+                        for o in row.iter_mut() {
+                            *o += table[idx];
+                            idx += l;
+                        }
+                    }
+                    log_normalize_scalar(row);
+                    computed += 1;
                 }
+                let mut got = vec![UNTOUCHED; rows * l];
+                let n = fused_posterior_rows(&mut got, &prior, &table, |r| {
+                    (!skipped(r, rows)).then(|| bases(r).into_iter())
+                });
+                assert_eq!(bits(&want), bits(&got), "l = {l}, rows = {rows}");
+                assert_eq!(n, computed, "l = {l}, rows = {rows}");
             }
-            log_normalize(&mut want);
-            let mut got = vec![0.0; l];
-            fused_posterior_row(&mut got, &prior, &table, bases.iter().copied());
-            assert_eq!(bits(&want), bits(&got), "l = {l}");
         }
     }
 
     #[test]
     fn fused_two_term_row_matches_unfused_composition() {
-        let terms = [(0usize, -0.1, -2.0), (2, -0.4, -1.5), (1, -0.2, -0.9)];
-        let mut want = vec![0.0; 3];
-        for &(label, on, off) in &terms {
-            for (j, o) in want.iter_mut().enumerate() {
-                *o += if j == label { on } else { off };
+        for l in 1..=7usize {
+            let terms = |r: usize| {
+                [
+                    (0usize, -0.1, -2.0),
+                    (2, -0.4, -1.5),
+                    (1, -0.2 - 0.01 * r as f64, -0.9),
+                ]
+                .map(|(label, on, off)| (label % l, on, off))
+            };
+            for rows in RUNS {
+                let mut want = vec![UNTOUCHED; rows * l];
+                let mut computed = 0;
+                for (r, row) in want.chunks_exact_mut(l).enumerate() {
+                    if skipped(r, rows) {
+                        continue;
+                    }
+                    row.fill(0.0);
+                    for (label, on, off) in terms(r) {
+                        for (j, o) in row.iter_mut().enumerate() {
+                            *o += if j == label { on } else { off };
+                        }
+                    }
+                    log_normalize_scalar(row);
+                    computed += 1;
+                }
+                let mut got = vec![UNTOUCHED; rows * l];
+                let n = fused_two_term_rows(&mut got, l, |r| {
+                    (!skipped(r, rows)).then(|| terms(r).into_iter())
+                });
+                assert_eq!(bits(&want), bits(&got), "l = {l}, rows = {rows}");
+                assert_eq!(n, computed, "l = {l}, rows = {rows}");
             }
         }
-        log_normalize(&mut want);
-        let mut got = vec![0.0; 3];
-        fused_two_term_row(&mut got, terms.iter().copied());
-        assert_eq!(bits(&want), bits(&got));
     }
 
     #[test]
@@ -331,26 +337,45 @@ mod tests {
         assert_eq!(bits(&want), bits(&got));
     }
 
+    /// The block gather/normalize/scatter of the multi-row kernels over
+    /// degenerate and extreme rows (all `-inf`, NaN, `+inf`, offset by
+    /// −800, tied maxima) matches the per-row kernel, skipped rows
+    /// included.
     #[test]
     fn blocked_rows_match_per_row_log_normalize() {
-        for cols in [1usize, 2, 3, 4, 5, 9] {
-            let rows = 131; // crosses the ROW_BLOCK boundary
-            let mut data: Vec<f64> = (0..rows * cols)
-                .map(|i| ((i * 2654435761usize) % 1000) as f64 * 0.013 - 6.0)
+        let row_of = |r: usize, l: usize| -> Vec<f64> {
+            let mut row: Vec<f64> = (0..l)
+                .map(|j| (((r * l + j) * 2654435761usize) % 1000) as f64 * 0.013 - 6.0)
                 .collect();
-            // Sprinkle degenerate and extreme rows.
-            if cols > 1 {
-                data[0..cols].fill(f64::NEG_INFINITY);
-                data[cols..2 * cols].fill(-800.0);
-                data[2 * cols] = f64::NAN;
+            match r % 6 {
+                0 => row.fill(f64::NEG_INFINITY),
+                1 => row[r % l] = f64::NAN,
+                2 => row[(r + 1) % l] = f64::INFINITY,
+                3 => row.iter_mut().for_each(|x| *x -= 800.0),
+                4 => row.fill(1.5),
+                _ => {}
             }
-            let mut want = data.clone();
-            for row in want.chunks_exact_mut(cols) {
-                log_normalize_scalar(row);
+            row
+        };
+        for l in 1..=6usize {
+            for rows in RUNS {
+                let mut want = vec![UNTOUCHED; rows * l];
+                for (r, row) in want.chunks_exact_mut(l).enumerate() {
+                    if !skipped(r, rows) {
+                        row.copy_from_slice(&row_of(r, l));
+                        log_normalize_scalar(row);
+                    }
+                }
+                let mut got = vec![UNTOUCHED; rows * l];
+                normalized_rows(&mut got, l, |r, row| {
+                    if skipped(r, rows) {
+                        return false;
+                    }
+                    row.copy_from_slice(&row_of(r, l));
+                    true
+                });
+                assert_eq!(bits(&want), bits(&got), "l = {l}, rows = {rows}");
             }
-            let mut got = data;
-            log_normalize_rows_blocked(cols, &mut got);
-            assert_eq!(bits(&want), bits(&got), "cols = {cols}");
         }
     }
 }

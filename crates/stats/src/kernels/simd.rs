@@ -483,35 +483,6 @@ fn scalar_sigmoid(x: f64) -> f64 {
     }
 }
 
-/// `out[i] = exp(xs[i] − offs[i])` for one 4-lane block, with lanes
-/// where `xs[i] == offs[i]` forced to exactly `1.0` when `one_on_eq`
-/// (the [`super::log_sum_exp`] max-lane convention). Out-of-window
-/// lanes demote the whole block to the scalar polynomial.
-///
-/// # Safety
-/// Requires AVX2 (+FMA per the detection gate).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn exp_sub4(xs: &[f64; 4], offs: &[f64; 4], out: &mut [f64; 4], one_on_eq: bool) {
-    let x = _mm256_loadu_pd(xs.as_ptr());
-    let off = _mm256_loadu_pd(offs.as_ptr());
-    let d = _mm256_sub_pd(x, off);
-    if exp_in_range(d) == 0xF {
-        let mut e = exp4_core(d);
-        if one_on_eq {
-            e = _mm256_blendv_pd(e, splat(1.0), _mm256_cmp_pd::<{ _CMP_EQ_OQ }>(x, off));
-        }
-        _mm256_storeu_pd(out.as_mut_ptr(), e);
-    } else {
-        for i in 0..4 {
-            out[i] = if one_on_eq && xs[i] == offs[i] {
-                1.0
-            } else {
-                fast::exp(xs[i] - offs[i])
-            };
-        }
-    }
-}
-
 /// One 4-lane step of [`super::weighted_log_dot`]: `Σ w_i · ln(max(x_i,
 /// eps))` with the lanes' logs vectorised and the four products added
 /// in the scalar kernel's left-to-right order, into `acc`. Returns
@@ -614,7 +585,7 @@ const PACKED_LO: f64 = -697.0;
 /// The four rows are held **transposed** (column-major: register lane
 /// `i` = row `r+i`), so the per-row reductions become plain vertical
 /// ops — in particular the `ln` of the four row sums is a single
-/// [`ln4_core`] call, where the per-row kernels spend a scalar `ln`
+/// `ln4_core` call, where the per-row kernels spend a scalar `ln`
 /// each. This is what makes ℓ-wide posterior softmaxes cheap when a
 /// caller has many rows: one dispatch and one `#[target_feature]`
 /// region for the whole buffer instead of per row.
@@ -623,8 +594,8 @@ const PACKED_LO: f64 = -697.0;
 /// max fold (ties and NaN screened so `maxpd` agrees with `f64::max`),
 /// `exp(x − max)` with the max-lane `1.0` convention, left-to-right
 /// summation, `max + ln(Σ)`, then `exp(x − lse)` — bit-identical
-/// output. Rows failing the [`PACKED_LO`] screen and the `< 4`-row
-/// remainder run [`super::log_normalize_scalar`].
+/// output. Rows failing the `PACKED_LO` screen and the `< 4`-row
+/// remainder run the per-row scalar kernel.
 ///
 /// # Safety
 /// Requires AVX2 (+FMA per the detection gate). `data.len()` must be a
@@ -710,8 +681,8 @@ pub unsafe fn log_normalize_rows_packed<const L: usize>(data: &mut [f64]) {
 /// Batched [`super::log_sum_exp`] over `data.len() / L` packed `L`-wide
 /// rows: `out[i] ← lse(row i)`. Same transposed four-rows-per-iteration
 /// scheme and screens as [`log_normalize_rows_packed`], minus the final
-/// normalise pass; demoted and remainder rows run
-/// [`super::log_sum_exp_scalar`].
+/// normalise pass; demoted and remainder rows run the per-row scalar
+/// kernel.
 ///
 /// # Safety
 /// Requires AVX2 (+FMA per the detection gate). `data.len()` must be a

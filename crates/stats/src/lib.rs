@@ -35,7 +35,7 @@ pub use dist::{
 pub use dmat::DMat;
 pub use histogram::Histogram;
 pub use kernels::fused::{
-    exp_map_into, fused_posterior_row, fused_two_term_row, ln_map_into, safe_ln_map_into,
+    exp_map_into, fused_posterior_rows, fused_two_term_rows, ln_map_into, safe_ln_map_into,
     sigmoid_map_into,
 };
 pub use kernels::{

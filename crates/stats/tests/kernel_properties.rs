@@ -173,6 +173,132 @@ proptest! {
     }
 }
 
+/// One `l`-wide row of a kind the batched row kernels must keep
+/// bit-identical: ordinary, all `-inf`, holding NaN, holding `+inf`,
+/// offset by −800, or with its maximum tied between two lanes.
+fn special_row(kind: u8, vals: &[f64], l: usize) -> Vec<f64> {
+    let mut row = vals[..l].to_vec();
+    match kind {
+        1 => row.fill(f64::NEG_INFINITY),
+        2 => row[l / 2] = f64::NAN,
+        3 => row[l - 1] = f64::INFINITY,
+        4 => row.iter_mut().for_each(|x| *x -= 800.0),
+        5 => {
+            let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            row[0] = max;
+            row[l - 1] = max;
+        }
+        _ => {}
+    }
+    row
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Per-row reference for the multi-row E-step kernels: each filled row
+/// gets the log-domain values `fill` writes and is normalised with the
+/// per-row [`kernels::log_normalize`]; skipped rows keep their values.
+fn per_row_e_step(
+    l: usize,
+    rows: usize,
+    mut fill: impl FnMut(usize, &mut [f64]) -> bool,
+) -> (Vec<f64>, u64) {
+    let mut out = vec![-5.5; rows * l];
+    let mut computed = 0;
+    for (r, row) in out.chunks_exact_mut(l).enumerate() {
+        if fill(r, row) {
+            kernels::log_normalize(row);
+            computed += 1;
+        }
+    }
+    (out, computed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `log_normalize_rows_flat` / `log_sum_exp_rows_flat` equal the
+    /// per-row kernels bit for bit on every backend leg: widths 1..=6
+    /// (5 and 6 take the per-row fallback), 0..=9 rows (every remainder
+    /// of the four-row staging block), and any mix of special rows.
+    #[test]
+    fn flat_row_kernels_match_per_row_kernels(
+        l in 1usize..=6,
+        // Spreads of a few nats keep every term of a row's sum
+        // significant, so a changed summation order shows in the bits.
+        kinds in proptest::collection::vec(
+            (0u8..6, proptest::collection::vec(-4.0f64..4.0, 6)), 0..=9)
+    ) {
+        let data: Vec<f64> =
+            kinds.iter().flat_map(|(kind, vals)| special_row(*kind, vals, l)).collect();
+
+        let mut want = data.clone();
+        want.chunks_exact_mut(l).for_each(kernels::log_normalize);
+        let mut got = data.clone();
+        kernels::log_normalize_rows_flat(l, &mut got);
+        prop_assert_eq!(bits(&want), bits(&got), "normalize, width {}, rows {:?}", l, data);
+
+        let want: Vec<f64> = data.chunks_exact(l).map(kernels::log_sum_exp).collect();
+        let mut got = vec![0.0; kinds.len()];
+        kernels::log_sum_exp_rows_flat(l, &data, &mut got);
+        prop_assert_eq!(bits(&want), bits(&got), "lse, width {}, rows {:?}", l, data);
+    }
+
+    /// The multi-row E-step kernels equal a per-row fill-and-normalize,
+    /// with golden/unanswered (skipped) rows anywhere in runs long
+    /// enough to cross several row blocks.
+    #[test]
+    fn multi_row_e_step_kernels_match_per_row_reference(
+        l in 1usize..=6,
+        tasks in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0usize..5, 0usize..6), 0..4)), 0..60)
+    ) {
+        // kind 0: skipped (golden or unanswered); else answered.
+        let table: Vec<f64> = (0..5 * l * l).map(|i| -0.37 * (i % 23) as f64 - 0.1).collect();
+        let prior: Vec<f64> = (0..l).map(|j| -0.4 - 0.3 * j as f64).collect();
+        let answers = |r: usize| (tasks[r].0 != 0).then(|| tasks[r].1.clone());
+
+        let (want, want_n) = per_row_e_step(l, tasks.len(), |r, row| {
+            let Some(ans) = answers(r) else { return false };
+            row.copy_from_slice(&prior);
+            for (worker, label) in ans {
+                for (j, o) in row.iter_mut().enumerate() {
+                    *o += table[worker * l * l + label % l + j * l];
+                }
+            }
+            true
+        });
+        let mut got = vec![-5.5; tasks.len() * l];
+        let got_n = crowd_stats::fused_posterior_rows(&mut got, &prior, &table, |r| {
+            answers(r).map(|ans| ans.into_iter().map(|(w, label)| w * l * l + label % l))
+        });
+        prop_assert_eq!(bits(&want), bits(&got), "posterior rows, width {}", l);
+        prop_assert_eq!(want_n, got_n);
+
+        let (ln_c, ln_w) = (-0.2f64, -1.7f64);
+        let (want, want_n) = per_row_e_step(l, tasks.len(), |r, row| {
+            let Some(ans) = answers(r) else { return false };
+            row.fill(0.0);
+            for (worker, label) in ans {
+                for (j, o) in row.iter_mut().enumerate() {
+                    *o += if j == label % l { ln_c * worker as f64 } else { ln_w };
+                }
+            }
+            true
+        });
+        let mut got = vec![-5.5; tasks.len() * l];
+        let got_n = crowd_stats::fused_two_term_rows(&mut got, l, |r| {
+            answers(r).map(|ans| {
+                ans.into_iter().map(|(w, label)| (label % l, ln_c * w as f64, ln_w))
+            })
+        });
+        prop_assert_eq!(bits(&want), bits(&got), "two-term rows, width {}", l);
+        prop_assert_eq!(want_n, got_n);
+    }
+}
+
 /// SIMD-vs-scalar leg equivalence: the AVX2 slice drivers must be
 /// **bit-identical** (0 ULP) to the dispatcher's scalar polynomial leg
 /// on every input — dispatch may never change results. The exhaustive
