@@ -613,38 +613,6 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&wal_root);
 
-    // A small *unmeasured* sharded side session so the shard-substrate
-    // series (`core.shard.*`) are present in the embedded obs snapshot —
-    // `crowd-obs-check --expect-serve` requires them. Two ticks: the
-    // second batch dirties already-built shard ranges, exercising the
-    // warm-resume rebuild counter. Runs outside every timed cell, so the
-    // measured rows are untouched.
-    {
-        let serve = CrowdServe::new(ServeConfig::default()).expect("valid config");
-        let t = &tenants[0];
-        let sid = serve
-            .create_session(
-                StreamConfig::new(
-                    Method::Ds,
-                    t.dataset.task_type(),
-                    t.dataset.num_tasks(),
-                    t.dataset.num_workers(),
-                )
-                .with_shards(4),
-            )
-            .expect("valid session");
-        let records = t.dataset.records();
-        let split = records.len() / 2;
-        serve
-            .submit(sid, records[..split].to_vec())
-            .expect("in capacity");
-        serve.drain_tick();
-        serve
-            .submit(sid, records[split..].to_vec())
-            .expect("in capacity");
-        serve.drain_tick();
-    }
-
     // ≤ 3% aggregate overhead, with an absolute floor so a sub-millisecond
     // wobble on a fast machine cannot fail the gate (same shape as the
     // wal/mem bound above).

@@ -2,8 +2,9 @@
 //!
 //! Streams deterministic synthetic datasets of growing size (10⁴ to 10⁷
 //! tasks at scale 1, multiplied by `CROWD_BENCH_SCALE`) straight into a
-//! [`ShardedView`] — the single-pass `from_records` build, no flat
-//! answer log is ever materialised — and runs a fixed-iteration D&S
+//! [`ShardedView`] — the two-pass `from_records` build regenerates the
+//! stream rather than materialising the answer log — and runs a
+//! fixed-iteration D&S
 //! converge per shard count. Reported per `(tasks, shards)` cell:
 //! answers/sec through the sharded EM path, build time, and accuracy
 //! against the generator's latent truth.

@@ -51,44 +51,46 @@ pub(crate) const PARALLEL_MSTEP_MIN_WORK: usize = 1 << 14;
 /// notify (~0.2µs) over the serial sweep.
 pub(crate) const PARALLEL_ESTEP_MIN_WORK: usize = 1 << 13;
 
-/// Shared EM engine for D&S-family methods, on the flat-memory substrate:
-/// posteriors are an `n × ℓ` [`DMat`], all worker confusion matrices live
-/// in one `(m·ℓ) × ℓ` [`DMat`] (worker `w`, truth row `j` at row
-/// `w·ℓ + j`), and the E/M loop updates both in place with pre-allocated
-/// scratch.
+/// Shared EM engine for D&S-family methods, on the sharded substrate
+/// (the unsharded case is one shard): posteriors are an `n × ℓ`
+/// [`DMat`], all worker confusion matrices live in one `(m·ℓ) × ℓ`
+/// [`DMat`] (worker `w`, truth row `j` at row `w·ℓ + j`), and the E/M
+/// loop updates both in place with pre-allocated scratch.
 ///
 /// `diag_prior`/`off_prior` are Dirichlet pseudo-counts added to the
 /// diagonal/off-diagonal confusion cells in the M-step.
 pub(crate) struct DsEngine {
-    pub method: &'static str,
     pub diag_prior: f64,
     pub off_prior: f64,
 }
 
 impl DsEngine {
+    /// Run the EM loop on a task-range sharded view:
+    ///
+    /// - **E-step**: every task row is computed independently from the
+    ///   log tables, fanned out over row blocks that never straddle a
+    ///   shard (see [`ShardedView::for_each_row_block`]), so the result
+    ///   is bit-identical at any shard and thread count.
+    /// - **M-step** accumulates each worker's confusion counts by
+    ///   folding that worker's per-shard adjacency rows in **ascending
+    ///   shard order** (a continuation fold, not a pairwise tree): the
+    ///   canonical task-ascending order of
+    ///   [`ShardedView::shard_worker_row`] makes the visit sequence — and
+    ///   hence the non-associative f64 sum — independent of the shard
+    ///   count and of how records interleaved across tasks. Parallelism
+    ///   comes from the per-worker chunk fan-out. Exact cross-shard
+    ///   reductions (counts, maxima) go through [`exec::tree_reduce`];
+    ///   the f64 partials deliberately do not — see its docs.
     pub fn run(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        let cat = Cat::build(self.method, dataset, options, true)?;
-        self.run_view(&cat, options)
-    }
-
-    /// Run the EM loop directly on a prebuilt categorical view — the
-    /// entry point for callers that maintain the view themselves (the
-    /// `crowd-stream` delta views). Identical to [`Self::run`] after
-    /// `Cat::build`.
-    pub fn run_view(
-        &self,
-        cat: &Cat,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        if cat.num_answers() == 0 {
+        if view.num_answers() == 0 {
             return Err(InferenceError::EmptyDataset);
         }
-        crate::framework::validate_view_options(cat.m, options)?;
-        let l = cat.l;
+        crate::framework::validate_view_options(view.m, options)?;
+        let l = view.l;
 
         // Initial posteriors: majority vote; with qualification scores we
         // instead seed per-worker confusion matrices and run an E-step
@@ -97,8 +99,8 @@ impl DsEngine {
         // confusion matrices are loaded and the loop resumes with an
         // E-step under the previous model, so only the new answers'
         // evidence has to be absorbed.
-        let mut post = cat.majority_posteriors();
-        let mut confusion = DMat::zeros(cat.m * l, l);
+        let mut post = view.majority_posteriors();
+        let mut confusion = DMat::zeros(view.m * l, l);
         let mut class_prior = vec![1.0 / l as f64; l];
         let mut need_estep_first = false;
         if let Some(warm) = &options.warm_start {
@@ -106,8 +108,8 @@ impl DsEngine {
             // with a foreign width are ignored — a different ℓ means the
             // state is from another problem).
             if let Some(prev_post) = &warm.posteriors {
-                for (task, row) in prev_post.iter().enumerate().take(cat.n) {
-                    if row.len() == l && cat.golden[task].is_none() && cat.task_len(task) > 0 {
+                for (task, row) in prev_post.iter().enumerate().take(view.n) {
+                    if row.len() == l && view.golden()[task].is_none() && view.task_len(task) > 0 {
                         post.row_mut(task).copy_from_slice(row);
                     }
                 }
@@ -116,7 +118,7 @@ impl DsEngine {
             // previous run did not know get the cold default.
             let default_acc = 0.7;
             let off_default = (1.0 - default_acc) / (l - 1).max(1) as f64;
-            for w in 0..cat.m {
+            for w in 0..view.m {
                 let prev = warm.worker_quality.get(w).and_then(|q| match q {
                     WorkerQuality::Confusion(m)
                         if m.len() == l && m.iter().all(|row| row.len() == l) =>
@@ -153,7 +155,7 @@ impl DsEngine {
             }
             need_estep_first = true;
         } else if let QualityInit::Qualification(_) = &options.quality_init {
-            let acc = initial_accuracy(options, cat.m, 0.7);
+            let acc = initial_accuracy(options, view.m, 0.7);
             for (w, &a) in acc.iter().enumerate() {
                 let off = (1.0 - a) / (l - 1).max(1) as f64;
                 for j in 0..l {
@@ -169,211 +171,11 @@ impl DsEngine {
         // table entries. The tabulated values are exactly the
         // `x.max(1e-12).ln()` terms the naive E-step would compute per
         // answer, so the log-posterior sums are bit-identical.
-        let mut log_conf = DMat::zeros(cat.m * l, l);
+        let mut log_conf = DMat::zeros(view.m * l, l);
         let mut log_prior = vec![0.0f64; l];
 
         // The fan-out budget: the caller's cap when given (harness-level
         // fan-outs pass 1 to avoid oversubscription), else the machine.
-        let thread_budget = options.threads.unwrap_or_else(exec::default_threads).max(1);
-        let mstep_work = cat.num_answers() * l + cat.m * l * l;
-        let mstep_threads = if mstep_work >= PARALLEL_MSTEP_MIN_WORK {
-            thread_budget
-        } else {
-            1
-        };
-        // E-step cost model: ℓ adds per answer plus ~3ℓ transcendental-
-        // equivalent flops per task for the log-normalisation.
-        let estep_work = cat.num_answers() * l + 3 * cat.n * l;
-        let estep_threads = if estep_work >= PARALLEL_ESTEP_MIN_WORK {
-            thread_budget
-        } else {
-            1
-        };
-
-        let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
-        let mut iterations = 0usize;
-        let converged;
-
-        loop {
-            if need_estep_first {
-                refresh_log_tables(&confusion, &class_prior, &mut log_conf, &mut log_prior);
-                e_step(cat, &log_conf, &log_prior, &mut post, estep_threads);
-                need_estep_first = false;
-            }
-
-            // M-step: confusion matrices from expected counts, fanned out
-            // worker-by-worker (each worker owns one ℓ×ℓ chunk of the
-            // flat buffer; chunks are disjoint, so no synchronisation).
-            {
-                let diag = self.diag_prior;
-                let off = self.off_prior;
-                let cat_ref = cat;
-                let post_ref = &post;
-                exec::parallel_chunks(mstep_threads, confusion.data_mut(), l * l, |w, chunk| {
-                    chunk.fill(off);
-                    for j in 0..l {
-                        chunk[j * l + j] = diag;
-                    }
-                    for &(task, label) in cat_ref.worker_row(w) {
-                        let post_row = post_ref.row(task as usize);
-                        for j in 0..l {
-                            chunk[j * l + label as usize] += post_row[j];
-                        }
-                    }
-                    for row in chunk.chunks_mut(l) {
-                        let total: f64 = row.iter().sum();
-                        row.iter_mut().for_each(|c| *c /= total);
-                    }
-                });
-            }
-
-            // Class prior from the posterior column sums (one pass over
-            // the flat buffer; per-column addition order is still task
-            // order, so the sums match the per-column form bit for bit).
-            class_prior.fill(0.0);
-            for row in post.data().chunks_exact(l) {
-                for (prior, &p) in class_prior.iter_mut().zip(row) {
-                    *prior += p;
-                }
-            }
-            class_prior
-                .iter_mut()
-                .for_each(|prior| *prior /= cat.n.max(1) as f64);
-            // Guard against a degenerate all-zero prior.
-            let prior_sum: f64 = class_prior.iter().sum();
-            if prior_sum <= 0.0 {
-                class_prior.fill(1.0 / l as f64);
-            }
-
-            // E-step.
-            refresh_log_tables(&confusion, &class_prior, &mut log_conf, &mut log_prior);
-            e_step(cat, &log_conf, &log_prior, &mut post, estep_threads);
-
-            // Track convergence on the flat confusion buffer — already in
-            // the (worker, truth row, answer) order the nested
-            // implementation flattened to, with no copy.
-            iterations += 1;
-            if tracker.step(confusion.data()) {
-                converged = tracker.converged();
-                break;
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&post, &mut rng);
-        let worker_quality = (0..cat.m)
-            .map(|w| {
-                WorkerQuality::Confusion(
-                    (0..l).map(|j| confusion.row(w * l + j).to_vec()).collect(),
-                )
-            })
-            .collect();
-        Ok(InferenceResult {
-            truths: Cat::answers(&labels),
-            worker_quality,
-            iterations,
-            converged,
-            posteriors: Some(post.into_nested()),
-        })
-    }
-
-    /// Run the EM loop on a task-range sharded view — the million-task
-    /// substrate. Same model, same arithmetic, restructured around the
-    /// shard directory:
-    ///
-    /// - **E-step** fans out *per shard* through the worker pool: each
-    ///   shard owns a contiguous, disjoint block of posterior rows
-    ///   (`split_at_mut` chain over the flat buffer), and every task row
-    ///   is computed by exactly the [`e_step`] arithmetic — so the
-    ///   result is bit-identical to the unsharded sweep at any shard
-    ///   count, and the working set per job is one shard, not the
-    ///   dataset.
-    /// - **M-step** accumulates each worker's confusion counts by
-    ///   folding that worker's per-shard adjacency rows in **ascending
-    ///   shard order** (a continuation fold, not a pairwise tree): the
-    ///   canonical task-ascending order of
-    ///   [`ShardedView::shard_worker_row`] makes the visit sequence — and
-    ///   hence the non-associative f64 sum — independent of the shard
-    ///   count, and equal to the flat `worker_row` walk whenever the flat
-    ///   rows are task-ascending (every dataset built task-by-task).
-    ///   Parallelism comes from the per-worker chunk fan-out, exactly as
-    ///   in [`Self::run_view`]. Exact cross-shard reductions (counts,
-    ///   maxima) go through [`exec::tree_reduce`]; the f64 partials
-    ///   deliberately do not — see its docs.
-    pub fn run_sharded(
-        &self,
-        view: &ShardedView,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        if view.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(view.m, options)?;
-        let l = view.l;
-
-        let mut post = view.majority_posteriors();
-        let mut confusion = DMat::zeros(view.m * l, l);
-        let mut class_prior = vec![1.0 / l as f64; l];
-        let mut need_estep_first = false;
-        if let Some(warm) = &options.warm_start {
-            if let Some(prev_post) = &warm.posteriors {
-                for (task, row) in prev_post.iter().enumerate().take(view.n) {
-                    if row.len() == l && view.golden()[task].is_none() && view.task_len(task) > 0 {
-                        post.row_mut(task).copy_from_slice(row);
-                    }
-                }
-            }
-            let default_acc = 0.7;
-            let off_default = (1.0 - default_acc) / (l - 1).max(1) as f64;
-            for w in 0..view.m {
-                let prev = warm.worker_quality.get(w).and_then(|q| match q {
-                    WorkerQuality::Confusion(m)
-                        if m.len() == l && m.iter().all(|row| row.len() == l) =>
-                    {
-                        Some(m)
-                    }
-                    _ => None,
-                });
-                for j in 0..l {
-                    let row = confusion.row_mut(w * l + j);
-                    match prev {
-                        Some(m) => row.copy_from_slice(&m[j]),
-                        None => {
-                            row.fill(off_default);
-                            row[j] = default_acc;
-                        }
-                    }
-                }
-            }
-            class_prior.fill(0.0);
-            for row in post.data().chunks_exact(l) {
-                for (prior, &p) in class_prior.iter_mut().zip(row) {
-                    *prior += p;
-                }
-            }
-            let total: f64 = class_prior.iter().sum();
-            if total > 0.0 {
-                class_prior.iter_mut().for_each(|prior| *prior /= total);
-            } else {
-                class_prior.fill(1.0 / l as f64);
-            }
-            need_estep_first = true;
-        } else if let QualityInit::Qualification(_) = &options.quality_init {
-            let acc = initial_accuracy(options, view.m, 0.7);
-            for (w, &a) in acc.iter().enumerate() {
-                let off = (1.0 - a) / (l - 1).max(1) as f64;
-                for j in 0..l {
-                    let row = confusion.row_mut(w * l + j);
-                    row.fill(off);
-                    row[j] = a;
-                }
-            }
-            need_estep_first = true;
-        }
-
-        let mut log_conf = DMat::zeros(view.m * l, l);
-        let mut log_prior = vec![0.0f64; l];
-
         let thread_budget = options.threads.unwrap_or_else(exec::default_threads).max(1);
         let mstep_work = view.num_answers() * l + view.m * l * l;
         let mstep_threads = if mstep_work >= PARALLEL_MSTEP_MIN_WORK {
@@ -381,6 +183,8 @@ impl DsEngine {
         } else {
             1
         };
+        // E-step cost model: ℓ adds per answer plus ~3ℓ transcendental-
+        // equivalent flops per task for the log-normalisation.
         let estep_work = view.num_answers() * l + 3 * view.n * l;
         let estep_threads = if estep_work >= PARALLEL_ESTEP_MIN_WORK {
             thread_budget
@@ -395,11 +199,14 @@ impl DsEngine {
         loop {
             if need_estep_first {
                 refresh_log_tables(&confusion, &class_prior, &mut log_conf, &mut log_prior);
-                e_step_sharded(view, &log_conf, &log_prior, &mut post, estep_threads);
+                e_step(view, &log_conf, &log_prior, &mut post, estep_threads);
                 need_estep_first = false;
             }
 
-            // M-step: the per-worker continuation fold across shards.
+            // M-step: confusion matrices from expected counts, fanned out
+            // worker-by-worker (each worker owns one ℓ×ℓ chunk of the
+            // flat buffer; chunks are disjoint, so no synchronisation),
+            // each worker folding its per-shard rows in shard order.
             {
                 let _reduce_timer = crate::views::obs_reduce_seconds().start_timer();
                 let diag = self.diag_prior;
@@ -425,6 +232,8 @@ impl DsEngine {
                 });
             }
 
+            // Class prior from the posterior column sums (one pass over
+            // the flat buffer; per-column addition order is task order).
             class_prior.fill(0.0);
             for row in post.data().chunks_exact(l) {
                 for (prior, &p) in class_prior.iter_mut().zip(row) {
@@ -434,14 +243,18 @@ impl DsEngine {
             class_prior
                 .iter_mut()
                 .for_each(|prior| *prior /= view.n.max(1) as f64);
+            // Guard against a degenerate all-zero prior.
             let prior_sum: f64 = class_prior.iter().sum();
             if prior_sum <= 0.0 {
                 class_prior.fill(1.0 / l as f64);
             }
 
+            // E-step.
             refresh_log_tables(&confusion, &class_prior, &mut log_conf, &mut log_prior);
-            e_step_sharded(view, &log_conf, &log_prior, &mut post, estep_threads);
+            e_step(view, &log_conf, &log_prior, &mut post, estep_threads);
 
+            // Track convergence on the flat confusion buffer — already in
+            // the (worker, truth row, answer) order, with no copy.
             iterations += 1;
             if tracker.step(confusion.data()) {
                 converged = tracker.converged();
@@ -484,42 +297,31 @@ fn refresh_log_tables(
     safe_ln_map_into(log_prior, |i| class_prior[i]);
 }
 
-/// One E-step over the flat substrate: `post[t][j] ∝ prior[j] ·
-/// Π_w q^w[j][v_t^w]`, accumulated in log space from the precomputed
-/// tables and written back in place.
+/// One E-step: `post[t][j] ∝ prior[j] · Π_w q^w[j][v_t^w]`, accumulated
+/// in log space from the precomputed tables and written back in place.
 ///
-/// The task rows go through [`fused_posterior_rows`] — prior init,
+/// Each row block goes through [`fused_posterior_rows`] — prior init,
 /// strided table gather, log-sum-exp and normalize per row, written
 /// directly into the posterior (no heap allocation, zero transcendental
 /// calls in the answer loop, the normalize staged over blocks of rows).
-/// Above the size threshold the tasks fan out over the executor in
-/// disjoint row blocks; every task's row is computed by the same
-/// arithmetic, so the result is bit-identical either way.
-fn e_step(cat: &Cat, log_conf: &DMat, log_prior: &[f64], post: &mut DMat, threads: usize) {
-    let l = cat.l;
+/// Above the size threshold the blocks fan out over the executor; every
+/// task's row is computed by the same arithmetic, so the result is
+/// bit-identical either way.
+fn e_step(view: &ShardedView, log_conf: &DMat, log_prior: &[f64], post: &mut DMat, threads: usize) {
+    let l = view.l;
     let lc = log_conf.data();
+    let golden = view.golden();
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-    let sweep = |first_task: usize, rows: &mut [f64]| {
+    view.for_each_row_block(post.data_mut(), l, threads, |s, first, rows| {
+        let _timer = crate::views::obs_estep_seconds().start_timer();
+        let start = view.shard_tasks(s).start;
         let fused_rows = fused_posterior_rows(rows, log_prior, lc, |offset| {
-            let task = first_task + offset;
-            posterior_bases(l, cat.golden[task], cat.task_row(task))
+            let local = first + offset;
+            posterior_bases(l, golden[start + local], view.shard_task_row(s, local))
         });
         crate::methods::obs_fused_rows().add(fused_rows);
-    };
-    if threads <= 1 {
-        sweep(0, post.data_mut());
-    } else {
-        // ~4 chunks per thread balances uneven task degrees without a
-        // shared cursor.
-        let tasks_per_chunk = cat.n.div_ceil(threads * 4).max(1);
-        exec::parallel_chunks(
-            threads,
-            post.data_mut(),
-            tasks_per_chunk * l,
-            |chunk_idx, rows| sweep(chunk_idx * tasks_per_chunk, rows),
-        );
-    }
-    cat.clamp_golden(post);
+    });
+    view.clamp_golden(post);
 }
 
 /// The [`fused_posterior_rows`] bases of one task row: `None` for a
@@ -541,92 +343,41 @@ pub(super) fn posterior_bases(
     )
 }
 
-/// One E-step over the sharded substrate: shard `s` owns posterior rows
-/// `starts[s]..starts[s+1]` — a contiguous, disjoint block of the flat
-/// buffer carved off a `split_at_mut` chain — and runs the exact
-/// [`e_step`] per-task arithmetic over its own task rows. Shards fan out
-/// through [`exec::parallel_map`]; with `threads == 1` the jobs run
-/// in shard order on the calling thread. Either way every task row is
-/// produced by the same adds in the same order, so the posteriors are
-/// bit-identical to the unsharded sweep at any shard count.
-fn e_step_sharded(
-    view: &ShardedView,
-    log_conf: &DMat,
-    log_prior: &[f64],
-    post: &mut DMat,
-    threads: usize,
-) {
-    let l = view.l;
-    let lc = log_conf.data();
-    let golden = view.golden();
-    let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-    {
-        // Carve per-shard row blocks off the flat posterior buffer.
-        let mut blocks: Vec<(usize, &mut [f64])> = Vec::with_capacity(view.num_shards());
-        let mut rest: &mut [f64] = post.data_mut();
-        for s in 0..view.num_shards() {
-            let range = view.shard_tasks(s);
-            let (head, tail) = rest.split_at_mut((range.end - range.start) * l);
-            blocks.push((s, head));
-            rest = tail;
-        }
-        let jobs: Vec<_> = blocks
-            .into_iter()
-            .map(|(s, block)| {
-                move || {
-                    let _timer = crate::views::obs_estep_seconds().start_timer();
-                    let start = view.shard_tasks(s).start;
-                    let fused_rows = fused_posterior_rows(block, log_prior, lc, |local| {
-                        posterior_bases(l, golden[start + local], view.shard_task_row(s, local))
-                    });
-                    crate::methods::obs_fused_rows().add(fused_rows);
-                }
-            })
-            .collect();
-        exec::parallel_map(threads, jobs);
-    }
-    view.clamp_golden(post);
-}
-
 /// Dawid–Skene EM.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ds;
 
 impl Ds {
-    /// Run D&S directly on a prebuilt categorical view — the streaming
-    /// entry point: `crowd-stream` maintains the CSR views incrementally
-    /// and skips the per-call `Cat::build`. Golden clamps come from the
-    /// view (not `options.golden`); `options.warm_start` resumes from a
-    /// previous run's state. Output is identical to `infer` on a dataset
-    /// whose records round-trip the view.
+    /// Near-zero symmetric smoothing: plain maximum likelihood.
+    fn engine(&self) -> DsEngine {
+        DsEngine {
+            diag_prior: 0.01,
+            off_prior: 0.01,
+        }
+    }
+
+    /// Run D&S on a prebuilt flat view: [`Self::infer_sharded`] on its
+    /// one-shard copy. Golden clamps come from the view (not
+    /// `options.golden`); `options.warm_start` resumes from a previous
+    /// run's state.
     pub fn infer_view(
         &self,
         view: &Cat,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        DsEngine {
-            method: self.name(),
-            diag_prior: 0.01,
-            off_prior: 0.01,
-        }
-        .run_view(view, options)
+        self.infer_sharded(&ShardedView::from_cat(view, 1), options)
     }
 
-    /// Run D&S on a task-range sharded view (per-shard E-steps, shard-
-    /// ascending M-step fold) — bit-identical to [`Self::infer_view`] on
-    /// the equivalent flat view at any shard count; see
-    /// `DsEngine::run_sharded`.
+    /// Run D&S on a task-range sharded view (row-block E-steps,
+    /// shard-ascending M-step fold) — bit-identical at any shard count;
+    /// see `DsEngine::run`. Golden clamps come from the view;
+    /// `options.warm_start` resumes from a previous run's state.
     pub fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        DsEngine {
-            method: self.name(),
-            diag_prior: 0.01,
-            off_prior: 0.01,
-        }
-        .run_sharded(view, options)
+        self.engine().run(view, options)
     }
 }
 
@@ -658,13 +409,8 @@ impl TruthInference for Ds {
             options,
             self.supports(dataset.task_type()),
         )?;
-        // Near-zero symmetric smoothing: plain maximum likelihood.
-        DsEngine {
-            method: self.name(),
-            diag_prior: 0.01,
-            off_prior: 0.01,
-        }
-        .run(dataset, options)
+        let view = ShardedView::build(self.name(), dataset, options, true)?;
+        self.infer_sharded(&view, options)
     }
 }
 

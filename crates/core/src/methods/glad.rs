@@ -21,7 +21,7 @@ use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat};
+use crate::views::{initial_accuracy, Cat, ShardedView};
 
 /// GLAD: worker ability × task difficulty EM.
 ///
@@ -123,32 +123,49 @@ impl TruthInference for Glad {
             options,
             self.supports(dataset.task_type()),
         )?;
-        let cat = Cat::build(self.name(), dataset, options, true)?;
-        self.infer_view(&cat, options)
+        let view = ShardedView::build(self.name(), dataset, options, true)?;
+        self.infer_sharded(&view, options)
     }
 }
 
 impl Glad {
-    /// Run GLAD directly on a prebuilt categorical view — the streaming
-    /// entry point (see `Ds::infer_view`). A warm start resumes the
-    /// worker abilities `α_w` (recovered from the previous run's reported
-    /// `σ(α_w)`); task difficulties `β_i` restart at 1 — they are not
-    /// part of the reported state — so GLAD re-converges warm on the
-    /// worker side only.
+    /// Run GLAD on a prebuilt flat view: [`Self::infer_sharded`] on its
+    /// one-shard copy (see `Ds::infer_view`).
     pub fn infer_view(
         &self,
         cat: &Cat,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        if cat.num_answers() == 0 {
+        self.infer_sharded(&ShardedView::from_cat(cat, 1), options)
+    }
+
+    /// Run GLAD on a task-range sharded view. GLAD is task-major
+    /// throughout — the E-step posterior accumulation, the σ table
+    /// fills, and the M-step gradient scatter all walk task rows in
+    /// ascending task order and never a worker row — so iterating shards
+    /// in ascending order with a global answer cursor (the shard's
+    /// [`ShardedView::shard_entry_offset`]) visits every answer in the
+    /// same order at any shard count. The per-shard E/M passes are timed
+    /// into the `core.shard.*` histograms.
+    ///
+    /// A warm start resumes the worker abilities `α_w` (recovered from
+    /// the previous run's reported `σ(α_w)`); task difficulties `β_i`
+    /// restart at 1 — they are not part of the reported state — so GLAD
+    /// re-converges warm on the worker side only.
+    pub fn infer_sharded(
+        &self,
+        view: &ShardedView,
+        options: &InferenceOptions,
+    ) -> Result<InferenceResult, InferenceError> {
+        if view.num_answers() == 0 {
             return Err(InferenceError::EmptyDataset);
         }
-        crate::framework::validate_view_options(cat.m, options)?;
-        let lm1 = (cat.l - 1).max(1) as f64;
+        crate::framework::validate_view_options(view.m, options)?;
+        let lm1 = (view.l - 1).max(1) as f64;
 
         // α_w from qualification accuracy via the inverse of σ at β = 1
         // (log-odds against uniform error), else 1.0.
-        let init_acc = initial_accuracy(options, cat.m, sigmoid(1.0));
+        let init_acc = initial_accuracy(options, view.m, sigmoid(1.0));
         let mut alpha: Vec<f64> = init_acc
             .iter()
             .map(|&a| kernels::ln(a / (1.0 - a)).clamp(-4.0, 4.0))
@@ -164,36 +181,39 @@ impl Glad {
             }
         }
         // ln β_i = 0 (difficulty 1).
-        let mut log_beta = vec![0.0f64; cat.n];
+        let mut log_beta = vec![0.0f64; view.n];
 
-        let mut post = cat.majority_posteriors();
+        let mut post = view.majority_posteriors();
         // Pre-allocated scratch: M-step gradients, the convergence
         // parameter vector, the per-task difficulty table `beta`, and the
         // answer-major batch buffers (`sig` holds every answer's
         // σ(α_w·β_i); `lc`/`lw` the correct/wrong log terms). Batching
         // runs over the *whole answer log* in task-major order, which
         // keeps the kernel sweeps long even when individual tasks have
-        // only a handful of answers. The flat `answer_workers`/
-        // `answer_tasks` gather indices (built once — the task-major
-        // answer order never changes) let the σ∘(α·β) refresh run as one
-        // fused fill-and-squash pass. The loop below allocates nothing
+        // only a handful of answers. The loop below allocates nothing
         // per iteration.
-        let mut grad_alpha = vec![0.0f64; cat.m];
-        let mut grad_logbeta = vec![0.0f64; cat.n];
-        let mut beta = vec![0.0f64; cat.n];
-        let num_answers = cat.num_answers();
+        let mut grad_alpha = vec![0.0f64; view.m];
+        let mut grad_logbeta = vec![0.0f64; view.n];
+        let mut beta = vec![0.0f64; view.n];
+        let num_answers = view.num_answers();
         let mut sig = vec![0.0f64; num_answers];
         let mut lc = vec![0.0f64; num_answers];
         let mut lw = vec![0.0f64; num_answers];
+        // Flat gather indices in the shard-concatenated task-major order,
+        // built once (the order never changes), so the σ∘(α·β) refresh
+        // runs as one fused fill-and-squash pass.
         let mut answer_workers = Vec::with_capacity(num_answers);
         let mut answer_tasks = Vec::with_capacity(num_answers);
-        for task in 0..cat.n {
-            for &(worker, _) in cat.task_row(task) {
-                answer_workers.push(worker);
-                answer_tasks.push(task as u32);
+        for s in 0..view.num_shards() {
+            let range = view.shard_tasks(s);
+            for task in range.clone() {
+                for &(worker, _) in view.shard_task_row(s, task - range.start) {
+                    answer_workers.push(worker);
+                    answer_tasks.push(task as u32);
+                }
             }
         }
-        let mut params: Vec<f64> = Vec::with_capacity(cat.m + cat.n);
+        let mut params: Vec<f64> = Vec::with_capacity(view.m + view.n);
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
 
         // Fill `sig` with σ(α_w·β_i) for every answer (task-major) as one
@@ -215,171 +235,8 @@ impl Glad {
             // E-step: Pr(z | answers, α, β). The difficulty table and
             // every answer's correctness probability refresh as fused
             // whole-log sweeps (one exp pass, one sigmoid pass, two ln
-            // passes — 2 lns per answer instead of the ℓ the per-element
-            // form paid); each posterior row is then one fused two-term
-            // accumulate + normalize. Elementwise identical to the
-            // scalar form.
-            exp_map_into(&mut beta, |i| log_beta[i]);
-            fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
-            ln_map_into(&mut lc, |i| sig[i].clamp(1e-9, 1.0 - 1e-9));
-            ln_map_into(&mut lw, |i| (1.0 - sig[i].clamp(1e-9, 1.0 - 1e-9)) / lm1);
-            {
-                let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                let mut cursor = 0usize;
-                let fused_rows = fused_two_term_rows(post.data_mut(), cat.l, |task| {
-                    let row = cat.task_row(task);
-                    let at = cursor;
-                    cursor += row.len();
-                    answer_terms(cat.golden[task], row, &lc[at..cursor], &lw[at..cursor])
-                });
-                crate::methods::obs_fused_rows().add(fused_rows);
-            }
-            cat.clamp_golden(&mut post);
-
-            // M-step: gradient ascent on the expected complete-data
-            // log-likelihood Q(α, ln β).
-            //
-            // With p_iw = Pr(worker w correct on i | posterior) =
-            // post[i][v_iw], and s = σ(α_w β_i):
-            //   ∂Q/∂α_w    = Σ_i β_i (p_iw − s_iw) − λ(α_w − 1)
-            //   ∂Q/∂ln β_i = β_i Σ_w α_w (p_iw − s_iw) − λ ln β_i
-            //
-            // The β table and σ evaluations batch over the whole answer
-            // log exactly as in the E-step; accumulation order is
-            // unchanged.
-            for step in 0..self.gradient_steps {
-                grad_alpha.fill(0.0);
-                grad_logbeta.fill(0.0);
-                // The E-step filled `beta` and `sig` from this α and
-                // ln β; only later steps see updated parameters.
-                if step > 0 {
-                    exp_map_into(&mut beta, |i| log_beta[i]);
-                    fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
-                }
-                let mut cursor = 0usize;
-                for task in 0..cat.n {
-                    let b = beta[task];
-                    let post_row = post.row(task);
-                    let row = cat.task_row(task);
-                    let mut g_beta = 0.0;
-                    for (&(worker, label), &s) in row.iter().zip(&sig[cursor..cursor + row.len()]) {
-                        let worker = worker as usize;
-                        let p = post_row[label as usize];
-                        grad_alpha[worker] += b * (p - s);
-                        g_beta += b * alpha[worker] * (p - s);
-                    }
-                    grad_logbeta[task] += g_beta;
-                    cursor += row.len();
-                }
-                for (w, g) in grad_alpha.iter().enumerate() {
-                    alpha[w] += self.learning_rate * (g - self.prior_precision * (alpha[w] - 1.0));
-                    alpha[w] = alpha[w].clamp(-8.0, 8.0);
-                }
-                for (t, g) in grad_logbeta.iter().enumerate() {
-                    log_beta[t] += self.learning_rate * (g - self.prior_precision * log_beta[t]);
-                    log_beta[t] = log_beta[t].clamp(-4.0, 4.0);
-                }
-            }
-
-            params.clear();
-            params.extend_from_slice(&alpha);
-            params.extend_from_slice(&log_beta);
-            if tracker.step(&params) {
-                break;
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&post, &mut rng);
-        Ok(InferenceResult {
-            truths: Cat::answers(&labels),
-            // Report σ(α) — the worker's correctness probability on a
-            // difficulty-1 task — as the scalar quality.
-            worker_quality: alpha
-                .into_iter()
-                .map(|a| WorkerQuality::Probability(sigmoid(a)))
-                .collect(),
-            iterations: tracker.iterations(),
-            converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
-        })
-    }
-
-    /// Run GLAD on a task-range sharded view. GLAD is task-major
-    /// throughout — the E-step posterior accumulation, the σ table
-    /// fills, and the M-step gradient scatter all walk task rows in
-    /// ascending task order and never a worker row — so iterating shards
-    /// in ascending order with a global answer cursor (the shard's
-    /// [`crate::views::ShardedView::shard_entry_offset`]) reproduces the
-    /// flat walk **bit-for-bit on any record order**, at any shard
-    /// count. The per-shard E/M passes are timed into the `core.shard.*`
-    /// histograms; the worker-side gradients are the one cross-shard
-    /// accumulation, and they fold in the same task-major visit order as
-    /// the flat loop.
-    pub fn infer_sharded(
-        &self,
-        view: &crate::views::ShardedView,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        if view.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(view.m, options)?;
-        let lm1 = (view.l - 1).max(1) as f64;
-
-        let init_acc = initial_accuracy(options, view.m, sigmoid(1.0));
-        let mut alpha: Vec<f64> = init_acc
-            .iter()
-            .map(|&a| kernels::ln(a / (1.0 - a)).clamp(-4.0, 4.0))
-            .collect();
-        if let Some(warm) = &options.warm_start {
-            for (w, a) in alpha.iter_mut().enumerate() {
-                if let Some(p) = warm.worker_quality.get(w).and_then(WorkerQuality::scalar) {
-                    let p = p.clamp(1e-4, 1.0 - 1e-4);
-                    *a = kernels::ln(p / (1.0 - p)).clamp(-8.0, 8.0);
-                }
-            }
-        }
-        let mut log_beta = vec![0.0f64; view.n];
-
-        let mut post = view.majority_posteriors();
-        let mut grad_alpha = vec![0.0f64; view.m];
-        let mut grad_logbeta = vec![0.0f64; view.n];
-        let mut beta = vec![0.0f64; view.n];
-        let num_answers = view.num_answers();
-        let mut sig = vec![0.0f64; num_answers];
-        let mut lc = vec![0.0f64; num_answers];
-        let mut lw = vec![0.0f64; num_answers];
-        // Flat gather indices in the shard-concatenated task-major order
-        // (which *is* the flat task-major order), built once.
-        let mut answer_workers = Vec::with_capacity(num_answers);
-        let mut answer_tasks = Vec::with_capacity(num_answers);
-        for s in 0..view.num_shards() {
-            let range = view.shard_tasks(s);
-            for task in range.clone() {
-                for &(worker, _) in view.shard_task_row(s, task - range.start) {
-                    answer_workers.push(worker);
-                    answer_tasks.push(task as u32);
-                }
-            }
-        }
-        let mut params: Vec<f64> = Vec::with_capacity(view.m + view.n);
-        let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
-
-        // Same fused σ(α_w·β_i) refresh as the flat path.
-        fn fill_sigmoids(
-            sig: &mut [f64],
-            beta: &[f64],
-            alpha: &[f64],
-            answer_workers: &[u32],
-            answer_tasks: &[u32],
-        ) {
-            sigmoid_map_into(sig, |i| {
-                alpha[answer_workers[i] as usize] * beta[answer_tasks[i] as usize]
-            });
-        }
-
-        loop {
+            // passes); each posterior row is then one fused two-term
+            // accumulate + normalize.
             exp_map_into(&mut beta, |i| log_beta[i]);
             fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
             ln_map_into(&mut lc, |i| sig[i].clamp(1e-9, 1.0 - 1e-9));
@@ -405,13 +262,20 @@ impl Glad {
             }
             view.clamp_golden(&mut post);
 
+            // M-step: gradient ascent on the expected complete-data
+            // log-likelihood Q(α, ln β).
+            //
+            // With p_iw = Pr(worker w correct on i | posterior) =
+            // post[i][v_iw], and s = σ(α_w β_i):
+            //   ∂Q/∂α_w    = Σ_i β_i (p_iw − s_iw) − λ(α_w − 1)
+            //   ∂Q/∂ln β_i = β_i Σ_w α_w (p_iw − s_iw) − λ ln β_i
             {
                 let _timer = crate::views::obs_reduce_seconds().start_timer();
                 for step in 0..self.gradient_steps {
                     grad_alpha.fill(0.0);
                     grad_logbeta.fill(0.0);
-                    // As in the flat path: step 0 reuses the E-step's
-                    // `beta` and `sig`.
+                    // The E-step filled `beta` and `sig` from this α and
+                    // ln β; only later steps see updated parameters.
                     if step > 0 {
                         exp_map_into(&mut beta, |i| log_beta[i]);
                         fill_sigmoids(&mut sig, &beta, &alpha, &answer_workers, &answer_tasks);
@@ -461,6 +325,8 @@ impl Glad {
         let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
             truths: Cat::answers(&labels),
+            // Report σ(α) — the worker's correctness probability on a
+            // difficulty-1 task — as the scalar quality.
             worker_quality: alpha
                 .into_iter()
                 .map(|a| WorkerQuality::Probability(sigmoid(a)))

@@ -12,19 +12,29 @@ use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{Cat, ShardedView};
 
 /// Majority Voting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mv;
 
 impl Mv {
-    /// Run MV directly on a prebuilt categorical view — the streaming
-    /// entry point (see `Ds::infer_view`). MV is its own fixed point, so
-    /// there is no warm state to resume.
+    /// Run MV on a prebuilt flat view: [`Self::infer_sharded`] on its
+    /// one-shard copy.
     pub fn infer_view(
         &self,
         view: &Cat,
+        options: &InferenceOptions,
+    ) -> Result<InferenceResult, InferenceError> {
+        self.infer_sharded(&ShardedView::from_cat(view, 1), options)
+    }
+
+    /// Run MV on a task-range sharded view: the majority posteriors plus
+    /// the seeded tie-breaking decode, bit-identical at any shard count.
+    /// MV is its own fixed point, so there is no warm state to resume.
+    pub fn infer_sharded(
+        &self,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
         crate::framework::validate_view_options(view.m, options)?;
@@ -61,8 +71,8 @@ impl TruthInference for Mv {
             options,
             self.supports(dataset.task_type()),
         )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
-        self.infer_view(&cat, options)
+        let view = ShardedView::build(self.name(), dataset, options, false)?;
+        self.infer_sharded(&view, options)
     }
 }
 

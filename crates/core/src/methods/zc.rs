@@ -15,11 +15,12 @@ use crowd_stats::{fused_two_term_rows, safe_ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::exec;
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat};
+use crate::views::{initial_accuracy, Cat, ShardedView};
 
 /// ZenCrowd: EM over one-probability workers.
 #[derive(Debug, Clone, Copy)]
@@ -63,112 +64,40 @@ impl TruthInference for Zc {
             options,
             self.supports(dataset.task_type()),
         )?;
-        let cat = Cat::build(self.name(), dataset, options, true)?;
-        self.infer_view(&cat, options)
+        let view = ShardedView::build(self.name(), dataset, options, true)?;
+        self.infer_sharded(&view, options)
     }
 }
 
 impl Zc {
-    /// Run ZC directly on a prebuilt categorical view — the streaming
-    /// entry point (see `Ds::infer_view`). `options.warm_start` resumes
-    /// the per-worker reliabilities from the previous run (any
-    /// [`WorkerQuality`] that collapses to a probability-like scalar);
-    /// the posterior side of a warm start is implicit, since the first
-    /// E-step recomputes every posterior from the warmed reliabilities.
+    /// Run ZC on a prebuilt flat view: [`Self::infer_sharded`] on its
+    /// one-shard copy (see `Ds::infer_view`).
     pub fn infer_view(
         &self,
         cat: &Cat,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        if cat.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(cat.m, options)?;
-        let lm1 = (cat.l - 1).max(1) as f64;
-
-        let mut quality = initial_accuracy(options, cat.m, 0.7);
-        if let Some(warm) = &options.warm_start {
-            for (w, q) in quality.iter_mut().enumerate() {
-                if let Some(prev) = warm.worker_quality.get(w).and_then(WorkerQuality::scalar) {
-                    // Converged ZC reliabilities already sit strictly
-                    // inside (0, 1); the clamp only guards foreign warm
-                    // states (e.g. unbounded weights).
-                    *q = prev.clamp(1e-6, 1.0 - 1e-6);
-                }
-            }
-        }
-        let mut post = cat.majority_posteriors();
-        // Per-worker log tables refreshed once per iteration (2m `ln`
-        // calls instead of |V|·ℓ): exactly the `p.max(1e-12).ln()` terms
-        // the per-answer form computes, so the posterior sums are
-        // bit-identical. The loop below allocates nothing per iteration.
-        let mut ln_correct = vec![0.0f64; cat.m];
-        let mut ln_wrong = vec![0.0f64; cat.m];
-        let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
-
-        loop {
-            // E-step: posterior over each task's truth under current q.
-            // The per-worker log tables refresh as two fused
-            // fill-and-safe_ln maps (elementwise identical to the scalar
-            // clamp idiom); each task row is one fused two-term
-            // accumulate + normalize written straight into the posterior.
-            safe_ln_map_into(&mut ln_correct, |w| quality[w]);
-            safe_ln_map_into(&mut ln_wrong, |w| (1.0 - quality[w]) / lm1);
-            {
-                let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                let fused_rows = fused_two_term_rows(post.data_mut(), cat.l, |task| {
-                    two_term_answers(cat.golden[task], cat.task_row(task), &ln_correct, &ln_wrong)
-                });
-                crate::methods::obs_fused_rows().add(fused_rows);
-            }
-            cat.clamp_golden(&mut post);
-
-            // M-step: expected fraction of correct answers per worker,
-            // smoothed by a symmetric Beta prior.
-            for w in 0..cat.m {
-                let mut expected_correct = 0.0;
-                for (task, label) in cat.worker(w) {
-                    expected_correct += post.row(task)[label as usize];
-                }
-                let denom = cat.worker_len(w) as f64 + 2.0 * self.smoothing;
-                quality[w] = (expected_correct + self.smoothing) / denom;
-            }
-
-            if tracker.step(&quality) {
-                break;
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&post, &mut rng);
-        Ok(InferenceResult {
-            truths: Cat::answers(&labels),
-            worker_quality: quality
-                .into_iter()
-                .map(WorkerQuality::Probability)
-                .collect(),
-            iterations: tracker.iterations(),
-            converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
-        })
+        self.infer_sharded(&ShardedView::from_cat(cat, 1), options)
     }
 
-    /// Run ZC on a task-range sharded view — the million-task substrate.
-    /// The E-step fans out per shard (each shard owns a disjoint block of
-    /// posterior rows; every task row is the exact [`Self::infer_view`]
-    /// arithmetic, so posteriors are bit-identical at any shard count).
-    /// The M-step folds each worker's per-shard adjacency rows in
-    /// ascending shard order: the canonical task-ascending row order
-    /// makes the expected-correct sum shard-count-invariant, and equal to
-    /// the flat `cat.worker(w)` walk on task-grouped logs.
+    /// Run ZC on a task-range sharded view. The E-step fans out over row
+    /// blocks (every task row is computed independently, so posteriors
+    /// are bit-identical at any shard and thread count). The M-step
+    /// folds each worker's per-shard adjacency rows in ascending shard
+    /// order: the canonical task-ascending row order makes the
+    /// expected-correct sum independent of the shard count and of how
+    /// records interleaved across tasks.
+    ///
+    /// `options.warm_start` resumes the per-worker reliabilities from the
+    /// previous run (any [`WorkerQuality`] that collapses to a
+    /// probability-like scalar); the posterior side of a warm start is
+    /// implicit, since the first E-step recomputes every posterior from
+    /// the warmed reliabilities.
     pub fn infer_sharded(
         &self,
-        view: &crate::views::ShardedView,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        use crate::exec;
-        use crate::views::ShardedView;
-
         if view.num_answers() == 0 {
             return Err(InferenceError::EmptyDataset);
         }
@@ -180,11 +109,18 @@ impl Zc {
         if let Some(warm) = &options.warm_start {
             for (w, q) in quality.iter_mut().enumerate() {
                 if let Some(prev) = warm.worker_quality.get(w).and_then(WorkerQuality::scalar) {
+                    // Converged ZC reliabilities already sit strictly
+                    // inside (0, 1); the clamp only guards foreign warm
+                    // states (e.g. unbounded weights).
                     *q = prev.clamp(1e-6, 1.0 - 1e-6);
                 }
             }
         }
         let mut post = view.majority_posteriors();
+        // Per-worker log tables refreshed once per iteration (2m `ln`
+        // calls instead of |V|·ℓ): exactly the `p.max(1e-12).ln()` terms
+        // the per-answer form computes, so the posterior sums are
+        // bit-identical. The serial loop allocates nothing per iteration.
         let mut ln_correct = vec![0.0f64; view.m];
         let mut ln_wrong = vec![0.0f64; view.m];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
@@ -196,57 +132,39 @@ impl Zc {
         } else {
             1
         };
-
-        fn e_step_sharded(
-            view: &ShardedView,
-            ln_correct: &[f64],
-            ln_wrong: &[f64],
-            post: &mut crowd_stats::DMat,
-            threads: usize,
-        ) {
-            let l = view.l;
-            let golden = view.golden();
-            {
-                let mut blocks: Vec<(usize, &mut [f64])> = Vec::with_capacity(view.num_shards());
-                let mut rest: &mut [f64] = post.data_mut();
-                for s in 0..view.num_shards() {
-                    let range = view.shard_tasks(s);
-                    let (head, tail) = rest.split_at_mut((range.end - range.start) * l);
-                    blocks.push((s, head));
-                    rest = tail;
-                }
-                let jobs: Vec<_> = blocks
-                    .into_iter()
-                    .map(|(s, block)| {
-                        move || {
-                            let _timer = crate::views::obs_estep_seconds().start_timer();
-                            let start = view.shard_tasks(s).start;
-                            let fused_rows = fused_two_term_rows(block, l, |local| {
-                                two_term_answers(
-                                    golden[start + local],
-                                    view.shard_task_row(s, local),
-                                    ln_correct,
-                                    ln_wrong,
-                                )
-                            });
-                            crate::methods::obs_fused_rows().add(fused_rows);
-                        }
-                    })
-                    .collect();
-                exec::parallel_map(threads, jobs);
-            }
-            view.clamp_golden(post);
-        }
+        let golden = view.golden();
 
         loop {
+            // E-step: posterior over each task's truth under current q.
+            // The per-worker log tables refresh as two fused
+            // fill-and-safe_ln maps (elementwise identical to the scalar
+            // clamp idiom); each task row is one fused two-term
+            // accumulate + normalize written straight into the posterior.
             safe_ln_map_into(&mut ln_correct, |w| quality[w]);
             safe_ln_map_into(&mut ln_wrong, |w| (1.0 - quality[w]) / lm1);
             {
                 let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                e_step_sharded(view, &ln_correct, &ln_wrong, &mut post, estep_threads);
+                let (ln_correct, ln_wrong) = (&ln_correct, &ln_wrong);
+                view.for_each_row_block(post.data_mut(), l, estep_threads, |s, first, rows| {
+                    let _timer = crate::views::obs_estep_seconds().start_timer();
+                    let start = view.shard_tasks(s).start;
+                    let fused_rows = fused_two_term_rows(rows, l, |offset| {
+                        let local = first + offset;
+                        two_term_answers(
+                            golden[start + local],
+                            view.shard_task_row(s, local),
+                            ln_correct,
+                            ln_wrong,
+                        )
+                    });
+                    crate::methods::obs_fused_rows().add(fused_rows);
+                });
             }
+            view.clamp_golden(&mut post);
 
-            // M-step: per-worker continuation fold, shards ascending.
+            // M-step: expected fraction of correct answers per worker,
+            // smoothed by a symmetric Beta prior — a per-worker
+            // continuation fold, shards ascending.
             {
                 let _timer = crate::views::obs_reduce_seconds().start_timer();
                 for (w, q) in quality.iter_mut().enumerate() {

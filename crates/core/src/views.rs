@@ -1,8 +1,5 @@
 //! Dense views of a dataset, shared by the method implementations — the
-//! data layer of the flat-memory inference substrate. Public so the
-//! streaming subsystem (`crowd-stream`) can maintain the same views
-//! incrementally and hand them straight to the view-level inference
-//! entry points (`Ds::infer_view` and friends).
+//! data layer of the inference substrate.
 //!
 //! Methods iterate the answer log thousands of times. These views extract
 //! the labels/values once and store both adjacencies (per task `W_i`, per
@@ -11,6 +8,14 @@
 //! contiguous slice — no pointer chasing, no per-row allocations — and
 //! posteriors live in a row-major [`DMat`], so the E/M hot loops touch
 //! only flat memory.
+//!
+//! Two categorical views exist. [`ShardedView`] is the one the EM loops
+//! of D&S, LFC, ZC and GLAD (and MV) run on: `infer` builds it with one
+//! shard, `crowd-stream` maintains it incrementally with any number of
+//! shards, and its worker rows are always in the canonical
+//! task-ascending order, so every output depends only on each task's own
+//! answer sequence. [`Cat`] is the unsharded view the other categorical
+//! methods build; [`Num`] is its numeric counterpart.
 
 use crowd_data::{Answer, Dataset};
 use crowd_stats::DMat;
@@ -27,13 +32,13 @@ pub(crate) use sharded::{obs_estep_seconds, obs_reduce_seconds};
 /// Compressed sparse rows: `entries` holds each row's items contiguously,
 /// `offsets[i]..offsets[i+1]` delimits row `i`. Entry columns are `u32`
 /// (tasks and workers both fit comfortably), keeping the buffer compact.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Csr<V> {
     offsets: Vec<u32>,
     entries: Vec<(u32, V)>,
 }
 
-impl<V: Copy> Csr<V> {
+impl<V: Copy + Default> Csr<V> {
     /// Build from `(row, col, value)` triples, preserving the triple
     /// order within each row (a stable counting sort on the row index —
     /// two passes, no comparison sort).
@@ -42,42 +47,29 @@ impl<V: Copy> Csr<V> {
         triples: impl Iterator<Item = (usize, u32, V)> + Clone,
     ) -> Self {
         let mut offsets = vec![0u32; num_rows + 1];
-        let mut total = 0usize;
-        let mut first: Option<(u32, V)> = None;
-        for (row, col, v) in triples.clone() {
-            offsets[row + 1] += 1;
-            total += 1;
-            if first.is_none() {
-                first = Some((col, v));
-            }
-        }
+        // Internal iteration (`for_each`) lets nested sources such as
+        // `flat_map` run as plain loops.
+        triples
+            .clone()
+            .for_each(|(row, _, _)| offsets[row + 1] += 1);
         for i in 0..num_rows {
             offsets[i + 1] += offsets[i];
         }
-        let entries = match first {
-            None => Vec::new(),
-            Some(placeholder) => {
-                // Pre-fill with a real value (V: Copy, no Default bound),
-                // then scatter every triple to its final slot.
-                let mut entries = vec![placeholder; total];
-                let mut cursor: Vec<u32> = offsets[..num_rows].to_vec();
-                for (row, col, v) in triples {
-                    entries[cursor[row] as usize] = (col, v);
-                    cursor[row] += 1;
-                }
-                entries
-            }
-        };
+        let mut entries = vec![(0, V::default()); offsets[num_rows] as usize];
+        let mut cursor: Vec<u32> = offsets[..num_rows].to_vec();
+        triples.for_each(|(row, col, v)| {
+            let slot = &mut cursor[row];
+            entries[*slot as usize] = (col, v);
+            *slot += 1;
+        });
         Self { offsets, entries }
     }
 
     /// Build from `(row, col, value)` triples in a **single pass**, for
-    /// callers that already know each row's entry count (the delta views
-    /// track per-row degrees; the sharded builders count while
-    /// bucketing). Unlike [`Csr::from_triples`] the iterator is consumed
-    /// once and needs no `Clone` bound — the constructor for sources
-    /// that cannot be cheaply re-iterated, e.g. a streamed answer
-    /// generator that never materialises the log.
+    /// callers that already know each row's entry count (the sharded
+    /// view derives its worker rows this way from counted task rows).
+    /// Unlike [`Csr::from_triples`] the iterator is consumed once and
+    /// needs no `Clone` bound.
     ///
     /// Triple order within each row is preserved (same stable
     /// counting-sort layout as the two-pass path, so the two
@@ -86,7 +78,10 @@ impl<V: Copy> Csr<V> {
     /// # Panics
     /// Panics if a triple's row is out of range or a row receives more
     /// or fewer entries than `row_counts` promised — a miscounted CSR
-    /// would mis-slice every downstream hot loop.
+    /// would mis-slice every downstream hot loop. The check runs once
+    /// per row after the scatter: any miscount leaves some row's cursor
+    /// off its end (an entry past the end of the buffer panics on the
+    /// index instead).
     pub fn from_triples_counted(
         row_counts: &[u32],
         triples: impl Iterator<Item = (usize, u32, V)>,
@@ -96,27 +91,17 @@ impl<V: Copy> Csr<V> {
         for (i, &c) in row_counts.iter().enumerate() {
             offsets[i + 1] = offsets[i] + c;
         }
-        let total = offsets[num_rows] as usize;
-        let mut entries: Vec<(u32, V)> = Vec::with_capacity(total);
+        let mut entries = vec![(0, V::default()); offsets[num_rows] as usize];
         let mut cursor: Vec<u32> = offsets[..num_rows].to_vec();
-        let mut placed = 0usize;
-        for (row, col, v) in triples {
-            assert!(row < num_rows, "triple row {row} ≥ {num_rows}");
-            let slot = cursor[row] as usize;
-            assert!(
-                slot < offsets[row + 1] as usize,
-                "row {row} received more entries than counted"
-            );
-            if entries.is_empty() {
-                // First triple seeds the placeholder fill (V: Copy, no
-                // Default bound) — same trick as the two-pass path.
-                entries = vec![(col, v); total];
-            }
-            entries[slot] = (col, v);
-            cursor[row] += 1;
-            placed += 1;
-        }
-        assert_eq!(placed, total, "row counts promised {total} entries");
+        triples.for_each(|(row, col, v)| {
+            let slot = &mut cursor[row];
+            entries[*slot as usize] = (col, v);
+            *slot += 1;
+        });
+        assert!(
+            cursor.iter().zip(&offsets[1..]).all(|(c, end)| c == end),
+            "row counts disagree with the triples"
+        );
         Self { offsets, entries }
     }
 
@@ -169,12 +154,7 @@ impl Cat {
         options: &InferenceOptions,
         use_golden: bool,
     ) -> Result<Self, InferenceError> {
-        let l = dataset
-            .num_choices()
-            .ok_or(InferenceError::UnsupportedTaskType {
-                method,
-                task_type: dataset.task_type(),
-            })? as usize;
+        let l = num_choices(method, dataset)?;
         let n = dataset.num_tasks();
         let m = dataset.num_workers();
         let records = dataset.records();
@@ -198,83 +178,14 @@ impl Cat {
                 )
             }),
         );
-        let golden = match (&options.golden, use_golden) {
-            (Some(g), true) => g
-                .iter()
-                .map(|t| t.as_ref().and_then(Answer::label))
-                .collect(),
-            _ => vec![None; n],
-        };
         Ok(Self {
             n,
             m,
             l,
             task_adj,
             worker_adj,
-            golden,
+            golden: golden_labels(options, use_golden, n),
         })
-    }
-
-    /// Assemble a view from prebuilt CSR adjacencies — the entry point
-    /// for callers (the streaming delta views) that maintain the
-    /// adjacencies themselves. Both CSRs must describe the same answer
-    /// log: `task_adj` keyed by task with `(worker, label)` entries,
-    /// `worker_adj` keyed by worker with `(task, label)` entries.
-    ///
-    /// # Panics
-    /// Panics if the row counts do not match `n`/`m`, the entry totals
-    /// disagree, `golden` is not `n` long, or any entry is out of range
-    /// (worker column ≥ `m`, task column ≥ `n`, label ≥ `l`) — the EM
-    /// loops index confusion tables and posterior rows by these values
-    /// unchecked, so a malformed view must fail fast here rather than
-    /// deep inside a method.
-    pub fn from_parts(
-        n: usize,
-        m: usize,
-        l: usize,
-        task_adj: Csr<u8>,
-        worker_adj: Csr<u8>,
-        golden: Vec<Option<u8>>,
-    ) -> Self {
-        assert_eq!(task_adj.num_rows(), n, "task adjacency row count");
-        assert_eq!(worker_adj.num_rows(), m, "worker adjacency row count");
-        assert_eq!(
-            task_adj.num_entries(),
-            worker_adj.num_entries(),
-            "adjacency entry totals disagree"
-        );
-        assert_eq!(golden.len(), n, "golden vector length");
-        for t in 0..n {
-            for &(worker, label) in task_adj.row(t) {
-                assert!(
-                    (worker as usize) < m,
-                    "task {t}: worker column {worker} ≥ {m}"
-                );
-                assert!((label as usize) < l, "task {t}: label {label} ≥ {l}");
-            }
-        }
-        for w in 0..m {
-            for &(task, label) in worker_adj.row(w) {
-                assert!((task as usize) < n, "worker {w}: task column {task} ≥ {n}");
-                assert!((label as usize) < l, "worker {w}: label {label} ≥ {l}");
-            }
-        }
-        for (t, g) in golden.iter().enumerate() {
-            if let Some(label) = g {
-                assert!(
-                    (*label as usize) < l,
-                    "golden task {t}: label {label} ≥ {l}"
-                );
-            }
-        }
-        Self {
-            n,
-            m,
-            l,
-            task_adj,
-            worker_adj,
-            golden,
-        }
     }
 
     /// Total answers in the view (`|V|`).
@@ -381,6 +292,29 @@ impl Cat {
     }
 }
 
+/// ℓ of a categorical dataset; a typed error for numeric ones.
+fn num_choices(method: &'static str, dataset: &Dataset) -> Result<usize, InferenceError> {
+    dataset
+        .num_choices()
+        .map(usize::from)
+        .ok_or(InferenceError::UnsupportedTaskType {
+            method,
+            task_type: dataset.task_type(),
+        })
+}
+
+/// Golden clamp per task from `options.golden` (all `None` unless
+/// `use_golden`).
+fn golden_labels(options: &InferenceOptions, use_golden: bool, n: usize) -> Vec<Option<u8>> {
+    match (&options.golden, use_golden) {
+        (Some(g), true) => g
+            .iter()
+            .map(|t| t.as_ref().and_then(Answer::label))
+            .collect(),
+        _ => vec![None; n],
+    }
+}
+
 /// MAP label of one posterior row with seeded uniform tie-breaking:
 /// the labels within `1e-12` of the row maximum tie, and the RNG draws
 /// only when there is more than one. Two passes and no allocation — the
@@ -478,55 +412,6 @@ impl Num {
             worker_adj,
             golden,
         })
-    }
-
-    /// Assemble a numeric view from prebuilt CSR adjacencies (see
-    /// [`Cat::from_parts`]).
-    ///
-    /// # Panics
-    /// Panics if the row counts do not match `n`/`m`, the entry totals
-    /// disagree, `golden` is not `n` long or holds a non-finite value,
-    /// or any entry's column is out of range (worker ≥ `m`, task ≥ `n`).
-    pub fn from_parts(
-        n: usize,
-        m: usize,
-        task_adj: Csr<f64>,
-        worker_adj: Csr<f64>,
-        golden: Vec<Option<f64>>,
-    ) -> Self {
-        assert_eq!(task_adj.num_rows(), n, "task adjacency row count");
-        assert_eq!(worker_adj.num_rows(), m, "worker adjacency row count");
-        assert_eq!(
-            task_adj.num_entries(),
-            worker_adj.num_entries(),
-            "adjacency entry totals disagree"
-        );
-        assert_eq!(golden.len(), n, "golden vector length");
-        for t in 0..n {
-            for &(worker, _) in task_adj.row(t) {
-                assert!(
-                    (worker as usize) < m,
-                    "task {t}: worker column {worker} ≥ {m}"
-                );
-            }
-        }
-        for w in 0..m {
-            for &(task, _) in worker_adj.row(w) {
-                assert!((task as usize) < n, "worker {w}: task column {task} ≥ {n}");
-            }
-        }
-        for (t, g) in golden.iter().enumerate() {
-            if let Some(v) = g {
-                assert!(v.is_finite(), "golden task {t}: non-finite value {v}");
-            }
-        }
-        Self {
-            n,
-            m,
-            task_adj,
-            worker_adj,
-            golden,
-        }
     }
 
     /// Total answers in the view (`|V|`).

@@ -1,13 +1,13 @@
 //! Task-range sharding of the categorical CSR view — the data layer of
-//! the sharded EM substrate (see ARCHITECTURE.md §sharded substrate).
+//! every D&S, LFC, ZC, GLAD and MV run (see ARCHITECTURE.md §sharded
+//! substrate). The unsharded case is one shard.
 //!
 //! A [`ShardedView`] splits the task axis into contiguous ranges
 //! (the **shard directory**) and stores, per shard, both CSR
 //! adjacencies restricted to that range:
 //!
 //! - `task_adj`: the shard's task rows (local row `i` = global task
-//!   `start + i`), entries `(worker, label)` in record order — a
-//!   verbatim slice of the unsharded task adjacency;
+//!   `start + i`), entries `(worker, label)` in record order;
 //! - `worker_adj`: all `m` worker rows restricted to the shard's tasks,
 //!   entries `(global task, label)` in **task-ascending order** (the
 //!   canonical order — derived from the task rows, not from arrival
@@ -15,28 +15,29 @@
 //!
 //! The canonical worker-row order is the bit-identity keystone: walking
 //! every shard's worker row in ascending shard order visits a worker's
-//! answers in ascending task order **regardless of the shard count**, so
-//! any per-worker f64 fold over the sharded view is invariant in the
-//! number of shards — and equal to the unsharded fold whenever the flat
-//! view's worker rows are themselves task-ascending (true for every
-//! dataset built task-by-task: the simulators, the builders, and
-//! compacted streams of task-grouped arrivals).
+//! answers in ascending task order **regardless of the shard count and
+//! of how the records interleave across tasks**, so any per-worker f64
+//! fold over the view depends only on each task's own answer sequence.
 //!
-//! Shards are built either by slicing an existing [`Cat`]
-//! ([`ShardedView::from_cat`]) or streamed from a `(task, worker,
-//! label)` iterator in a single pass ([`ShardedView::from_records`]) —
-//! per-shard buffers plus the counted CSR constructor
-//! ([`Csr::from_triples_counted`]) lift `from_triples`' `Clone`-iterator
-//! two-pass requirement, so a million-task synthetic stream never
-//! materialises one flat answer log.
+//! Every constructor funnels through one flat task CSR built by the
+//! two-pass [`Csr::from_triples`] (count, then scatter — no intermediate
+//! copy of the log), split at the shard boundaries; each shard then
+//! derives its worker rows from its task rows
+//! ([`Csr::from_triples_counted`]). [`ShardedView::build`] is the
+//! dataset entry point `infer` uses, [`ShardedView::from_records`] reads
+//! a re-iterable `(task, worker, label)` source (a streamed generator
+//! or a stream's arrival log), and [`ShardedView::from_cat`] copies an
+//! existing [`Cat`]'s task rows.
 
+use crowd_data::Dataset;
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use super::{decode_row, Cat, Csr};
+use super::{decode_row, golden_labels, num_choices, Cat, Csr};
 use crate::exec;
+use crate::framework::{InferenceError, InferenceOptions};
 
 /// Shards-rebuilt counter: incremented once per shard rebuild (the
 /// streaming dirty-shard path calls [`ShardedView::rebuild_shard`] only
@@ -47,7 +48,8 @@ fn obs_dirty_rebuilds() -> &'static crowd_obs::Counter {
     H.get_or_init(|| crowd_obs::counter("core.shard.dirty_rebuilds_total"))
 }
 
-/// Per-shard E-step wall time (one sample per shard per EM iteration).
+/// E-step wall time per row block (one sample per block per EM
+/// iteration; see [`ShardedView::for_each_row_block`]).
 pub(crate) fn obs_estep_seconds() -> &'static crowd_obs::Histogram {
     static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
     H.get_or_init(|| crowd_obs::histogram("core.shard.estep_seconds"))
@@ -89,15 +91,23 @@ struct ShardData {
 impl ShardData {
     /// Derive the canonical worker adjacency from the shard's task rows:
     /// count per-worker degrees, then scatter the task rows in ascending
-    /// task order. Both constructors and the rebuild path funnel through
-    /// here, so the canonical-order invariant has one owner.
-    fn from_task_adj(start: usize, m: usize, task_adj: Csr<u8>) -> Self {
+    /// task order. Every constructor and the rebuild path funnel through
+    /// here, so the canonical-order invariant — and the range check on
+    /// every entry (the EM loops index confusion tables by worker and
+    /// label unchecked) — has one owner.
+    fn from_task_adj(start: usize, m: usize, l: usize, task_adj: Csr<u8>) -> Self {
+        // Indexing `counts` rejects a worker ≥ `m`; labels are checked
+        // once, on their maximum, to keep the branch out of the loop.
         let mut counts = vec![0u32; m];
-        for local in 0..task_adj.num_rows() {
-            for &(worker, _) in task_adj.row(local) {
-                counts[worker as usize] += 1;
-            }
+        let mut max_label = 0u8;
+        for &(worker, label) in &task_adj.entries {
+            counts[worker as usize] += 1;
+            max_label = max_label.max(label);
         }
+        assert!(
+            task_adj.entries.is_empty() || (max_label as usize) < l,
+            "record label {max_label} ≥ {l}"
+        );
         let worker_adj = Csr::from_triples_counted(
             &counts,
             (0..task_adj.num_rows()).flat_map(|local| {
@@ -115,8 +125,8 @@ impl ShardData {
 }
 
 /// A categorical answer view split into contiguous task-range shards —
-/// the substrate the sharded EM paths (`Ds::infer_sharded` and friends)
-/// run on. See the module docs for the layout and order guarantees.
+/// the substrate the EM paths (`Ds::infer_sharded` and friends) run on.
+/// See the module docs for the layout and order guarantees.
 #[derive(Debug)]
 pub struct ShardedView {
     /// Number of tasks.
@@ -138,90 +148,119 @@ pub struct ShardedView {
 }
 
 impl ShardedView {
+    /// The one-shard view of a categorical dataset — what `infer` runs
+    /// D&S, LFC, ZC, GLAD and MV on. Fails on numeric datasets; golden
+    /// clamps come from `options.golden` when `use_golden`.
+    pub fn build(
+        method: &'static str,
+        dataset: &Dataset,
+        options: &InferenceOptions,
+        use_golden: bool,
+    ) -> Result<Self, InferenceError> {
+        let l = num_choices(method, dataset)?;
+        let n = dataset.num_tasks();
+        Ok(Self::from_records(
+            n,
+            dataset.num_workers(),
+            l,
+            1,
+            dataset.records().iter().map(|r| {
+                (
+                    r.task as u32,
+                    r.worker as u32,
+                    r.answer.label().expect("categorical dataset"),
+                )
+            }),
+            golden_labels(options, use_golden, n),
+        ))
+    }
+
     /// Slice an existing flat view into `shard_count` task-range shards.
     /// Task rows are copied verbatim; worker rows are re-derived in the
     /// canonical task-ascending order.
     pub fn from_cat(cat: &Cat, shard_count: usize) -> Self {
-        let starts = shard_starts(cat.n, shard_count);
-        let shards: Vec<ShardData> = starts
-            .windows(2)
-            .map(|w| {
-                let (start, end) = (w[0], w[1]);
-                let counts: Vec<u32> = (start..end).map(|t| cat.task_len(t) as u32).collect();
-                let task_adj = Csr::from_triples_counted(
-                    &counts,
-                    (start..end).flat_map(|t| {
-                        cat.task_row(t)
-                            .iter()
-                            .map(move |&(worker, label)| (t - start, worker, label))
-                    }),
-                );
-                ShardData::from_task_adj(start, cat.m, task_adj)
-            })
-            .collect();
-        let mut view = Self {
-            n: cat.n,
-            m: cat.m,
-            l: cat.l,
-            starts,
-            entry_offsets: Vec::new(),
-            shards,
-            golden: cat.golden.clone(),
-        };
-        view.refresh_entry_offsets();
-        view
+        Self::from_task_adj(
+            cat.m,
+            cat.l,
+            shard_count,
+            cat.task_adj.clone(),
+            cat.golden.clone(),
+        )
     }
 
-    /// Build directly from a `(task, worker, label)` record stream in
-    /// **one pass** — the iterator is consumed once (no `Clone` bound)
-    /// and the full log is never materialised as a single allocation:
-    /// records are bucketed per shard with per-task degree counting,
-    /// then each shard builds its CSRs via the counted constructor.
+    /// Build from a `(task, worker, label)` record source in two passes
+    /// over it — count, then scatter, cloning the iterator to re-read
+    /// it — so the log is never copied into an intermediate buffer. A
+    /// streamed generator is simply regenerated; a stream's arrival log
+    /// is read in place.
     ///
-    /// Within each task, record order is preserved, so a view streamed
-    /// from a task-grouped log is entry-identical to
+    /// Within each task, record order is preserved, so the view depends
+    /// only on each task's own answer sequence: any interleaving of the
+    /// same per-task sequences builds an entry-identical view, equal to
     /// [`ShardedView::from_cat`] over the equivalent flat view.
     ///
     /// # Panics
     /// Panics on any out-of-range record (task ≥ `n`, worker ≥ `m`,
-    /// label ≥ `l`) — same fail-fast contract as [`Cat::from_parts`].
+    /// label ≥ `l`) or a `golden` vector that is not `n` long.
     pub fn from_records(
         n: usize,
         m: usize,
         l: usize,
         shard_count: usize,
-        records: impl Iterator<Item = (u32, u32, u8)>,
+        records: impl Iterator<Item = (u32, u32, u8)> + Clone,
         golden: Vec<Option<u8>>,
     ) -> Self {
         assert_eq!(golden.len(), n, "golden vector length");
+        let task_adj = Csr::from_triples(
+            n,
+            records.map(|(task, worker, label)| (task as usize, worker, label)),
+        );
+        Self::from_task_adj(m, l, shard_count, task_adj, golden)
+    }
+
+    /// Split a flat task CSR at the shard boundaries and derive each
+    /// shard's worker rows. Shards are peeled off the tail, so every
+    /// entry is copied at most once — and not at all at one shard.
+    fn from_task_adj(
+        m: usize,
+        l: usize,
+        shard_count: usize,
+        task_adj: Csr<u8>,
+        golden: Vec<Option<u8>>,
+    ) -> Self {
+        let n = task_adj.num_rows();
         let starts = shard_starts(n, shard_count);
-        let num_shards = starts.len() - 1;
-        let mut buffers: Vec<Vec<(u32, u32, u8)>> = vec![Vec::new(); num_shards];
-        let mut counts: Vec<Vec<u32>> =
-            starts.windows(2).map(|w| vec![0u32; w[1] - w[0]]).collect();
-        for (task, worker, label) in records {
-            let (t, w) = (task as usize, worker as usize);
-            assert!(t < n, "record task {t} ≥ {n}");
-            assert!(w < m, "record worker {w} ≥ {m}");
-            assert!((label as usize) < l, "record label {label} ≥ {l}");
-            let s = shard_of(&starts, t);
-            counts[s][t - starts[s]] += 1;
-            buffers[s].push((task, worker, label));
+        let mut shards: Vec<ShardData> = Vec::with_capacity(starts.len() - 1);
+        if starts.len() == 2 {
+            shards.push(ShardData::from_task_adj(0, m, l, task_adj));
+        } else {
+            let Csr {
+                offsets,
+                mut entries,
+            } = task_adj;
+            for w in starts.windows(2).rev() {
+                let (start, end) = (w[0], w[1]);
+                let base = offsets[start];
+                let part = if start == 0 {
+                    let mut head = std::mem::take(&mut entries);
+                    head.shrink_to_fit();
+                    head
+                } else {
+                    entries.split_off(base as usize)
+                };
+                let offsets = offsets[start..=end].iter().map(|&o| o - base).collect();
+                shards.push(ShardData::from_task_adj(
+                    start,
+                    m,
+                    l,
+                    Csr {
+                        offsets,
+                        entries: part,
+                    },
+                ));
+            }
+            shards.reverse();
         }
-        let shards: Vec<ShardData> = buffers
-            .into_iter()
-            .zip(&counts)
-            .enumerate()
-            .map(|(s, (buf, counts))| {
-                let start = starts[s];
-                let task_adj = Csr::from_triples_counted(
-                    counts,
-                    buf.into_iter()
-                        .map(|(task, worker, label)| (task as usize - start, worker, label)),
-                );
-                ShardData::from_task_adj(start, m, task_adj)
-            })
-            .collect();
         let mut view = Self {
             n,
             m,
@@ -246,42 +285,29 @@ impl ShardedView {
     }
 
     /// Rebuild one shard from its current records — the streaming
-    /// dirty-shard path: `StreamEngine` buckets the answer log per dirty
-    /// shard and rebuilds only those, leaving clean shards untouched.
-    /// `records` must hold **every** answer in the shard's task range
-    /// (global coordinates), in the desired within-task order.
+    /// dirty-shard path: `StreamEngine` rebuilds only the shards whose
+    /// task ranges received answers since its last sync, leaving clean
+    /// shards untouched. `records` must hold **every** answer in the
+    /// shard's task range (global coordinates), in the desired
+    /// within-task order.
     ///
     /// # Panics
     /// Panics if `shard` is out of range or any record falls outside the
     /// shard's task range (or out of the view's worker/label ranges).
     pub fn rebuild_shard(&mut self, shard: usize, records: &[(u32, u32, u8)]) {
         let (start, end) = (self.starts[shard], self.starts[shard + 1]);
-        let mut counts = vec![0u32; end - start];
-        for &(task, worker, label) in records {
-            let t = task as usize;
-            assert!(
-                (start..end).contains(&t),
-                "record task {t} outside shard {shard} range {start}..{end}"
-            );
-            assert!(
-                (worker as usize) < self.m,
-                "record worker {worker} ≥ {}",
-                self.m
-            );
-            assert!(
-                (label as usize) < self.l,
-                "record label {label} ≥ {}",
-                self.l
-            );
-            counts[t - start] += 1;
-        }
-        let task_adj = Csr::from_triples_counted(
-            &counts,
-            records
-                .iter()
-                .map(|&(task, worker, label)| (task as usize - start, worker, label)),
+        let task_adj = Csr::from_triples(
+            end - start,
+            records.iter().map(|&(task, worker, label)| {
+                let t = task as usize;
+                assert!(
+                    (start..end).contains(&t),
+                    "record task {t} outside shard {shard} range {start}..{end}"
+                );
+                (t - start, worker, label)
+            }),
         );
-        self.shards[shard] = ShardData::from_task_adj(start, self.m, task_adj);
+        self.shards[shard] = ShardData::from_task_adj(start, self.m, self.l, task_adj);
         self.refresh_entry_offsets();
         obs_dirty_rebuilds().inc();
     }
@@ -373,6 +399,52 @@ impl ShardedView {
         exec::tree_reduce(per_shard, usize::max).unwrap_or(0)
     }
 
+    /// Run `rows(shard, first_local_task, block)` over every shard's
+    /// block of rows of a task-major buffer with `width` columns per task
+    /// (a posterior matrix's data) — the E-step fan-out.
+    ///
+    /// With `threads <= 1` each shard's block is one call, in shard
+    /// order, with no heap allocation (the allocation-free serial EM
+    /// loops rely on this). Above that, every shard's block is cut into
+    /// chunks of ⌈n / (4·threads)⌉ tasks that the calling thread and pool
+    /// workers steal: one shard keeps the flat sweep's fan-out, and no
+    /// chunk straddles a shard boundary. Callers compute each row
+    /// independently, so the output never depends on the chunking.
+    pub(crate) fn for_each_row_block(
+        &self,
+        data: &mut [f64],
+        width: usize,
+        threads: usize,
+        rows: impl Fn(usize, usize, &mut [f64]) + Sync,
+    ) {
+        let mut rest = data;
+        if threads <= 1 {
+            for s in 0..self.num_shards() {
+                let (block, tail) = rest.split_at_mut(self.shard_tasks(s).len() * width);
+                rows(s, 0, block);
+                rest = tail;
+            }
+            return;
+        }
+        let tasks_per_chunk = self.n.div_ceil(4 * threads).max(1);
+        let mut chunks: Vec<(usize, usize, &mut [f64])> = Vec::new();
+        for s in 0..self.num_shards() {
+            let (mut block, tail) = rest.split_at_mut(self.shard_tasks(s).len() * width);
+            rest = tail;
+            let mut first = 0;
+            while !block.is_empty() {
+                let (chunk, more) = block.split_at_mut((tasks_per_chunk * width).min(block.len()));
+                chunks.push((s, first, chunk));
+                first += tasks_per_chunk;
+                block = more;
+            }
+        }
+        exec::parallel_chunks(threads, &mut chunks, 1, |_, chunk| {
+            let (s, first, block) = &mut chunk[0];
+            rows(*s, *first, block);
+        });
+    }
+
     /// Soft majority-vote posteriors — same per-task arithmetic as
     /// [`Cat::majority_posteriors`], walked shard-by-shard, so the
     /// result is bit-identical at any shard count.
@@ -416,44 +488,6 @@ impl ShardedView {
         (0..self.n)
             .map(|task| decode_row(post.row(task), rng))
             .collect()
-    }
-
-    /// Flatten back into an unsharded [`Cat`] — the compatibility shim
-    /// for methods without a native sharded path (`Mv` in the streaming
-    /// set). Task rows concatenate verbatim; worker rows come out in the
-    /// canonical task-ascending order.
-    pub fn flatten(&self) -> Cat {
-        let task_counts: Vec<u32> = (0..self.n).map(|t| self.task_len(t) as u32).collect();
-        let task_adj = Csr::from_triples_counted(
-            &task_counts,
-            (0..self.num_shards()).flat_map(|s| {
-                let start = self.starts[s];
-                self.shard_tasks(s).flat_map(move |task| {
-                    self.shard_task_row(s, task - start)
-                        .iter()
-                        .map(move |&(worker, label)| (task, worker, label))
-                })
-            }),
-        );
-        let worker_counts: Vec<u32> = (0..self.m).map(|w| self.worker_len(w) as u32).collect();
-        let worker_adj = Csr::from_triples_counted(
-            &worker_counts,
-            (0..self.num_shards()).flat_map(|s| {
-                (0..self.m).flat_map(move |w| {
-                    self.shard_worker_row(s, w)
-                        .iter()
-                        .map(move |&(task, label)| (w, task, label))
-                })
-            }),
-        );
-        Cat::from_parts(
-            self.n,
-            self.m,
-            self.l,
-            task_adj,
-            worker_adj,
-            self.golden.clone(),
-        )
     }
 }
 
@@ -588,23 +622,6 @@ mod tests {
                     .collect::<Vec<u64>>(),
                 "{shards} shards"
             );
-        }
-    }
-
-    #[test]
-    fn flatten_round_trips_through_cat() {
-        let cat = ragged_cat();
-        let view = ShardedView::from_cat(&cat, 3);
-        let back = view.flatten();
-        assert_eq!(back.n, cat.n);
-        assert_eq!(back.num_answers(), cat.num_answers());
-        for t in 0..cat.n {
-            assert_eq!(back.task_row(t), cat.task_row(t));
-        }
-        // Worker rows come back task-ascending — equal to the flat rows
-        // on this task-grouped log.
-        for w in 0..cat.m {
-            assert_eq!(back.worker_row(w), cat.worker_row(w));
         }
     }
 

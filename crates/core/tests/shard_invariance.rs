@@ -1,23 +1,25 @@
-//! Shard-invariance property tests: every migrated method's sharded
-//! path must be **bit-identical** to its flat path — posteriors, truths,
-//! worker quality, iteration count — at every shard count, including the
+//! Shard-invariance property tests: every method on the sharded
+//! substrate must be **bit-identical** — posteriors, truths, worker
+//! quality, iteration count — at every shard count, including the
 //! adversarial directory shapes (more shards than tasks, one task per
-//! shard, empty shards from gap-heavy logs).
+//! shard, empty shards from gap-heavy logs), and on every arrival order
+//! that keeps each task's own answer sequence.
 //!
 //! Why bit equality is the right bar (and achievable): E-steps are
 //! per-task independent, so fanning them out per shard changes nothing;
 //! the M-steps fold each worker's per-shard adjacency rows in ascending
 //! shard order over the *canonical* task-ascending worker rows, so the
-//! non-associative f64 accumulation visits answers in exactly the flat
-//! order whenever the flat worker rows are task-ascending — true for
-//! every dataset built task-by-task, which all fixtures here are (and
-//! which `ShardedView::from_records` canonicalises to). GLAD never walks
-//! a worker row at all, so its guarantee is unconditional.
+//! non-associative f64 accumulation visits answers in one order fixed by
+//! the per-task answer sequences alone. GLAD never walks a worker row at
+//! all. The `infer_view` entry points run the one-shard copy of a flat
+//! view, so comparing them with `infer_sharded` pins shard-count
+//! invariance against the `S = 1` baseline.
 
 use crowd_core::methods::{Ds, Glad, Lfc, Mv, Zc};
 use crowd_core::views::{Cat, ShardedView};
-use crowd_core::{InferenceOptions, InferenceResult, WorkerQuality};
-use crowd_data::{Dataset, DatasetBuilder, StreamSim, TaskType};
+use crowd_core::{InferenceOptions, InferenceResult, Method, WorkerQuality};
+use crowd_data::{AnswerRecord, Dataset, DatasetBuilder, StreamSim, TaskType};
+use proptest::prelude::*;
 
 /// The tested shard counts: the required {1, 2, 7, 16} plus `n` (every
 /// shard holds one task) and `n + 5` (tail shards are empty ranges).
@@ -155,22 +157,12 @@ fn glad_bit_identical_across_shard_counts() {
 }
 
 #[test]
-fn mv_flatten_shim_bit_identical() {
-    // Mv has no native sharded path; the compatibility shim routes it
-    // through `ShardedView::flatten`. On task-grouped logs the flattened
-    // view is entry-identical to the original, so the result matches
-    // bit for bit.
-    for (dataset_name, d) in fixtures() {
-        let options = InferenceOptions::seeded(17);
-        let cat = Cat::build("shard-test", &d, &options, true).unwrap();
-        let flat = Mv.infer_view(&cat, &options).unwrap();
-        for shards in shard_counts(cat.n) {
-            let view = ShardedView::from_cat(&cat, shards);
-            let back = view.flatten();
-            let sharded = Mv.infer_view(&back, &options).unwrap();
-            assert_identical(&format!("MV/{dataset_name}"), shards, &flat, &sharded);
-        }
-    }
+fn mv_bit_identical_across_shard_counts() {
+    check_method(
+        "MV",
+        |cat, o| Mv.infer_view(cat, o).unwrap(),
+        |view, o| Mv.infer_sharded(view, o).unwrap(),
+    );
 }
 
 #[test]
@@ -218,5 +210,121 @@ fn streamed_construction_matches_sliced_construction_end_to_end() {
         let a = Ds.infer_sharded(&sliced, &options).unwrap();
         let b = Ds.infer_sharded(&streamed, &options).unwrap();
         assert_identical("D&S-streamed", shards, &a, &b);
+    }
+}
+
+/// One answer `(task, worker, label)` plus its interleaving key.
+type KeyedAnswer = (usize, usize, u8, u32);
+
+/// A random categorical log: shape `(n, m, ℓ)` plus unique `(task,
+/// worker)` answers, each with an interleaving key. The answers are
+/// returned task-grouped (stable in generation order, which is each
+/// task's own answer sequence).
+fn arb_log() -> impl Strategy<Value = (usize, usize, u8, Vec<KeyedAnswer>)> {
+    (2usize..14, 2usize..9, 2u8..5).prop_flat_map(|(n, m, l)| {
+        proptest::collection::vec((0..n, 0..m, 0..l, 0u32..1000), 1..(n * m).min(90)).prop_map(
+            move |edges| {
+                let mut seen = std::collections::HashSet::new();
+                let mut unique: Vec<KeyedAnswer> = edges
+                    .into_iter()
+                    .filter(|&(t, w, _, _)| seen.insert((t, w)))
+                    .collect();
+                unique.sort_by_key(|&(t, _, _, _)| t);
+                (n, m, l, unique)
+            },
+        )
+    })
+}
+
+/// The same log in another arrival order: positions are shuffled by
+/// key, then each task's positions are refilled with its answers in
+/// their original order — answers to different tasks interleave, each
+/// task's own sequence is untouched.
+fn interleaved(grouped: &[KeyedAnswer]) -> Vec<KeyedAnswer> {
+    let mut order: Vec<usize> = (0..grouped.len()).collect();
+    order.sort_by_key(|&i| (grouped[i].3, i));
+    let mut by_task: std::collections::HashMap<usize, std::collections::VecDeque<_>> =
+        std::collections::HashMap::new();
+    for &edge in grouped {
+        by_task.entry(edge.0).or_default().push_back(edge);
+    }
+    order
+        .iter()
+        .map(|&i| {
+            by_task
+                .get_mut(&grouped[i].0)
+                .and_then(|queue| queue.pop_front())
+                .expect("one answer per position")
+        })
+        .collect()
+}
+
+fn dataset(n: usize, m: usize, l: u8, log: &[KeyedAnswer]) -> Dataset {
+    let mut b = DatasetBuilder::new("order", TaskType::SingleChoice { choices: l }, n, m);
+    for &(t, w, label, _) in log {
+        b.add_label(t, w, label).expect("unique valid answer");
+    }
+    b.build()
+}
+
+/// `infer` on `d`, then `infer_sharded` on views streamed from `d`'s
+/// records at 1, 2 and 7 shards.
+fn runs(method: Method, d: &Dataset, options: &InferenceOptions) -> Vec<(String, InferenceResult)> {
+    let mut out = vec![(
+        "infer".to_string(),
+        method.build().infer(d, options).unwrap(),
+    )];
+    for shards in [1usize, 2, 7] {
+        let view = ShardedView::from_records(
+            d.num_tasks(),
+            d.num_workers(),
+            d.num_choices().unwrap() as usize,
+            shards,
+            d.records().iter().map(|r: &AnswerRecord| {
+                (r.task as u32, r.worker as u32, r.answer.label().unwrap())
+            }),
+            vec![None; d.num_tasks()],
+        );
+        let sharded = match method {
+            Method::Ds => Ds.infer_sharded(&view, options),
+            Method::Lfc => Lfc::default().infer_sharded(&view, options),
+            Method::Zc => Zc::default().infer_sharded(&view, options),
+            Method::Glad => Glad::default().infer_sharded(&view, options),
+            _ => Mv.infer_sharded(&view, options),
+        };
+        out.push((format!("{shards} shards"), sharded.unwrap()));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Arrival order is not an input: any permutation of a log that
+    /// keeps each task's own answer order gives bit-identical posteriors,
+    /// qualities, truths and iteration counts — through `infer` and at
+    /// 1, 2 and 7 shards.
+    #[test]
+    fn outputs_ignore_arrival_order_across_tasks((n, m, l, grouped) in arb_log()) {
+        let permuted = interleaved(&grouped);
+        let (a, b) = (dataset(n, m, l, &grouped), dataset(n, m, l, &permuted));
+        let options = InferenceOptions::seeded(5);
+        for method in [Method::Ds, Method::Lfc, Method::Zc, Method::Glad, Method::Mv] {
+            let reference = &runs(method, &a, &options)[0].1;
+            for (arrival, d) in [("grouped", &a), ("interleaved", &b)] {
+                for (path, r) in runs(method, d, &options) {
+                    let at = format!("{} {arrival} {path}", method.name());
+                    prop_assert_eq!(&reference.truths, &r.truths, "{}: truths", at);
+                    prop_assert_eq!(posterior_bits(reference), posterior_bits(&r), "{}: posteriors", at);
+                    prop_assert_eq!(quality_bits(reference), quality_bits(&r), "{}: quality", at);
+                    prop_assert_eq!(
+                        (reference.iterations, reference.converged),
+                        (r.iterations, r.converged),
+                        "{}: trajectory",
+                        at
+                    );
+                }
+            }
+        }
     }
 }

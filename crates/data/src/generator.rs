@@ -524,7 +524,8 @@ const PURPOSE_ANS: u64 = 0x414e5357; // "ANSW"
 ///   dirty-shard tests rebuild single shards from
 ///   [`StreamSim::task_records`]);
 /// - generation never perturbs measurement: there is no shared RNG whose
-///   consumption order could differ between sharded and flat paths.
+///   consumption order could differ between shard counts or between the
+///   two passes of a view build.
 ///
 /// Workers answer correctly with per-worker accuracy uniform in
 /// `[0.55, 0.95]`; errors spread uniformly over the other `ℓ − 1`
@@ -645,9 +646,10 @@ impl StreamSim {
     }
 
     /// The full task-major record stream: `(task, worker, label)` with
-    /// tasks ascending — the canonical order the sharded substrate's
-    /// bit-identity guarantee is anchored to.
-    pub fn records(&self) -> impl Iterator<Item = (u32, u32, u8)> + '_ {
+    /// tasks ascending. Cloning the iterator replays the stream from the
+    /// start, which is how a two-pass view build reads it twice without
+    /// materialising it.
+    pub fn records(&self) -> impl Iterator<Item = (u32, u32, u8)> + Clone + '_ {
         (0..self.num_tasks).flat_map(move |task| self.task_records(task))
     }
 

@@ -90,9 +90,9 @@ impl SnapshotState {
 
 /// An immutable, internally-consistent view of one session's truth
 /// state, published at the end of the drain tick (or lifecycle event)
-/// that produced it. Every field was read under the same slot lock —
-/// unlike the deprecated per-field getters, `plurality`, `report`, and
-/// `stats` can never disagree about which tick they describe.
+/// that produced it. Every field was read under the same slot lock, so
+/// `plurality`, `report`, and `stats` can never disagree about which
+/// tick they describe.
 #[derive(Debug, Clone)]
 pub struct TruthSnapshot {
     /// The session this snapshot describes.
@@ -106,8 +106,9 @@ pub struct TruthSnapshot {
     pub state: SnapshotState,
     /// Answer batches the engine has absorbed.
     pub cum_batches: u64,
-    /// Live per-task plurality labels (`O(|V|)` off the delta views at
-    /// publish time — includes ingested-but-unconverged answers).
+    /// Live per-task plurality labels (`O(n·ℓ)` off the engine's label
+    /// counts at publish time — includes ingested-but-unconverged
+    /// answers).
     pub plurality: Vec<Option<u8>>,
     /// The most recent converge output (`None` before the first
     /// converge). `result.converged` distinguishes a fixed point from a
@@ -535,25 +536,35 @@ mod tests {
         // see a torn pair or an epoch that goes backwards.
         let cell: Arc<Published<(u64, u64)>> = Arc::new(Published::new(0, |e| (e, e ^ 0xABCD)));
         let done = Arc::new(AtomicBool::new(false));
+        // Every reader is running before the first publish and reads at
+        // least once — otherwise a busy scheduler can finish all 2000
+        // publishes before any reader starts.
+        let start = Arc::new(std::sync::Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let done = Arc::clone(&done);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     let slot = cell.register_slot();
                     let mut last = 0u64;
                     let mut reads = 0u64;
-                    while !done.load(Ordering::SeqCst) {
+                    start.wait();
+                    loop {
                         let v = cell.read_with(&slot);
                         assert_eq!(v.1, v.0 ^ 0xABCD, "torn snapshot");
                         assert!(v.0 >= last, "epoch went backwards: {} < {last}", v.0);
                         last = v.0;
                         reads += 1;
+                        if done.load(Ordering::SeqCst) {
+                            break;
+                        }
                     }
                     reads
                 })
             })
             .collect();
+        start.wait();
         for _ in 0..2000 {
             cell.publish_with(|_, e| (e, e ^ 0xABCD));
         }

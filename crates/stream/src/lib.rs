@@ -2,21 +2,25 @@
 //!
 //! The benchmark paper treats truth inference as a static batch problem;
 //! its future-work section (§7(6)) asks what happens when answers
-//! *arrive over time*. This crate is that answer, built on the
-//! flat-memory substrate:
+//! *arrive over time*. This crate is that answer, built on the sharded
+//! inference substrate:
 //!
-//! - **Delta-buffered CSR views** ([`DeltaCat`]/[`DeltaNum`]): `O(1)`
-//!   amortised appends into per-row delta buffers on top of the compacted
-//!   base CSR, with periodic compaction that is bit-identical to a full
-//!   `from_triples` rebuild (property-tested over arbitrary interleavings
-//!   of appends and compactions).
-//! - **Warm-start re-convergence** ([`StreamEngine`]): each batch
-//!   re-converges the method from the previous converged posteriors and
-//!   worker-quality parameters (`crowd_core::WarmStart`) instead of from
-//!   majority vote, via the view-level entry points (`Ds::infer_view`
-//!   &c.) — no dataset materialisation, no cold restart. On the paper's
-//!   categorical datasets this cuts per-batch EM iterations by roughly
-//!   an order of magnitude (see `BENCH_stream.json`).
+//! - **An arrival log plus counters** ([`StreamEngine::push`]): each
+//!   accepted answer is appended to a plain arrival-order log and bumps
+//!   its task's label count and its worker's answer count — `O(1)`
+//!   amortised, with live per-task pluralities read straight from the
+//!   counts between converges.
+//! - **Warm-start re-convergence** ([`StreamEngine`]): each batch brings
+//!   the session's `ShardedView` up to date, rebuilding only the task
+//!   ranges that received answers, and re-converges the method from the
+//!   previous converged posteriors and worker-quality parameters
+//!   (`crowd_core::WarmStart`) instead of from majority vote, via the
+//!   sharded entry points (`Ds::infer_sharded` &c.) — no dataset
+//!   materialisation, no cold restart. The canonical worker order of the
+//!   view makes every converge independent of the shard count and of
+//!   how answers to different tasks interleave. On the paper's
+//!   categorical datasets warm starts cut per-batch EM iterations by
+//!   roughly an order of magnitude (see `BENCH_stream.json`).
 //! - **Typed errors** ([`StreamError`]): malformed answers are rejected
 //!   per record, leaving the engine state untouched.
 //!
@@ -48,10 +52,8 @@
 
 #![warn(missing_docs)]
 
-pub mod delta;
 pub mod engine;
 
-pub use delta::{DeltaCat, DeltaNum};
 pub use engine::{
     ConvergeBudget, EngineCheckpoint, EngineSummary, StreamConfig, StreamEngine, StreamReport,
 };
@@ -83,11 +85,6 @@ pub enum StreamError {
         label: u8,
         /// Number of choices ℓ.
         num_choices: usize,
-    },
-    /// A numeric answer was not finite.
-    NonFiniteValue {
-        /// The offending value.
-        value: f64,
     },
     /// The same worker answered the same task twice.
     DuplicateAnswer {
@@ -144,7 +141,6 @@ impl fmt::Display for StreamError {
             Self::LabelOutOfRange { label, num_choices } => {
                 write!(f, "label {label} out of range (ℓ = {num_choices})")
             }
-            Self::NonFiniteValue { value } => write!(f, "non-finite numeric answer {value}"),
             Self::DuplicateAnswer { task, worker } => {
                 write!(f, "worker {worker} already answered task {task}")
             }

@@ -4,10 +4,23 @@
 
 use proptest::prelude::*;
 
-use crowd_truth::core::{InferenceOptions, Method};
+use crowd_truth::core::{InferenceOptions, Method, WorkerQuality};
 use crowd_truth::data::{Answer, DatasetBuilder, TaskType};
 use crowd_truth::metrics::{accuracy, f1_score, mae, rmse};
 use crowd_truth::stats::{chi2_cdf, chi2_inv_cdf, log_sum_exp, weighted_mean, weighted_median};
+
+/// Every scalar a worker-quality estimate carries.
+fn quality_scalars(q: &WorkerQuality) -> Vec<f64> {
+    match q {
+        WorkerQuality::Probability(x) | WorkerQuality::Weight(x) | WorkerQuality::Variance(x) => {
+            vec![*x]
+        }
+        WorkerQuality::Confusion(rows) => rows.iter().flatten().copied().collect(),
+        WorkerQuality::BiasVariance { bias, variance } => vec![*bias, *variance],
+        WorkerQuality::Skills(skills) => skills.clone(),
+        WorkerQuality::Unmodeled => Vec::new(),
+    }
+}
 
 /// A random categorical answer log: (n, m, ℓ, edges, truths).
 fn categorical_dataset(
@@ -40,7 +53,9 @@ proptest! {
 
     /// Every method that accepts the dataset returns structurally valid
     /// results on arbitrary answer logs — no panics, right lengths,
-    /// normalized posteriors, labels in range.
+    /// normalized and finite posteriors, finite worker qualities, labels
+    /// in range. The generator emits answers in arbitrary order, so the
+    /// logs interleave tasks freely.
     #[test]
     fn methods_are_total_on_arbitrary_categorical_logs(
         dataset in categorical_dataset(12, 8),
@@ -49,12 +64,12 @@ proptest! {
         if dataset.num_answers() == 0 {
             return Ok(());
         }
-        for method in [Method::Mv, Method::Zc, Method::Ds, Method::Lfc, Method::Pm,
-                       Method::Catd, Method::Bcc, Method::Glad] {
+        for method in Method::ALL {
             let instance = method.build();
             if !instance.supports(dataset.task_type()) {
                 continue;
             }
+            let name = method.name();
             let result = instance.infer(&dataset, &InferenceOptions::seeded(seed)).unwrap();
             prop_assert_eq!(result.truths.len(), dataset.num_tasks());
             prop_assert_eq!(result.worker_quality.len(), dataset.num_workers());
@@ -62,10 +77,17 @@ proptest! {
             for t in &result.truths {
                 prop_assert!(t.label().unwrap() < l);
             }
+            for q in &result.worker_quality {
+                prop_assert!(
+                    quality_scalars(q).iter().all(|x| x.is_finite()),
+                    "{}: non-finite worker quality {:?}", name, q
+                );
+            }
             if let Some(post) = &result.posteriors {
                 for p in post {
+                    prop_assert!(p.iter().all(|x| x.is_finite()), "{}: posterior {:?}", name, p);
                     let s: f64 = p.iter().sum();
-                    prop_assert!((s - 1.0).abs() < 1e-6, "posterior sum {}", s);
+                    prop_assert!((s - 1.0).abs() < 1e-6, "{}: posterior sum {}", name, s);
                 }
             }
         }
