@@ -24,7 +24,7 @@ use crowd_bench::json::{self, Json};
 use std::process::ExitCode;
 
 /// Counters the serve bench's workload cannot avoid incrementing.
-const EXPECT_SERVE_COUNTERS: [&str; 13] = [
+const EXPECT_SERVE_COUNTERS: [&str; 12] = [
     "core.kernel.fused_rows_total",
     "core.pool.submits_total",
     "core.shard.dirty_rebuilds_total",
@@ -34,7 +34,6 @@ const EXPECT_SERVE_COUNTERS: [&str; 13] = [
     "serve.snapshot.writes_total",
     "serve.truth.publishes_total",
     "serve.truth.reads_total",
-    "serve.truth.retired_freed_total",
     "serve.wal.appends_total",
     "stream.engine.batches_total",
     "stream.engine.warm_resumes_total",

@@ -30,7 +30,7 @@
 //!   recovery bandwidth; accuracy is measured on the *recovered*
 //!   sessions, so the no-accuracy-regression gate also pins recovery
 //!   fidelity.
-//! - `mixed` — the wait-free read path under a mixed workload: one
+//! - `mixed` — the read path under a mixed workload: one
 //!   writer thread per session submits each round while 4 reader
 //!   threads poll `TruthReader::snapshot` round-robin over the cell's
 //!   sessions, for the whole replay (converges in flight) and then
@@ -487,8 +487,8 @@ fn main() {
                 let (busy_elapsed, busy_reads, mut busy_samples) = std::thread::scope(|scope| {
                     let pollers: Vec<_> = (0..READER_THREADS)
                         .map(|_| {
-                            // Each thread owns its reader clones (and so
-                            // its own hazard slots) — no sharing.
+                            // Each thread owns its reader handles (and so
+                            // their cached snapshots) — no sharing.
                             let readers: Vec<TruthReader> = ids
                                 .iter()
                                 .map(|&sid| serve.reader(sid).expect("session alive"))

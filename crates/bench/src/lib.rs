@@ -2,6 +2,7 @@
 //! the bench-regression comparator; the criterion benches live under
 //! `benches/` and the sweep binaries under `src/bin/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -22,6 +22,7 @@
 //!   the real data drops in when available;
 //! - the paper's **running example** ([`toy`], Tables 1–2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assignment;

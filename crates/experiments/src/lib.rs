@@ -26,6 +26,7 @@
 //! isolation — with outputs bit-identical to the sequential blocking
 //! reference (pinned in `tests/sweep_runner.rs`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod extensions;

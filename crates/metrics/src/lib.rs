@@ -11,6 +11,7 @@
 //! evaluation mask so the hidden-test experiments (§6.3.3) can score only
 //! the non-golden tasks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod consistency;

@@ -51,6 +51,7 @@
 //! println!("{}", snap.to_json());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;

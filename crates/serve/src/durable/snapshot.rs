@@ -32,7 +32,7 @@ use crowd_core::{WarmStart, WorkerQuality};
 use crowd_stream::EngineCheckpoint;
 
 use super::fault::{FaultKind, FaultPlan, FaultSite};
-use super::wal::{crc32, Dec, Enc};
+use super::wal::{crc32, frame_bytes, Dec, Enc};
 
 const MAGIC: u32 = 0x434f_4e53; // "SNOC" little-endian → reads as "CSNP" tag
 const VERSION: u8 = 1;
@@ -50,6 +50,14 @@ pub struct SnapshotData {
     pub checkpoint: EngineCheckpoint,
 }
 
+fn encode_matrix(e: &mut Enc, m: &[Vec<f64>]) {
+    e.u64(m.len() as u64);
+    e.u64(m.first().map_or(0, |r| r.len()) as u64);
+    for v in m.iter().flatten() {
+        e.f64(*v);
+    }
+}
+
 fn encode_worker_quality(e: &mut Enc, q: &WorkerQuality) {
     match q {
         WorkerQuality::Probability(p) => {
@@ -62,13 +70,7 @@ fn encode_worker_quality(e: &mut Enc, q: &WorkerQuality) {
         }
         WorkerQuality::Confusion(m) => {
             e.u8(2);
-            e.u64(m.len() as u64);
-            e.u64(m.first().map_or(0, |r| r.len()) as u64);
-            for row in m {
-                for v in row {
-                    e.f64(*v);
-                }
-            }
+            encode_matrix(e, m);
         }
         WorkerQuality::Variance(v) => {
             e.u8(3);
@@ -90,26 +92,33 @@ fn encode_worker_quality(e: &mut Enc, q: &WorkerQuality) {
     }
 }
 
+/// Decode a `rows × cols` matrix of at most `max_cells` f64 cells.
+/// Each dimension is bounded on its own, by the cell cap and by what
+/// the bytes left (8 per cell) can hold, before it sizes an allocation
+/// or a loop: bounding only the product lets `cols = 0` pass any `rows`.
+fn decode_matrix(d: &mut Dec<'_>, max_cells: usize) -> Option<Vec<Vec<f64>>> {
+    let rows = usize::try_from(d.u64()?).ok()?;
+    let cols = usize::try_from(d.u64()?).ok()?;
+    let bound = max_cells.min(d.remaining() / 8);
+    if rows > bound || cols > bound || rows.checked_mul(cols)? > bound {
+        return None;
+    }
+    let mut m = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut row = Vec::with_capacity(cols);
+        for _ in 0..cols {
+            row.push(d.f64()?);
+        }
+        m.push(row);
+    }
+    Some(m)
+}
+
 fn decode_worker_quality(d: &mut Dec<'_>) -> Option<WorkerQuality> {
     Some(match d.u8()? {
         0 => WorkerQuality::Probability(d.f64()?),
         1 => WorkerQuality::Weight(d.f64()?),
-        2 => {
-            let rows = usize::try_from(d.u64()?).ok()?;
-            let cols = usize::try_from(d.u64()?).ok()?;
-            if rows.checked_mul(cols)? > (1 << 24) {
-                return None;
-            }
-            let mut m = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let mut row = Vec::with_capacity(cols);
-                for _ in 0..cols {
-                    row.push(d.f64()?);
-                }
-                m.push(row);
-            }
-            WorkerQuality::Confusion(m)
-        }
+        2 => WorkerQuality::Confusion(decode_matrix(d, 1 << 24)?),
         3 => WorkerQuality::Variance(d.f64()?),
         4 => WorkerQuality::BiasVariance {
             bias: d.f64()?,
@@ -117,7 +126,7 @@ fn decode_worker_quality(d: &mut Dec<'_>) -> Option<WorkerQuality> {
         },
         5 => {
             let len = usize::try_from(d.u64()?).ok()?;
-            if len > (1 << 24) {
+            if len > (1 << 24).min(d.remaining() / 8) {
                 return None;
             }
             let mut s = Vec::with_capacity(len);
@@ -144,13 +153,7 @@ fn encode_checkpoint(e: &mut Enc, cp: &EngineCheckpoint) {
                 None => e.u8(0),
                 Some(p) => {
                     e.u8(1);
-                    e.u64(p.len() as u64);
-                    e.u64(p.first().map_or(0, |r| r.len()) as u64);
-                    for row in p {
-                        for v in row {
-                            e.f64(*v);
-                        }
-                    }
+                    encode_matrix(e, p);
                 }
             }
             e.u64(w.worker_quality.len() as u64);
@@ -175,26 +178,12 @@ fn decode_checkpoint(d: &mut Dec<'_>) -> Option<EngineCheckpoint> {
         1 => {
             let posteriors = match d.u8()? {
                 0 => None,
-                1 => {
-                    let rows = usize::try_from(d.u64()?).ok()?;
-                    let cols = usize::try_from(d.u64()?).ok()?;
-                    if rows.checked_mul(cols)? > (1 << 28) {
-                        return None;
-                    }
-                    let mut p = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        let mut row = Vec::with_capacity(cols);
-                        for _ in 0..cols {
-                            row.push(d.f64()?);
-                        }
-                        p.push(row);
-                    }
-                    Some(p)
-                }
+                1 => Some(decode_matrix(d, 1 << 28)?),
                 _ => return None,
             };
+            // Every worker quality takes at least its one tag byte.
             let n = usize::try_from(d.u64()?).ok()?;
-            if n > (1 << 24) {
+            if n > (1 << 24).min(d.remaining()) {
                 return None;
             }
             let mut worker_quality = Vec::with_capacity(n);
@@ -285,13 +274,7 @@ fn snapshot_bytes(data: &SnapshotData) -> Vec<u8> {
     e.u64(data.cum_batches);
     e.u64(data.cum_converges);
     encode_checkpoint(&mut e, &data.checkpoint);
-    let payload = e.0;
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame_bytes(&MAGIC.to_le_bytes(), &e.0)
 }
 
 /// Read and validate a snapshot. `None` for *any* problem — missing
@@ -330,7 +313,15 @@ pub fn read_snapshot(path: &Path) -> Option<SnapshotData> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::wal::{read_wal, WalWriter};
     use super::*;
+    use crate::FsyncPolicy;
+    use crowd_core::{Method, QualityInit};
+    use crowd_data::{Answer, AnswerRecord, TaskType};
+    use crowd_stream::StreamConfig;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -428,8 +419,129 @@ mod tests {
         assert_eq!(back.cum_batches, first.cum_batches);
     }
 
+    /// A CRC-valid snapshot file whose warm state is written by `warm`.
+    fn crafted(warm: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u8(VERSION);
+        // cum_batches, cum_converges, answers_seen, converges, pending.
+        for v in [1, 1, 10, 1, 0] {
+            e.u64(v);
+        }
+        e.u8(1); // last_converged
+        e.u8(1); // warm state present
+        warm(&mut e);
+        frame_bytes(&MAGIC.to_le_bytes(), &e.0)
+    }
+
+    #[test]
+    fn zero_width_matrix_with_huge_row_count_reads_as_none() {
+        // `rows = 2^40, cols = 0`: the product bound alone passes it, and
+        // sizing the row vector by it aborts the process.
+        let huge = |e: &mut Enc| {
+            e.u64(1 << 40);
+            e.u64(0);
+        };
+        let posteriors = crafted(|e| {
+            e.u8(1); // posteriors present
+            huge(e);
+        });
+        let confusion = crafted(|e| {
+            e.u8(0); // no posteriors
+            e.u64(1); // one worker quality...
+            e.u8(2); // ...a confusion matrix
+            huge(e);
+        });
+        for (name, bytes) in [("posteriors", posteriors), ("confusion", confusion)] {
+            let path = tmp(name);
+            std::fs::write(&path, bytes).unwrap();
+            assert!(read_snapshot(&path).is_none(), "{name}");
+        }
+    }
+
     #[test]
     fn missing_snapshot_reads_as_none() {
         assert!(read_snapshot(Path::new("/nonexistent/x.snap")).is_none());
+    }
+
+    /// A valid WAL (header, two batches, a converge marker), as bytes.
+    fn valid_wal() -> Vec<u8> {
+        let path = tmp("valid-wal");
+        let mut config = StreamConfig::new(Method::Ds, TaskType::SingleChoice { choices: 3 }, 6, 4);
+        config.options.quality_init = QualityInit::Qualification(vec![Some(0.8), None]);
+        let none = FaultPlan::none();
+        let mut w = WalWriter::create(&path, 0, FsyncPolicy::Never, none, &config).unwrap();
+        let batch: Vec<_> = (0..5)
+            .map(|i| AnswerRecord {
+                task: i,
+                worker: i % 4,
+                answer: Answer::Label(i as u8 % 3),
+            })
+            .collect();
+        w.append_batch(&batch).unwrap();
+        w.append_converge(1, 10).unwrap();
+        w.append_batch(&batch).unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    /// The frame payloads of a valid file, each after `head` bytes.
+    fn payloads(bytes: &[u8], head: usize) -> Vec<Vec<u8>> {
+        let (mut out, mut pos) = (Vec::new(), 0);
+        while pos < bytes.len() {
+            let at = pos + head;
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            out.push(bytes[at + 8..at + 8 + len].to_vec());
+            pos = at + 8 + len;
+        }
+        out
+    }
+
+    /// Run both decoders on `bytes` written to `name`: neither may
+    /// panic, and the WAL reader must accept a prefix of the file.
+    fn decode(name: &str, bytes: &[u8]) -> Result<(), TestCaseError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let wal = read_wal(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert!(wal.valid_len <= bytes.len() as u64);
+        let _ = read_snapshot(&path);
+        Ok(())
+    }
+
+    // Decoder totality. Damaged payloads are re-framed with a recomputed
+    // length and CRC, so the payload decoders see the damage, not just
+    // the checksum.
+    proptest! {
+        #[test]
+        fn decoders_never_panic_on_arbitrary_bytes(
+            bytes in vec(0u8..=255, 0..300),
+            lead in 0u8..4,
+        ) {
+            decode("raw", &bytes)?;
+            // The same bytes as a CRC-valid payload, led by a frame kind
+            // (WAL) or version (snapshot) byte.
+            let payload: Vec<u8> = std::iter::once(lead).chain(bytes).collect();
+            decode("framed-wal", &frame_bytes(&[], &payload))?;
+            decode("framed-snap", &frame_bytes(&MAGIC.to_le_bytes(), &payload))?;
+        }
+
+        #[test]
+        fn decoders_never_panic_on_damaged_valid_files(
+            pick in 0usize..8,
+            cut in 0usize..400,
+            flips in vec((0usize..400, 1u8..=255), 0..4),
+        ) {
+            let valid = [("damaged-wal", valid_wal(), 0), ("damaged-snap", snapshot_bytes(&sample()), 4)];
+            for (name, file, head) in valid {
+                let mut frames = payloads(&file, head);
+                let n = frames.len();
+                let damaged = &mut frames[pick % n];
+                damaged.truncate(cut);
+                let len = damaged.len();
+                for &(at, mask) in flips.iter().filter(|_| len > 0) {
+                    damaged[at % len] ^= mask;
+                }
+                let out: Vec<u8> = frames.iter().flat_map(|p| frame_bytes(&file[..head], p)).collect();
+                decode(name, &out)?;
+            }
+        }
     }
 }

@@ -164,6 +164,9 @@ impl<'a> Dec<'a> {
     pub fn finished(&self) -> bool {
         self.pos == self.bytes.len()
     }
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
 }
 
 /// Encode a session config (the WAL header payload body).
@@ -358,8 +361,11 @@ fn decode_frame(payload: &[u8]) -> Option<Frame> {
     d.finished().then_some(frame)
 }
 
-fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
+/// `head ‖ len ‖ crc ‖ payload`: `head` is empty for a WAL frame and
+/// the magic for a snapshot file.
+pub(crate) fn frame_bytes(head: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(head.len() + 8 + payload.len());
+    out.extend_from_slice(head);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -421,7 +427,7 @@ impl WalWriter {
         encode_config(&mut e, config);
         // The header is written outside the fault plan: a session that
         // cannot even create its log fails loudly at create_session.
-        let bytes = frame_bytes(&e.0);
+        let bytes = frame_bytes(&[], &e.0);
         w.file.write_all(&bytes)?;
         w.file.sync_data()?;
         w.len = bytes.len() as u64;
@@ -515,7 +521,7 @@ impl WalWriter {
             index: self.appends,
         };
         self.appends += 1;
-        let bytes = frame_bytes(payload);
+        let bytes = frame_bytes(&[], payload);
         match self.fault.decide(site) {
             Some(FaultKind::Error) | Some(FaultKind::Panic) => {
                 // Clean injected failure: nothing written, retryable.

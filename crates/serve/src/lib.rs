@@ -23,10 +23,11 @@
 //!   optional wall-clock deadline per shard. A session that runs out of
 //!   budget resumes from its [`WarmStart`](crowd_core::WarmStart) on the
 //!   next tick, so one heavy tenant cannot monopolise a shard.
-//! - **Reads are wait-free**: every drain tick publishes an immutable
-//!   [`TruthSnapshot`] per touched session behind an atomic pointer
-//!   swap, so readers never touch an engine lock — not even the lock of
-//!   the session *being read* while its own converge is in flight.
+//! - **Reads never wait on ingest or converge**: every drain tick
+//!   publishes an immutable [`TruthSnapshot`] per touched session by
+//!   swapping one `Arc`, so readers never touch an engine lock — not
+//!   even the lock of the session *being read* while its own converge
+//!   is in flight.
 //!   [`CrowdServe::truth`] returns the current snapshot (plurality
 //!   labels, converged posteriors, last [`StreamReport`](crowd_stream::StreamReport),
 //!   counters — all from the same publish **epoch**);
@@ -34,8 +35,7 @@
 //!   `snapshot()` skips even the session-map lookup. Snapshots carry a
 //!   typed [`SnapshotState`] that degrades to `SnapshotStale` /
 //!   `SessionGone` across poisoning and eviction instead of erroring.
-//!   See ARCHITECTURE.md §read-path for the memory-reclamation
-//!   argument.
+//!   See ARCHITECTURE.md §read-path for why no read waits.
 //! - **Isolation**: a panic inside one session's converge poisons only
 //!   that session ([`ServeError::SessionPoisoned`] on later use); sibling
 //!   sessions and shards keep serving. [`CrowdServe::evict`] gracefully
@@ -84,6 +84,7 @@
 //! assert!(evicted.final_report.unwrap().result.converged);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod durable;

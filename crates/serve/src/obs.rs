@@ -90,14 +90,9 @@ handle!(snapshot_writes, counter, "serve.snapshot.writes_total");
 handle!(snapshot_failures, counter, "serve.snapshot.failures_total");
 handle!(snapshot_faults, counter, "serve.snapshot.faults_total");
 
-// Published truth snapshots (the wait-free read path).
+// Published truth snapshots (the read path).
 handle!(truth_publishes, counter, "serve.truth.publishes_total");
 handle!(truth_reads, counter, "serve.truth.reads_total");
-handle!(
-    truth_retired_freed,
-    counter,
-    "serve.truth.retired_freed_total"
-);
 handle!(truth_read_seconds, histogram, "serve.truth.read_seconds");
 
 // Recovery.

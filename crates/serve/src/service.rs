@@ -428,7 +428,7 @@ impl CrowdServe {
             // path) — a reader that outlives the process restart never
             // sees its epoch go backwards.
             let cell = Arc::new(Published::new(r.cum_batches + r.cum_converges, |epoch| {
-                crate::shard::snapshot_from_slot(&slot, sid, shard.index, epoch)
+                crate::shard::snapshot_from_slot(&slot, sid, shard.index, epoch, None)
             }));
             obs::truth_publishes().inc();
             lock(&shard.truths).insert(raw, cell);
@@ -546,7 +546,7 @@ impl CrowdServe {
         // Publish the session's first truth snapshot (epoch 1) before it
         // is registered: a reader can never observe an empty cell.
         let cell = Arc::new(Published::new(0, |epoch| {
-            crate::shard::snapshot_from_slot(&slot, sid, shard.index, epoch)
+            crate::shard::snapshot_from_slot(&slot, sid, shard.index, epoch, None)
         }));
         obs::truth_publishes().inc();
         lock(&shard.truths).insert(raw, cell);
@@ -740,16 +740,17 @@ impl CrowdServe {
     }
 
     /// A clonable, `Send + Sync` [`TruthReader`] handle for polling
-    /// `session`'s published [`TruthSnapshot`] — the wait-free read
-    /// path. The handle outlives poisoning, checkpoint restarts, and
-    /// even eviction: instead of erroring mid-poll, its snapshots
-    /// degrade to the typed [`SnapshotState::SnapshotStale`] /
+    /// `session`'s published [`TruthSnapshot`] — the read path. The
+    /// handle outlives poisoning, checkpoint restarts, and even
+    /// eviction: instead of erroring mid-poll, its snapshots degrade to
+    /// the typed [`SnapshotState::SnapshotStale`] /
     /// [`SnapshotState::SessionGone`] states.
     ///
-    /// Clone the handle per polling thread (each clone owns its hazard
-    /// slot); [`TruthReader::snapshot`] then never takes any service
-    /// lock — it completes in sub-microsecond time while the session's
-    /// own converge is in flight (`tests/read_path.rs`, and measured by
+    /// Clone the handle per polling thread (each clone caches its own
+    /// snapshot); [`TruthReader::snapshot`] then takes no service lock
+    /// and never waits for ingest or converge work — it completes in
+    /// sub-microsecond time while the session's own converge is in
+    /// flight (`tests/read_path.rs`, and measured by
     /// `crowd-serve-bench --mode mixed`).
     pub fn reader(&self, session: SessionId) -> Result<TruthReader, ServeError> {
         let cell = self.shards[self.shard_of(session)]
@@ -764,9 +765,10 @@ impl CrowdServe {
     /// never disagree about which tick they describe.
     ///
     /// This entry point does one brief cell lookup (a map lock, never a
-    /// session slot lock) and then a wait-free pointer load; it never
-    /// waits for ingest or converge work. For a polling loop, take a
-    /// [`reader`](Self::reader) handle instead and skip the lookup too.
+    /// session slot lock) and then clones the cell's current `Arc`
+    /// under its leaf lock; it never waits for ingest or converge work.
+    /// For a polling loop, take a [`reader`](Self::reader) handle
+    /// instead and skip the lookup too.
     /// Returns [`ServeError::UnknownSession`] once the session has been
     /// evicted (a [`TruthReader`] held across the eviction keeps
     /// serving the terminal [`SnapshotState::SessionGone`] snapshot).
@@ -781,9 +783,9 @@ impl CrowdServe {
         Ok(snap)
     }
 
-    /// Service-wide counters, served wait-free from the published
-    /// session registry and per-shard atomic mirrors — polling this
-    /// takes no sessions-map, slot, or queue lock.
+    /// Service-wide counters, served from the published session
+    /// registry and per-shard atomic mirrors — polling this takes no
+    /// sessions-map, slot, or queue lock.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
             shards: self.shards.len(),
@@ -929,8 +931,8 @@ impl CrowdServe {
     /// Test-only fault injection: make the next converge on `session`
     /// park on `gate` inside the drain tick, holding the session slot
     /// lock until the test calls [`ConvergeGate::release`]. This is how
-    /// the wait-free claim is tested: with a converge deliberately
-    /// wedged mid-tick, reader snapshots must still complete instantly.
+    /// the read path is tested: with a converge deliberately wedged
+    /// mid-tick, reader snapshots must still complete instantly.
     #[cfg(any(test, feature = "fault-inject"))]
     #[doc(hidden)]
     pub fn debug_block_next_converge(

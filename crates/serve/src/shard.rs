@@ -59,8 +59,8 @@ pub(crate) struct SessionSlot {
     /// Test-only fault injection: the next converge on this slot panics.
     pub debug_panic_next_converge: bool,
     /// Test-only: the next converge on this slot parks on this gate
-    /// (with the slot lock held) until released — how the wait-free
-    /// read-path tests pin a converge "in flight".
+    /// (with the slot lock held) until released — how the read-path
+    /// tests pin a converge "in flight".
     #[cfg(any(test, feature = "fault-inject"))]
     pub debug_block_next_converge: Option<Arc<crate::service::ConvergeGate>>,
 }
@@ -139,7 +139,7 @@ pub(crate) struct Shard {
     /// Per-session WAL handles (present only when durability is on).
     /// Same discipline as the session table: map lock for lookups only.
     pub wals: Mutex<BTreeMap<u64, Arc<Mutex<SessionWal>>>>,
-    /// Per-session published truth cells — the wait-free read path. The
+    /// Per-session published truth cells — the read path. The
     /// map lock is for lookups and insert/remove only; reads and
     /// publishes go through the cell, never this lock.
     pub truths: Mutex<BTreeMap<u64, Arc<Published<TruthSnapshot>>>>,
@@ -383,7 +383,7 @@ impl Shard {
         }
 
         // Publish a fresh truth snapshot for every session this tick
-        // changed — the single write that the wait-free read path sees.
+        // changed — the single write that the read path sees.
         // Each slot is re-locked briefly; the drain gate keeps the state
         // it captured from moving under us.
         for &raw in &touched {
@@ -570,13 +570,8 @@ impl Shard {
 /// Publish a fresh [`TruthSnapshot`] for one session from its locked
 /// slot. Every field is read under this single slot hold, which is what
 /// makes the snapshot internally consistent ("same tick" semantics).
-///
-/// For a poisoned slot the engine is not trusted (the panic may have
-/// left mid-converge state behind): `plurality` is carried forward from
-/// the previous snapshot and the state degrades to
-/// [`SnapshotState::SnapshotStale`]. `last_report` is always safe — the
-/// panic never touches it. `state_override` lets the evict path publish
-/// the terminal [`SnapshotState::SessionGone`] snapshot.
+/// `state_override` lets the evict path publish the terminal
+/// [`SnapshotState::SessionGone`] snapshot.
 pub(crate) fn publish_session(
     cell: &Published<TruthSnapshot>,
     slot: &SessionSlot,
@@ -585,60 +580,45 @@ pub(crate) fn publish_session(
     state_override: Option<SnapshotState>,
 ) {
     cell.publish_with(|prior, epoch| {
-        let state = state_override
-            .clone()
-            .unwrap_or_else(|| match &slot.poisoned {
-                Some(reason) => SnapshotState::SnapshotStale {
-                    reason: reason.clone(),
-                },
-                None => SnapshotState::Live,
-            });
-        let summary = slot.engine.summary();
-        TruthSnapshot {
-            session,
-            epoch,
-            state,
-            cum_batches: slot.batches_ingested,
-            // A panicked converge may have left the engine's views
-            // mid-update: only scalar counters are read from it; the
-            // estimates are carried forward from the last good snapshot.
-            plurality: if slot.poisoned.is_none() {
-                slot.engine.current_estimates()
-            } else {
-                prior.plurality.clone()
-            },
-            report: slot.last_report.clone(),
-            stats: SessionStats {
-                session,
-                shard: shard_idx,
-                answers_seen: summary.answers_seen,
-                pending_answers: summary.pending_answers,
-                converges: summary.converges,
-                needs_converge: summary.needs_converge,
-                poisoned: slot.poisoned.is_some(),
-                restarts: slot.restarts,
-            },
+        let mut snap = snapshot_from_slot(slot, session, shard_idx, epoch, Some(prior));
+        if let Some(state) = state_override {
+            snap.state = state;
         }
+        snap
     });
     obs::truth_publishes().inc();
 }
 
-/// Build a snapshot of a *healthy* slot's state (the engine is trusted;
-/// callers publishing for a poisoned slot overwrite `plurality` and
-/// `state`, see [`publish_session`]).
+/// Build a snapshot of one slot's state at `epoch`.
+///
+/// For a poisoned slot the engine is not trusted (the panic may have
+/// left mid-converge views behind): only its scalar counters are read,
+/// `plurality` is carried forward from the `prior` snapshot, and the
+/// state degrades to [`SnapshotState::SnapshotStale`]. `last_report` is
+/// always safe — the panic never touches it.
 pub(crate) fn snapshot_from_slot(
     slot: &SessionSlot,
     session: SessionId,
     shard_idx: usize,
     epoch: u64,
+    prior: Option<&TruthSnapshot>,
 ) -> TruthSnapshot {
+    let (state, plurality) = match &slot.poisoned {
+        Some(reason) => (
+            SnapshotState::SnapshotStale {
+                reason: reason.clone(),
+            },
+            prior.map(|p| p.plurality.clone()).unwrap_or_default(),
+        ),
+        None => (SnapshotState::Live, slot.engine.current_estimates()),
+    };
     let summary = slot.engine.summary();
     TruthSnapshot {
         session,
         epoch,
-        state: SnapshotState::Live,
+        state,
         cum_batches: slot.batches_ingested,
-        plurality: slot.engine.current_estimates(),
+        plurality,
         report: slot.last_report.clone(),
         stats: SessionStats {
             session,

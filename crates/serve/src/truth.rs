@@ -1,45 +1,28 @@
-//! Published truth snapshots — the wait-free read path.
+//! Published truth snapshots — the read path.
 //!
 //! The write path (drain ticks) and the read path (polling clients) meet
-//! at a single word: each session owns a [`Published<TruthSnapshot>`]
-//! cell whose current value is swapped atomically at the end of every
-//! tick that touched the session. Readers load the pointer and bump the
-//! snapshot's refcount — they never take the session slot lock, so a
-//! read completes in sub-microsecond time even while that session's
-//! converge is running (measured by `crowd-serve-bench --mode mixed`).
+//! at one cell per session: a [`Published<TruthSnapshot>`] whose current
+//! value is replaced at the end of every tick that touched the session.
+//! Readers never take the session slot lock, so a read completes in
+//! sub-microsecond time even while that session's converge is running
+//! (measured by `crowd-serve-bench --mode mixed`).
 //!
-//! ## Memory reclamation
+//! ## Why a read never waits on ingest or converge
 //!
-//! The cell is a hand-rolled arc-swap over `AtomicPtr` +
-//! [`Arc::into_raw`], std-only like the rest of the workspace. The
-//! classic hazard is the window between a reader's pointer load and its
-//! refcount increment: a concurrent publisher that dropped the old
-//! `Arc` immediately would free the value out from under the reader.
-//! Reclamation is therefore epoch-based:
+//! The cell is an `Arc` behind a mutex, and each [`TruthReader`] caches
+//! the `Arc` it last returned. A poll loads the cell's epoch (`Acquire`)
+//! and, while that matches the cached snapshot's epoch, returns a clone
+//! of the cached `Arc` without touching any lock another handle shares.
 //!
-//! - Every reader handle owns a **hazard slot**. A read stamps the
-//!   current publish epoch into its slot (SeqCst), loads the pointer,
-//!   increments the strong count, and clears the slot.
-//! - A publisher swaps the new pointer in, tags the old one with the
-//!   new epoch on a retire list, bumps the epoch, then scans the slots:
-//!   a retired entry with epoch `R` is freed only when every active
-//!   stamp is `≥ R` (vacuously, when no stamp is active).
-//!
-//! Soundness (all operations SeqCst, so they form one total order): a
-//! reader that could still load the retired pointer must have loaded
-//! `ptr` *before* the swap at epoch `R`, hence stamped *before* the
-//! publisher's scan, hence is visible to the scan with a stamp `< R` —
-//! so the entry is retained. Conversely a reader that stamps after the
-//! scan also loads after the swap and gets the new pointer. A stamp is
-//! cleared only after the increment (the clear is a release store), so
-//! a scan that observes an idle slot observes the increment too. Stale
-//! stamps are conservative: they can only delay reclamation, never
-//! allow a premature free. A reader merely *holding* a snapshot `Arc`
-//! pins only that snapshot (plain refcounting); the hazard window
-//! itself is a few instructions.
+//! A reader takes the cell lock only when the epoch moved, and that lock
+//! is a leaf held for one `Arc` clone or swap, never across a build,
+//! ingest or converge. Publishers build the next value outside it and
+//! store the new epoch (`Release`) after the swap, so a reader that sees
+//! the new epoch also finds the new value. Reclamation is plain `Arc`
+//! refcounting: a handle pins at most the snapshot it last returned.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crowd_stream::StreamReport;
 
@@ -133,52 +116,30 @@ impl TruthSnapshot {
     }
 }
 
-/// A reader's hazard slot: 0 when idle, the stamped epoch while a read
-/// is between its pointer load and its refcount increment.
-#[derive(Default)]
-pub(crate) struct ReadSlot {
-    pub(crate) stamp: AtomicU64,
+/// A published value that carries its own publish epoch, so a cached
+/// copy can tell whether its cell has moved on.
+pub(crate) trait Stamped {
+    /// The epoch this value was published at.
+    fn epoch(&self) -> u64;
 }
 
-/// A value retired by a publish: freed once no active stamp is below
-/// `epoch` (the epoch whose swap displaced it).
-struct Retired<T> {
-    epoch: u64,
-    ptr: *mut T,
+impl Stamped for TruthSnapshot {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
 }
 
-struct WriterState<T> {
-    retired: Vec<Retired<T>>,
-}
-
-/// Number of shared anonymous hazard slots for slot-less reads
-/// ([`Published::read`]). More than this many *simultaneous* slot-less
-/// readers of one cell fall back to a brief writer-mutex hold (still
-/// correct, no longer wait-free) — dedicated [`TruthReader`] handles
-/// never contend here.
-const ANON_SLOTS: usize = 8;
-
-/// A published immutable value behind an atomic pointer swap: wait-free
-/// reads, serialized writes, epoch-based reclamation (module docs).
+/// A published immutable value: readers clone the current `Arc`,
+/// publishers swap in a new one (module docs).
 pub(crate) struct Published<T> {
-    /// The current value, from [`Arc::into_raw`]. Never null.
-    ptr: AtomicPtr<T>,
-    /// The epoch of the current value.
+    /// The current value, locked only to clone or replace the `Arc`.
+    current: Mutex<Arc<T>>,
+    /// Serializes publishers, who build the next value under this lock
+    /// rather than under `current`.
+    writer: Mutex<()>,
+    /// The epoch of the current value, stored after the swap.
     epoch: AtomicU64,
-    /// Serializes publishers; owns the retire list. Also taken by the
-    /// lock-fallback read path to pin the current pointer.
-    writer: Mutex<WriterState<T>>,
-    /// Registered reader slots (locked for registration and the
-    /// publisher's scan only — never on the read path).
-    slots: Mutex<Vec<Weak<ReadSlot>>>,
-    /// Shared slots for slot-less reads.
-    anon: Vec<Arc<ReadSlot>>,
 }
-
-// SAFETY: `ptr`/`retired` own `Arc<T>`s disguised as raw pointers; the
-// protocol above never produces an unsynchronized access to `T`.
-unsafe impl<T: Send + Sync> Send for Published<T> {}
-unsafe impl<T: Send + Sync> Sync for Published<T> {}
 
 impl<T> Published<T> {
     /// Create a cell whose first value has epoch `epoch_base + 1` (the
@@ -186,193 +147,82 @@ impl<T> Published<T> {
     /// epoch can). A cell is never empty: readers always see a value.
     pub fn new(epoch_base: u64, initial: impl FnOnce(u64) -> T) -> Self {
         let epoch = epoch_base + 1;
-        let ptr = Arc::into_raw(Arc::new(initial(epoch))).cast_mut();
         Self {
-            ptr: AtomicPtr::new(ptr),
+            current: Mutex::new(Arc::new(initial(epoch))),
+            writer: Mutex::new(()),
             epoch: AtomicU64::new(epoch),
-            writer: Mutex::new(WriterState {
-                retired: Vec::new(),
-            }),
-            slots: Mutex::new(Vec::new()),
-            anon: (0..ANON_SLOTS).map(|_| Arc::default()).collect(),
         }
     }
 
-    /// The current publish epoch (one atomic load).
+    /// The current publish epoch (one atomic load). A lower bound on
+    /// the epoch of the next [`read`](Self::read): it is stored after
+    /// the swap.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(SeqCst)
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Publish the value built by `f`, which receives the previous
     /// value and the new epoch. Returns the new epoch. Publishers
-    /// serialize on the writer mutex; readers are never blocked.
+    /// serialize on the writer mutex; readers wait at most for the swap.
     pub fn publish_with(&self, f: impl FnOnce(&T, u64) -> T) -> u64 {
-        let mut w = lock(&self.writer);
-        let epoch = self.epoch.load(SeqCst) + 1;
-        // SAFETY: the current pointer is valid and cannot be retired or
-        // freed while the writer mutex is held.
-        let prior = unsafe { &*self.ptr.load(SeqCst) };
-        let next = Arc::into_raw(Arc::new(f(prior, epoch))).cast_mut();
-        let old = self.ptr.swap(next, SeqCst);
-        self.epoch.store(epoch, SeqCst);
-        w.retired.push(Retired { epoch, ptr: old });
-        self.reclaim(&mut w);
+        let _writer = lock(&self.writer);
+        // Only publishers store the epoch, and they hold `writer`.
+        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
+        let next = Arc::new(f(&self.read(), epoch));
+        // The displaced value drops after the cell lock is released.
+        let _prior = std::mem::replace(&mut *lock(&self.current), next);
+        self.epoch.store(epoch, Ordering::Release);
         epoch
     }
 
-    /// Free every retired value no in-flight read can still touch.
-    fn reclaim(&self, w: &mut WriterState<T>) {
-        let mut min_active = u64::MAX;
-        {
-            let mut slots = lock(&self.slots);
-            slots.retain(|weak| {
-                let Some(slot) = weak.upgrade() else {
-                    return false; // the reader handle is gone
-                };
-                let stamp = slot.stamp.load(SeqCst);
-                if stamp != 0 {
-                    min_active = min_active.min(stamp);
-                }
-                true
-            });
-        }
-        for slot in &self.anon {
-            let stamp = slot.stamp.load(SeqCst);
-            if stamp != 0 {
-                min_active = min_active.min(stamp);
-            }
-        }
-        let mut freed = 0u64;
-        w.retired.retain(|r| {
-            if r.epoch <= min_active {
-                // SAFETY: the pointer came from `Arc::into_raw` at
-                // publish time and this is the writer's single drop of
-                // it; the epoch argument above rules out in-flight
-                // readers still resolving it.
-                drop(unsafe { Arc::from_raw(r.ptr) });
-                freed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        if freed > 0 {
-            obs::truth_retired_freed().add(freed);
-        }
-    }
-
-    /// Register a dedicated hazard slot (one brief registry-mutex
-    /// hold — not on the read path).
-    pub fn register_slot(&self) -> Arc<ReadSlot> {
-        let slot = Arc::new(ReadSlot::default());
-        lock(&self.slots).push(Arc::downgrade(&slot));
-        slot
-    }
-
-    /// Wait-free read through a dedicated slot. Falls back to
-    /// [`read_locked`](Self::read_locked) only when the *same* slot is
-    /// concurrently mid-read (two threads sharing one handle — clone
-    /// the handle per thread to stay wait-free).
-    pub fn read_with(&self, slot: &ReadSlot) -> Arc<T> {
-        let e = self.epoch.load(SeqCst);
-        if slot.stamp.compare_exchange(0, e, SeqCst, SeqCst).is_ok() {
-            let arc = self.load_current();
-            slot.stamp.store(0, SeqCst);
-            arc
-        } else {
-            self.read_locked()
-        }
-    }
-
-    /// Slot-less read: claims one of the shared anonymous slots, or
-    /// falls back to the writer mutex if all are mid-read.
+    /// The current value: one cell-lock hold for an `Arc` clone.
     pub fn read(&self) -> Arc<T> {
-        let e = self.epoch.load(SeqCst);
-        for slot in &self.anon {
-            if slot.stamp.compare_exchange(0, e, SeqCst, SeqCst).is_ok() {
-                let arc = self.load_current();
-                slot.stamp.store(0, SeqCst);
-                return arc;
-            }
-        }
-        self.read_locked()
-    }
-
-    /// Load the current value while protected by a stamped slot.
-    fn load_current(&self) -> Arc<T> {
-        let p = self.ptr.load(SeqCst);
-        // SAFETY: our stamp (sequenced before this load) keeps any
-        // publisher from freeing `p` until the slot clears, and the
-        // pointer came from `Arc::into_raw` with the strong count we
-        // are about to claim.
-        unsafe {
-            Arc::increment_strong_count(p);
-            Arc::from_raw(p)
-        }
-    }
-
-    /// Correct-but-blocking read: holding the writer mutex excludes any
-    /// concurrent swap or reclaim, pinning the current pointer.
-    fn read_locked(&self) -> Arc<T> {
-        let _w = lock(&self.writer);
-        let p = self.ptr.load(SeqCst);
-        // SAFETY: as in `load_current`, with the writer mutex as the pin.
-        unsafe {
-            Arc::increment_strong_count(p);
-            Arc::from_raw(p)
-        }
+        Arc::clone(&lock(&self.current))
     }
 }
 
-impl<T> Drop for Published<T> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; these are the writer's outstanding
-        // `Arc::into_raw` references (current value + retire list).
-        unsafe {
-            drop(Arc::from_raw(*self.ptr.get_mut()));
+impl<T: Stamped> Published<T> {
+    /// The current value through one reader's `cache`, which holds the
+    /// value that reader last returned. The cell lock is taken only
+    /// when the cell's epoch differs from the cached value's.
+    pub fn read_cached(&self, cache: &Mutex<Arc<T>>) -> Arc<T> {
+        let epoch = self.epoch();
+        let mut cached = lock(cache);
+        if cached.epoch() != epoch {
+            *cached = self.read();
         }
-        let w = self
-            .writer
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for r in w.retired.drain(..) {
-            // SAFETY: as above.
-            unsafe {
-                drop(Arc::from_raw(r.ptr));
-            }
-        }
+        Arc::clone(&cached)
     }
 }
 
 /// A clonable, `Send + Sync` handle for polling one session's published
-/// [`TruthSnapshot`] — the redesigned read API (see
-/// [`CrowdServe::reader`](crate::CrowdServe::reader)).
+/// [`TruthSnapshot`] (see [`CrowdServe::reader`](crate::CrowdServe::reader)).
 ///
-/// [`snapshot`](Self::snapshot) is wait-free: it never touches the
-/// session slot lock (or any other service lock), so it completes in
-/// sub-microsecond time even while the session's own converge is
-/// running. The handle stays valid across poisoning, checkpoint
-/// restarts, and eviction — reads degrade to
+/// [`snapshot`](Self::snapshot) never takes the session slot lock or any
+/// other service lock and never waits for ingest or converge work, so it
+/// completes in sub-microsecond time even while the session's own
+/// converge is running. The handle stays valid across poisoning,
+/// checkpoint restarts, and eviction — reads degrade to
 /// [`SnapshotState::SnapshotStale`] / [`SnapshotState::SessionGone`]
 /// instead of erroring mid-poll.
 ///
-/// Each handle owns its hazard slot; share a handle across threads by
-/// cloning it (a clone registers a fresh slot), not by wrapping one in
-/// a lock — two threads racing on the *same* handle stay correct but
-/// lose wait-freedom.
+/// Each handle caches the snapshot it last returned and pins no older
+/// one. Give each polling thread its own clone: threads sharing one
+/// handle stay correct but contend on its cache lock.
 pub struct TruthReader {
     session: SessionId,
     cell: Arc<Published<TruthSnapshot>>,
-    slot: Arc<ReadSlot>,
+    /// The snapshot this handle last returned.
+    cache: Mutex<Arc<TruthSnapshot>>,
 }
 
 impl TruthReader {
     pub(crate) fn new(session: SessionId, cell: Arc<Published<TruthSnapshot>>) -> Self {
-        let slot = cell.register_slot();
+        let cache = Mutex::new(cell.read());
         Self {
             session,
             cell,
-            slot,
+            cache,
         }
     }
 
@@ -381,18 +231,20 @@ impl TruthReader {
         self.session
     }
 
-    /// The epoch of the snapshot the next [`snapshot`](Self::snapshot)
-    /// call would return — one atomic load, for change detection
-    /// without taking a snapshot reference.
+    /// A lower bound on the epoch of the snapshot the next
+    /// [`snapshot`](Self::snapshot) call returns — one atomic load, for
+    /// change detection without taking a snapshot reference. The epoch
+    /// is stored after the snapshot is swapped in, so for a moment a
+    /// publish can be visible to `snapshot` but not yet here.
     pub fn epoch(&self) -> u64 {
         self.cell.epoch()
     }
 
-    /// The current published snapshot. Wait-free; never blocks behind
-    /// ingest or converge work.
+    /// The current published snapshot. Never blocks behind ingest or
+    /// converge work.
     pub fn snapshot(&self) -> Arc<TruthSnapshot> {
         let timer = obs::truth_read_seconds().start_timer();
-        let snap = self.cell.read_with(&self.slot);
+        let snap = self.cell.read_cached(&self.cache);
         timer.stop();
         obs::truth_reads().inc();
         snap
@@ -401,7 +253,11 @@ impl TruthReader {
 
 impl Clone for TruthReader {
     fn clone(&self) -> Self {
-        Self::new(self.session, Arc::clone(&self.cell))
+        Self {
+            session: self.session,
+            cell: Arc::clone(&self.cell),
+            cache: Mutex::new(Arc::clone(&lock(&self.cache))),
+        }
     }
 }
 
@@ -417,6 +273,10 @@ impl std::fmt::Debug for TruthReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{snapshot_from_slot, SessionSlot};
+    use crowd_core::Method;
+    use crowd_data::TaskType;
+    use crowd_stream::{StreamConfig, StreamEngine};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -450,6 +310,51 @@ mod tests {
         assert_eq!(cell.publish_with(|_, e| e), 43);
     }
 
+    /// A cell holding a fresh session's first snapshot.
+    fn truth_cell() -> Arc<Published<TruthSnapshot>> {
+        let config = StreamConfig::new(Method::Mv, TaskType::DecisionMaking, 2, 2);
+        let slot = SessionSlot::new(StreamEngine::new(config).unwrap());
+        let sid = SessionId::from_raw(7);
+        Arc::new(Published::new(0, |e| {
+            snapshot_from_slot(&slot, sid, 0, e, None)
+        }))
+    }
+
+    fn republish(cell: &Published<TruthSnapshot>) -> u64 {
+        cell.publish_with(|prior, epoch| TruthSnapshot {
+            epoch,
+            ..prior.clone()
+        })
+    }
+
+    #[test]
+    fn reads_between_publishes_return_the_cached_arc() {
+        let cell = truth_cell();
+        let reader = TruthReader::new(SessionId::from_raw(7), Arc::clone(&cell));
+        let (a, b) = (reader.snapshot(), reader.snapshot());
+        assert!(Arc::ptr_eq(&a, &b), "no publish in between");
+        republish(&cell);
+        let c = reader.snapshot();
+        assert!(!Arc::ptr_eq(&a, &c), "a publish refreshes the cache");
+        assert!(Arc::ptr_eq(&c, &reader.snapshot()));
+    }
+
+    #[test]
+    fn a_returned_publish_is_visible_to_cached_and_cloned_handles() {
+        let cell = truth_cell();
+        let cached = TruthReader::new(SessionId::from_raw(7), Arc::clone(&cell));
+        assert_eq!(cached.snapshot().epoch, 1);
+        let clone = cached.clone();
+        let e = republish(&cell);
+        assert_eq!(cached.epoch(), e);
+        assert_eq!(
+            cached.snapshot().epoch,
+            e,
+            "handle that cached the old epoch"
+        );
+        assert_eq!(clone.snapshot().epoch, e, "clone taken before the publish");
+    }
+
     /// Payload that counts its drops — the reclamation ledger.
     struct Counted {
         epoch: u64,
@@ -462,6 +367,12 @@ mod tests {
         }
     }
 
+    impl Stamped for Counted {
+        fn epoch(&self) -> u64 {
+            self.epoch
+        }
+    }
+
     #[test]
     fn retired_values_are_reclaimed_not_leaked() {
         let drops = Arc::new(AtomicUsize::new(0));
@@ -469,12 +380,25 @@ mod tests {
             epoch: e,
             drops: Arc::clone(&drops),
         });
-        for _ in 0..100 {
+        let publish = || {
             cell.publish_with(|_, e| Counted {
                 epoch: e,
                 drops: Arc::clone(&drops),
-            });
+            })
+        };
+        // A reader handle that read once, at epoch 1.
+        let handle = Mutex::new(cell.read());
+        for _ in 0..50 {
+            publish();
         }
+        assert_eq!(drops.load(Ordering::SeqCst), 49, "the handle pins epoch 1");
+        assert_eq!(cell.read_cached(&handle).epoch, 51);
+        assert_eq!(drops.load(Ordering::SeqCst), 50, "its refresh frees it");
+        for _ in 0..50 {
+            publish();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 99, "now it pins epoch 51");
+        drop(handle);
         // With no readers active, each publish frees its predecessor.
         assert_eq!(drops.load(Ordering::SeqCst), 100);
         assert_eq!(cell.read().epoch, 101);
@@ -486,48 +410,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn active_stamp_pins_the_current_value() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let cell: Published<Counted> = Published::new(0, |e| Counted {
-            epoch: e,
-            drops: Arc::clone(&drops),
-        });
-        let slot = cell.register_slot();
-        // Freeze a reader mid-read: stamped, pointer not yet resolved.
-        slot.stamp.store(cell.epoch(), SeqCst);
-        cell.publish_with(|_, e| Counted {
-            epoch: e,
-            drops: Arc::clone(&drops),
-        });
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
-            "epoch-1 value must survive while a stamp at epoch 1 is active"
-        );
-        slot.stamp.store(0, SeqCst);
-        cell.publish_with(|_, e| Counted {
-            epoch: e,
-            drops: Arc::clone(&drops),
-        });
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            2,
-            "both retirees freed once idle"
-        );
-    }
-
-    #[test]
-    fn busy_slot_falls_back_to_locked_read() {
-        let cell: Published<u64> = Published::new(0, |e| e);
-        let slot = cell.register_slot();
-        slot.stamp.store(cell.epoch(), SeqCst); // simulate a concurrent read
-        assert_eq!(
-            *cell.read_with(&slot),
-            1,
-            "fallback still returns the value"
-        );
-        slot.stamp.store(0, SeqCst);
+    impl Stamped for (u64, u64) {
+        fn epoch(&self) -> u64 {
+            self.0
+        }
     }
 
     #[test]
@@ -546,12 +432,12 @@ mod tests {
                 let done = Arc::clone(&done);
                 let start = Arc::clone(&start);
                 std::thread::spawn(move || {
-                    let slot = cell.register_slot();
+                    let cache = Mutex::new(cell.read());
                     let mut last = 0u64;
                     let mut reads = 0u64;
                     start.wait();
                     loop {
-                        let v = cell.read_with(&slot);
+                        let v = cell.read_cached(&cache);
                         assert_eq!(v.1, v.0 ^ 0xABCD, "torn snapshot");
                         assert!(v.0 >= last, "epoch went backwards: {} < {last}", v.0);
                         last = v.0;

@@ -1,4 +1,4 @@
-//! The wait-free read path, pinned:
+//! The read path, pinned:
 //!
 //! 1. **Strictly monotonic epochs** — readers polling from several
 //!    threads while drain ticks run concurrently only ever see the
@@ -15,7 +15,7 @@
 //!    epoch counter above anything the pre-crash service published, so
 //!    a reader re-acquired after recovery still sees monotone epochs.
 //!
-//! (The wedged-converge wait-free latency check lives in the crate's
+//! (The wedged-converge read latency check lives in the crate's
 //! unit tests — it needs the `ConvergeGate` debug hook, which is only
 //! compiled for the crate's own test build.)
 
@@ -88,7 +88,7 @@ fn epochs_are_strictly_monotonic_under_concurrent_ticks() {
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        // 4 clones, 4 polling threads — each clone owns its hazard slot.
+        // 4 clones, 4 polling threads — each clone caches its own snapshot.
         let pollers: Vec<_> = (0..4)
             .map(|_| {
                 let r = reader.clone();
@@ -213,7 +213,7 @@ fn held_reader_survives_eviction_as_session_gone() {
         Some(final_report.result.truths.clone()),
         "terminal snapshot carries the final report"
     );
-    // Clones taken after eviction still work (fresh hazard slot).
+    // Clones taken after eviction still work (they copy the cached snapshot).
     let clone = reader.clone();
     assert!(clone.snapshot().state.is_gone());
 }

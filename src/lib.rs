@@ -40,6 +40,8 @@
 //! assert!((acc - 1.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use crowd_core as core;
 pub use crowd_data as data;
 pub use crowd_experiments as experiments;
