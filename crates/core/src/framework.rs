@@ -2,7 +2,9 @@
 //! seventeen methods.
 
 use crowd_data::{Answer, Dataset, TaskType};
+use crowd_stats::DMat;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a method initialises worker qualities (line 1 of Algorithm 1).
 #[derive(Debug, Clone, Default)]
@@ -30,23 +32,24 @@ pub enum QualityInit {
 /// (labels exactly, parameters within the convergence tolerance — see
 /// the `crowd-stream` equivalence tests).
 ///
-/// Vectors are indexed by the *previous* run's task/worker ids; entries
-/// past the end (tasks or workers that appeared since) fall back to the
-/// method's cold initialisation. Methods that do not support warm starts
-/// ignore the field.
+/// Rows and vectors are indexed by the *previous* run's task/worker ids;
+/// entries past the end (tasks or workers that appeared since) fall back
+/// to the method's cold initialisation. Methods that do not support warm
+/// starts ignore the field.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Per-task posterior over the `ℓ` choices from the previous run
-    /// (`InferenceResult::posteriors`); `None` for methods that did not
-    /// produce one.
-    pub posteriors: Option<Vec<Vec<f64>>>,
+    /// (`InferenceResult::posteriors`, shared, not copied); `None` for
+    /// methods that did not produce one.
+    pub posteriors: Option<Arc<DMat>>,
     /// Per-worker quality from the previous run
     /// (`InferenceResult::worker_quality`).
     pub worker_quality: Vec<WorkerQuality>,
 }
 
 impl WarmStart {
-    /// Capture the warm-startable state of a finished run.
+    /// Capture the warm-startable state of a finished run. The
+    /// posteriors are shared with `result` (one `Arc` clone).
     pub fn from_result(result: &InferenceResult) -> Self {
         Self {
             posteriors: result.posteriors.clone(),
@@ -186,9 +189,11 @@ pub struct InferenceResult {
     /// Whether the convergence criterion was met (always true for direct
     /// methods).
     pub converged: bool,
-    /// For categorical tasks: per-task posterior over the `ℓ` choices,
-    /// when the method computes one.
-    pub posteriors: Option<Vec<Vec<f64>>>,
+    /// For categorical tasks: the `n × ℓ` per-task posterior over the
+    /// `ℓ` choices (row `t` is task `t`), when the method computes one.
+    /// It is the method's own matrix, handed over without a copy and
+    /// shared by `Arc` with any warm start or snapshot built from it.
+    pub posteriors: Option<Arc<DMat>>,
 }
 
 /// Errors a method can raise.

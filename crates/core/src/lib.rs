@@ -42,6 +42,7 @@ pub mod methods;
 pub mod registry;
 pub mod views;
 
+pub use crowd_stats::DMat;
 pub use framework::{
     InferenceError, InferenceOptions, InferenceResult, QualityInit, TruthInference, WarmStart,
     WorkerQuality,

@@ -15,8 +15,10 @@
 
 use crowd_data::{Dataset, TaskType};
 use crowd_stats::dist::{sample_categorical, sample_dirichlet};
+use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -141,17 +143,7 @@ impl TruthInference for Bcc {
             }
         }
 
-        // Posterior estimates.
-        let posteriors: Vec<Vec<f64>> = tally
-            .iter()
-            .map(|counts| {
-                let total: u32 = counts.iter().sum();
-                counts
-                    .iter()
-                    .map(|&c| c as f64 / total.max(1) as f64)
-                    .collect()
-            })
-            .collect();
+        let post = tally_posteriors(&tally, l);
         let mean_confusion: Vec<Vec<Vec<f64>>> = confusion_acc
             .into_iter()
             .map(|rows| {
@@ -161,7 +153,7 @@ impl TruthInference for Bcc {
             })
             .collect();
 
-        let labels = cat.decode_nested(&posteriors, &mut rng);
+        let labels = cat.decode(&post, &mut rng);
         Ok(InferenceResult {
             truths: Cat::answers(&labels),
             worker_quality: mean_confusion
@@ -170,9 +162,22 @@ impl TruthInference for Bcc {
                 .collect(),
             iterations: self.burn_in + self.samples,
             converged: true,
-            posteriors: Some(posteriors),
+            posteriors: Some(Arc::new(post)),
         })
     }
+}
+
+/// Posterior estimates from per-task Gibbs label tallies: each row is
+/// the task's sample frequencies (all zero for a task never sampled).
+pub(super) fn tally_posteriors(tally: &[Vec<u32>], l: usize) -> DMat {
+    let mut post = DMat::zeros(tally.len(), l);
+    for (task, counts) in tally.iter().enumerate() {
+        let total: u32 = counts.iter().sum();
+        for (p, &c) in post.row_mut(task).iter_mut().zip(counts) {
+            *p = c as f64 / total.max(1) as f64;
+        }
+    }
+    post
 }
 
 #[cfg(test)]

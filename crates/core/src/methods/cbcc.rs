@@ -19,12 +19,15 @@ use crowd_stats::kernels::{exp_slice, safe_ln_slice};
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
 use crate::views::Cat;
+
+use super::bcc::tally_posteriors;
 
 /// Community-based Bayesian classifier combination.
 #[derive(Debug, Clone, Copy)]
@@ -199,16 +202,7 @@ impl TruthInference for Cbcc {
             }
         }
 
-        let posteriors: Vec<Vec<f64>> = tally
-            .iter()
-            .map(|counts| {
-                let total: u32 = counts.iter().sum();
-                counts
-                    .iter()
-                    .map(|&c| c as f64 / total.max(1) as f64)
-                    .collect()
-            })
-            .collect();
+        let post = tally_posteriors(&tally, l);
 
         // Report each worker's modal community matrix (posterior mean).
         let worker_quality: Vec<WorkerQuality> = (0..cat.m)
@@ -227,13 +221,13 @@ impl TruthInference for Cbcc {
             })
             .collect();
 
-        let labels = cat.decode_nested(&posteriors, &mut rng);
+        let labels = cat.decode(&post, &mut rng);
         Ok(InferenceResult {
             truths: Cat::answers(&labels),
             worker_quality,
             iterations: self.burn_in + self.samples,
             converged: true,
-            posteriors: Some(posteriors),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

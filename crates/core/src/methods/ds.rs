@@ -14,6 +14,7 @@ use crowd_data::{Dataset, TaskType};
 use crowd_stats::{fused_posterior_rows, safe_ln_map_into, ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::exec;
 use crate::framework::{
@@ -104,13 +105,13 @@ impl DsEngine {
         let mut class_prior = vec![1.0 / l as f64; l];
         let mut need_estep_first = false;
         if let Some(warm) = &options.warm_start {
-            // Previous posteriors for tasks both runs know about (rows
-            // with a foreign width are ignored — a different ℓ means the
-            // state is from another problem).
-            if let Some(prev_post) = &warm.posteriors {
-                for (task, row) in prev_post.iter().enumerate().take(view.n) {
-                    if row.len() == l && view.golden()[task].is_none() && view.task_len(task) > 0 {
-                        post.row_mut(task).copy_from_slice(row);
+            // Previous posteriors for tasks both runs know about (a
+            // matrix of foreign width is ignored — a different ℓ means
+            // the state is from another problem).
+            if let Some(prev_post) = warm.posteriors.as_deref().filter(|p| p.cols() == l) {
+                for task in 0..prev_post.rows().min(view.n) {
+                    if view.golden()[task].is_none() && view.task_len(task) > 0 {
+                        post.row_mut(task).copy_from_slice(prev_post.row(task));
                     }
                 }
             }
@@ -276,7 +277,7 @@ impl DsEngine {
             worker_quality,
             iterations,
             converged,
-            posteriors: Some(post.into_nested()),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }
@@ -543,7 +544,8 @@ mod tests {
             cold.iterations
         );
         let (wp, cp) = (warm.posteriors.unwrap(), cold.posteriors.unwrap());
-        for (task, (w, c)) in wp.iter().zip(&cp).enumerate() {
+        for task in 0..cp.rows() {
+            let (w, c) = (wp.row(task), cp.row(task));
             let margin = (c[0] - c[1]).abs();
             if margin > 0.05 {
                 assert_eq!(
@@ -564,7 +566,7 @@ mod tests {
         // A warm state from a differently-shaped problem (wrong ℓ, too
         // few workers) must fall back to cold defaults, not panic.
         let warm = WarmStart {
-            posteriors: Some(vec![vec![0.2, 0.3, 0.5]; 3]),
+            posteriors: Some(Arc::new(DMat::from_rows(&vec![vec![0.2, 0.3, 0.5]; 3]))),
             worker_quality: vec![WorkerQuality::Probability(0.9); 2],
         };
         let opts = InferenceOptions {

@@ -16,6 +16,7 @@ use crowd_stats::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -333,7 +334,7 @@ impl Glad {
                 .collect(),
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

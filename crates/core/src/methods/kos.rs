@@ -16,8 +16,10 @@
 
 use crowd_data::{Dataset, TaskType};
 use crowd_stats::dist::sample_gaussian;
+use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -156,20 +158,18 @@ impl TruthInference for Kos {
         }
 
         // Posteriors from margins via a logistic squash (diagnostic only).
-        let posteriors: Vec<Vec<f64>> = margins
-            .iter()
-            .map(|&s| {
-                let p = 1.0 / (1.0 + crowd_stats::kernels::exp(-s));
-                vec![p, 1.0 - p]
-            })
-            .collect();
+        let mut post = DMat::zeros(cat.n, 2);
+        for (task, &s) in margins.iter().enumerate() {
+            let p = 1.0 / (1.0 + crowd_stats::kernels::exp(-s));
+            post.row_mut(task).copy_from_slice(&[p, 1.0 - p]);
+        }
 
         Ok(InferenceResult {
             truths: Cat::answers(&truths),
             worker_quality: quality.into_iter().map(WorkerQuality::Weight).collect(),
             iterations: self.rounds,
             converged: true,
-            posteriors: Some(posteriors),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

@@ -26,6 +26,7 @@ use crowd_stats::kernels::{self, log_normalize, log_normalize_rows_flat, log_sum
 use crowd_stats::{ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -208,7 +209,7 @@ impl TruthInference for Minimax {
             worker_quality,
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

@@ -168,8 +168,8 @@ pub(crate) mod test_support {
         assert_eq!(result.worker_quality.len(), dataset.num_workers());
         assert!(result.iterations >= 1);
         if let Some(post) = &result.posteriors {
-            assert_eq!(post.len(), dataset.num_tasks());
-            for p in post {
+            assert_eq!(post.rows(), dataset.num_tasks());
+            for p in (0..post.rows()).map(|t| post.row(t)) {
                 let sum: f64 = p.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-6, "posterior sums to {sum}");
                 assert!(p.iter().all(|&x| (-1e-9..=1.0 + 1e-9).contains(&x)));

@@ -26,6 +26,7 @@ use crowd_stats::kernels::sigmoid_slice;
 use crowd_stats::{ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -222,10 +223,10 @@ impl TruthInference for Multi {
             *s = x.row(task).iter().zip(&u).map(|(a, b)| a * b).sum::<f64>() - tau_bar;
         }
         sigmoid_slice(&mut scores);
-        let mut posteriors = Vec::with_capacity(cat.n);
+        let mut post = DMat::zeros(cat.n, 2);
         for (task, &p) in scores.iter().enumerate() {
             truths[task] = if p >= 0.5 { 0 } else { 1 };
-            posteriors.push(vec![p, 1.0 - p]);
+            post.row_mut(task).copy_from_slice(&[p, 1.0 - p]);
         }
 
         let worker_quality: Vec<WorkerQuality> = (0..cat.m)
@@ -243,7 +244,7 @@ impl TruthInference for Multi {
             worker_quality,
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            posteriors: Some(posteriors),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

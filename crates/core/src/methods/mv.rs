@@ -7,6 +7,7 @@
 use crowd_data::{Dataset, TaskType};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -46,7 +47,7 @@ impl Mv {
             worker_quality: vec![WorkerQuality::Unmodeled; view.m],
             iterations: 1,
             converged: true,
-            posteriors: Some(post.into_nested()),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

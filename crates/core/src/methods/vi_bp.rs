@@ -27,6 +27,7 @@ use crowd_stats::special::digamma;
 use crowd_stats::{dist::log_normalize, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -162,7 +163,7 @@ impl TruthInference for ViBp {
                 .collect(),
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            posteriors: Some(beliefs.into_nested()),
+            posteriors: Some(Arc::new(beliefs)),
         })
     }
 }

@@ -17,6 +17,7 @@ use crowd_stats::special::digamma;
 use crowd_stats::{fused_posterior_rows, fused_two_term_rows, ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
@@ -177,7 +178,7 @@ impl TruthInference for ViMf {
                 .collect(),
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

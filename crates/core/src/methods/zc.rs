@@ -14,6 +14,7 @@ use crowd_data::{Dataset, TaskType};
 use crowd_stats::{fused_two_term_rows, safe_ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::exec;
 use crate::framework::{
@@ -194,7 +195,7 @@ impl Zc {
                 .collect(),
             iterations: tracker.iterations(),
             converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
+            posteriors: Some(Arc::new(post)),
         })
     }
 }

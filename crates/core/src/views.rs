@@ -280,12 +280,6 @@ impl Cat {
             .collect()
     }
 
-    /// Decode from nested rows (methods that accumulate their own
-    /// posterior shape, e.g. the Gibbs samplers).
-    pub fn decode_nested(&self, post: &[Vec<f64>], rng: &mut StdRng) -> Vec<u8> {
-        post.iter().map(|p| decode_row(p, rng)).collect()
-    }
-
     /// Convert decoded labels into `Answer`s.
     pub fn answers(labels: &[u8]) -> Vec<Answer> {
         labels.iter().map(|&l| Answer::Label(l)).collect()

@@ -59,8 +59,8 @@ fn posterior_bits(r: &InferenceResult) -> Vec<u64> {
     r.posteriors
         .as_ref()
         .expect("method reports posteriors")
+        .data()
         .iter()
-        .flatten()
         .map(|p| p.to_bits())
         .collect()
 }

@@ -184,21 +184,25 @@ impl HistogramSnapshot {
     }
 
     /// Approximate quantile readout (`0.0 ..= 1.0`): the upper edge of
-    /// the bucket holding the rank-`q` observation — an upper bound
-    /// within one bucket's relative resolution. Returns 0.0 when empty.
+    /// the bucket holding the rank-`q` observation, capped at
+    /// [`max`](Self::max) — an upper bound within one bucket's relative
+    /// resolution that never reads above the largest observation.
+    /// Returns 0.0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
         let mut seen = 0u64;
+        let mut bucket = self.buckets.len() - 1;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen > rank {
-                return self.layout.quantile_edge(i);
+                bucket = i;
+                break;
             }
         }
-        self.layout.quantile_edge(self.buckets.len() - 1)
+        self.layout.quantile_edge(bucket).min(self.max)
     }
 
     /// Fold another snapshot of the **same layout** into this one
@@ -265,6 +269,25 @@ mod tests {
         assert!((0.9..=1.0).contains(&p99), "p99 {p99}");
         assert!(s.quantile(1.0) >= 0.9);
         assert_eq!(s.quantile(0.0), s.quantile(0.0)); // no NaN
+    }
+
+    #[test]
+    fn quantiles_never_read_above_the_max() {
+        // The largest observation sits low in its bucket, [0.1, 0.2):
+        // the bucket's upper edge would overstate every tail quantile.
+        let h = fresh("cap");
+        for _ in 0..50 {
+            h.record(1e-3);
+        }
+        for _ in 0..50 {
+            h.record(0.101);
+        }
+        let s = h.0.snapshot("cap");
+        assert_eq!(s.max, 0.101);
+        for q in [0.9, 0.99, 1.0] {
+            assert_eq!(s.quantile(q), s.max, "q {q}");
+        }
+        assert!((1e-3..=2e-3).contains(&s.quantile(0.1)));
     }
 
     #[test]

@@ -27,8 +27,9 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
-use crowd_core::{WarmStart, WorkerQuality};
+use crowd_core::{DMat, WarmStart, WorkerQuality};
 use crowd_stream::EngineCheckpoint;
 
 use super::fault::{FaultKind, FaultPlan, FaultSite};
@@ -50,10 +51,12 @@ pub struct SnapshotData {
     pub checkpoint: EngineCheckpoint,
 }
 
-fn encode_matrix(e: &mut Enc, m: &[Vec<f64>]) {
-    e.u64(m.len() as u64);
-    e.u64(m.first().map_or(0, |r| r.len()) as u64);
-    for v in m.iter().flatten() {
+/// Write a `rows × cols` matrix: both dimensions, then the cells row
+/// by row. An empty matrix is written `0 × 0`.
+fn encode_matrix<'a>(e: &mut Enc, rows: usize, cols: usize, cells: impl Iterator<Item = &'a f64>) {
+    e.u64(rows as u64);
+    e.u64(if rows == 0 { 0 } else { cols } as u64);
+    for v in cells {
         e.f64(*v);
     }
 }
@@ -70,7 +73,8 @@ fn encode_worker_quality(e: &mut Enc, q: &WorkerQuality) {
         }
         WorkerQuality::Confusion(m) => {
             e.u8(2);
-            encode_matrix(e, m);
+            let cols = m.first().map_or(0, Vec::len);
+            encode_matrix(e, m.len(), cols, m.iter().flatten());
         }
         WorkerQuality::Variance(v) => {
             e.u8(3);
@@ -96,20 +100,21 @@ fn encode_worker_quality(e: &mut Enc, q: &WorkerQuality) {
 /// Each dimension is bounded on its own, by the cell cap and by what
 /// the bytes left (8 per cell) can hold, before it sizes an allocation
 /// or a loop: bounding only the product lets `cols = 0` pass any `rows`.
-fn decode_matrix(d: &mut Dec<'_>, max_cells: usize) -> Option<Vec<Vec<f64>>> {
+/// Rows of width zero are rejected too: no encoder writes them, and a
+/// [`DMat`] cannot hold them.
+fn decode_matrix(d: &mut Dec<'_>, max_cells: usize) -> Option<DMat> {
     let rows = usize::try_from(d.u64()?).ok()?;
     let cols = usize::try_from(d.u64()?).ok()?;
     let bound = max_cells.min(d.remaining() / 8);
     if rows > bound || cols > bound || rows.checked_mul(cols)? > bound {
         return None;
     }
-    let mut m = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut row = Vec::with_capacity(cols);
-        for _ in 0..cols {
-            row.push(d.f64()?);
-        }
-        m.push(row);
+    if rows > 0 && cols == 0 {
+        return None;
+    }
+    let mut m = DMat::zeros(rows, cols);
+    for cell in m.data_mut() {
+        *cell = d.f64()?;
     }
     Some(m)
 }
@@ -118,7 +123,10 @@ fn decode_worker_quality(d: &mut Dec<'_>) -> Option<WorkerQuality> {
     Some(match d.u8()? {
         0 => WorkerQuality::Probability(d.f64()?),
         1 => WorkerQuality::Weight(d.f64()?),
-        2 => WorkerQuality::Confusion(decode_matrix(d, 1 << 24)?),
+        2 => {
+            let m = decode_matrix(d, 1 << 24)?;
+            WorkerQuality::Confusion((0..m.rows()).map(|j| m.row(j).to_vec()).collect())
+        }
         3 => WorkerQuality::Variance(d.f64()?),
         4 => WorkerQuality::BiasVariance {
             bias: d.f64()?,
@@ -153,7 +161,7 @@ fn encode_checkpoint(e: &mut Enc, cp: &EngineCheckpoint) {
                 None => e.u8(0),
                 Some(p) => {
                     e.u8(1);
-                    encode_matrix(e, p);
+                    encode_matrix(e, p.rows(), p.cols(), p.data().iter());
                 }
             }
             e.u64(w.worker_quality.len() as u64);
@@ -178,7 +186,7 @@ fn decode_checkpoint(d: &mut Dec<'_>) -> Option<EngineCheckpoint> {
         1 => {
             let posteriors = match d.u8()? {
                 0 => None,
-                1 => Some(decode_matrix(d, 1 << 28)?),
+                1 => Some(Arc::new(decode_matrix(d, 1 << 28)?)),
                 _ => return None,
             };
             // Every worker quality takes at least its one tag byte.
@@ -338,7 +346,10 @@ mod tests {
             checkpoint: EngineCheckpoint {
                 answers_seen: 240,
                 warm: Some(WarmStart {
-                    posteriors: Some(vec![vec![0.25, 0.75], vec![0.5, 0.5]]),
+                    posteriors: Some(Arc::new(DMat::from_rows(&[
+                        vec![0.25, 0.75],
+                        vec![0.5, 0.5],
+                    ]))),
                     worker_quality: vec![
                         WorkerQuality::Probability(0.8),
                         WorkerQuality::Confusion(vec![vec![0.9, 0.1], vec![0.2, 0.8]]),
@@ -381,6 +392,25 @@ mod tests {
         write_snapshot(&path, 0, 0, &FaultPlan::none(), &data, true).unwrap();
         let back = read_snapshot(&path).expect("snapshot reads back");
         assert_round_trips(&data, &back);
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // A `.snap` on disk must recover under any later build: the
+        // encoding of a fixed checkpoint is the file format, byte for
+        // byte.
+        const SAMPLE: &str = concat!(
+            "534e4f43c9000000e7de3f8f010c000000000000000300000000000000f000",
+            "0000000000000300000000000000000000000000000001010102000000000000",
+            "000200000000000000000000000000d03f000000000000e83f000000000000e0",
+            "3f000000000000e03f0500000000000000009a9999999999e93f020200000000",
+            "0000000200000000000000cdccccccccccec3f9a9999999999b93f9a99999999",
+            "99c93f9a9999999999e93f049a9999999999b93f000000000000004005020000",
+            "0000000000000000000000f03f000000000000e0bf06",
+        );
+        let bytes = snapshot_bytes(&sample());
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SAMPLE);
     }
 
     #[test]
@@ -451,7 +481,19 @@ mod tests {
             e.u8(2); // ...a confusion matrix
             huge(e);
         });
-        for (name, bytes) in [("posteriors", posteriors), ("confusion", confusion)] {
+        // `rows = 1, cols = 0` passes every size bound, but no flat
+        // matrix has that shape.
+        let one_empty_row = crafted(|e| {
+            e.u8(1); // posteriors present
+            e.u64(1);
+            e.u64(0);
+            e.u64(0); // no worker qualities
+        });
+        for (name, bytes) in [
+            ("posteriors", posteriors),
+            ("confusion", confusion),
+            ("one-empty-row", one_empty_row),
+        ] {
             let path = tmp(name);
             std::fs::write(&path, bytes).unwrap();
             assert!(read_snapshot(&path).is_none(), "{name}");

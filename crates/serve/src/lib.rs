@@ -29,7 +29,7 @@
 //!   even the lock of the session *being read* while its own converge
 //!   is in flight.
 //!   [`CrowdServe::truth`] returns the current snapshot (plurality
-//!   labels, converged posteriors, last [`StreamReport`](crowd_stream::StreamReport),
+//!   labels, the last converge's posteriors and [`StreamReport`](crowd_stream::StreamReport),
 //!   counters — all from the same publish **epoch**);
 //!   [`CrowdServe::reader`] hands out a clonable [`TruthReader`] whose
 //!   `snapshot()` skips even the session-map lookup. Snapshots carry a

@@ -420,7 +420,7 @@ impl CrowdServe {
                 })),
             );
             let mut slot = SessionSlot::new(r.engine);
-            slot.last_report = r.last_report;
+            slot.last_report = r.last_report.map(Arc::new);
             slot.batches_ingested = r.cum_batches;
             // Republish the recovered truth, seeding the epoch counter
             // from the durable ingest/converge totals so snapshot epochs
@@ -866,7 +866,7 @@ impl CrowdServe {
                     slot.engine.converge()
                 }));
                 match outcome {
-                    Ok(Ok(report)) => slot.last_report = Some(report),
+                    Ok(Ok(report)) => slot.last_report = Some(Arc::new(report)),
                     Ok(Err(_)) => {} // e.g. empty stream: keep last_report
                     Err(payload) => slot.poisoned = Some(panic_message(payload.as_ref())),
                 }
@@ -907,7 +907,9 @@ impl CrowdServe {
             session,
             answers_seen: slot.engine.answers_seen(),
             converges: slot.engine.converges(),
-            final_report: slot.last_report.take(),
+            // Readers still holding the terminal snapshot share the
+            // report; the caller gets its own (posteriors stay shared).
+            final_report: slot.last_report.take().map(Arc::unwrap_or_clone),
             poisoned: slot.poisoned.take(),
             undrained,
         })

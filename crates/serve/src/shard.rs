@@ -37,11 +37,12 @@ pub(crate) struct Envelope {
 /// session never blocks reads or converges of its shard-mates.
 pub(crate) struct SessionSlot {
     pub engine: StreamEngine,
-    /// The most recent drain-tick output — the freshest model state.
+    /// The most recent drain-tick output — the freshest model state,
+    /// shared (not copied) with every snapshot published from it.
     /// After a budget-exhausted tick this is an *unconverged* snapshot
     /// (`result.converged == false`); readers that require a fixed point
     /// must check that flag.
-    pub last_report: Option<StreamReport>,
+    pub last_report: Option<Arc<StreamReport>>,
     /// `Some(message)` once a converge panicked; the slot refuses further
     /// work until restarted (durable sessions, next tick) or evicted.
     pub poisoned: Option<String>,
@@ -357,7 +358,7 @@ impl Shard {
                         stats.sessions_budget_exhausted += 1;
                         obs::shard_budget_exhausted().inc();
                     }
-                    slot.last_report = Some(report);
+                    slot.last_report = Some(Arc::new(report));
                     touched.insert(raw);
                     if let Some(dur) = &ctx.durability {
                         self.log_converge(raw, &slot, budget, dur, ctx, &mut stats);
@@ -540,7 +541,7 @@ impl Shard {
                         }
                     }
                     slot.engine = r.engine;
-                    slot.last_report = r.last_report;
+                    slot.last_report = r.last_report.map(Arc::new);
                     slot.poisoned = None;
                     slot.restarts += 1;
                     slot.batches_ingested = wal.batches_ingested;

@@ -24,6 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crowd_core::DMat;
 use crowd_stream::StreamReport;
 
 use crate::obs;
@@ -94,17 +95,20 @@ pub struct TruthSnapshot {
     /// answers).
     pub plurality: Vec<Option<u8>>,
     /// The most recent converge output (`None` before the first
-    /// converge). `result.converged` distinguishes a fixed point from a
-    /// budget-sliced intermediate.
-    pub report: Option<StreamReport>,
+    /// converge), shared with the session slot and every other snapshot
+    /// published since that converge. `result.converged` distinguishes a
+    /// fixed point from a budget-sliced intermediate.
+    pub report: Option<Arc<StreamReport>>,
     /// Session counters, from the same instant as every other field.
     pub stats: SessionStats,
 }
 
 impl TruthSnapshot {
-    /// The latest converged per-task posteriors, when the method
-    /// computes them (`None` before the first converge).
-    pub fn posteriors(&self) -> Option<&[Vec<f64>]> {
+    /// The `n × ℓ` per-task posteriors of the last converge, when the
+    /// method computes them (`None` before the first converge). That
+    /// converge may have been budget-sliced rather than converged: check
+    /// [`converged`](Self::converged) for a fixed point.
+    pub fn posteriors(&self) -> Option<&DMat> {
         self.report
             .as_ref()
             .and_then(|r| r.result.posteriors.as_deref())

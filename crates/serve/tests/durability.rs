@@ -19,8 +19,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crowd_core::Method;
+use crowd_core::{DMat, Method};
 use crowd_data::datasets::PaperDataset;
 use crowd_data::{Answer, AnswerRecord, StreamSession, TaskType};
 use crowd_serve::{
@@ -89,11 +90,11 @@ fn session_batches(
     (config, batches)
 }
 
-fn posterior_bits(p: &Option<Vec<Vec<f64>>>) -> Vec<Vec<u64>> {
+fn posterior_bits(p: &Option<Arc<DMat>>) -> Vec<Vec<u64>> {
     p.as_ref()
-        .map(|rows| {
-            rows.iter()
-                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+        .map(|m| {
+            (0..m.rows())
+                .map(|t| m.row(t).iter().map(|x| x.to_bits()).collect())
                 .collect()
         })
         .unwrap_or_default()
@@ -106,7 +107,7 @@ fn plur_of(serve: &CrowdServe, sid: SessionId) -> Vec<Option<u8>> {
 }
 
 /// The published last report for `sid`.
-fn report_of(serve: &CrowdServe, sid: SessionId) -> Option<StreamReport> {
+fn report_of(serve: &CrowdServe, sid: SessionId) -> Option<Arc<StreamReport>> {
     serve.truth(sid).unwrap().report.clone()
 }
 

@@ -9,7 +9,9 @@
 //!    poisons only that session; sibling sessions on the same and other
 //!    shards keep serving with unchanged outputs.
 
-use crowd_core::Method;
+use std::sync::Arc;
+
+use crowd_core::{DMat, Method};
 use crowd_data::datasets::PaperDataset;
 use crowd_data::{AnswerRecord, StreamSession};
 use crowd_serve::{
@@ -30,11 +32,11 @@ fn session_batches(seed: u64, batch_count: usize) -> (StreamConfig, Vec<Vec<Answ
 }
 
 /// Posterior matrix as raw bits, for exact comparison.
-fn posterior_bits(p: &Option<Vec<Vec<f64>>>) -> Vec<Vec<u64>> {
+fn posterior_bits(p: &Option<Arc<DMat>>) -> Vec<Vec<u64>> {
     p.as_ref()
-        .map(|rows| {
-            rows.iter()
-                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+        .map(|m| {
+            (0..m.rows())
+                .map(|t| m.row(t).iter().map(|x| x.to_bits()).collect())
                 .collect()
         })
         .unwrap_or_default()

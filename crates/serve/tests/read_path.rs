@@ -19,7 +19,7 @@
 //! unit tests — it needs the `ConvergeGate` debug hook, which is only
 //! compiled for the crate's own test build.)
 
-use crowd_core::Method;
+use crowd_core::{DMat, Method};
 use crowd_data::datasets::PaperDataset;
 use crowd_data::{AnswerRecord, StreamSession};
 use crowd_serve::{CrowdServe, DurabilityConfig, FsyncPolicy, ServeConfig};
@@ -66,10 +66,10 @@ fn session_batches(batch_count: usize, seed: u64) -> (StreamConfig, Vec<Vec<Answ
     (config, batches)
 }
 
-fn posterior_bits(p: Option<&[Vec<f64>]>) -> Vec<Vec<u64>> {
-    p.map(|rows| {
-        rows.iter()
-            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+fn posterior_bits(p: Option<&DMat>) -> Vec<Vec<u64>> {
+    p.map(|m| {
+        (0..m.rows())
+            .map(|t| m.row(t).iter().map(|x| x.to_bits()).collect())
             .collect()
     })
     .unwrap_or_default()
@@ -194,9 +194,11 @@ fn held_reader_survives_eviction_as_session_gone() {
     let reader = serve.reader(sid).unwrap();
     let live = reader.snapshot();
     assert!(live.state.is_live());
+    assert!(live.converged(), "eviction must not need a final converge");
 
     let evicted = serve.evict(sid).unwrap();
     let final_report = evicted.final_report.expect("converged");
+    let final_posteriors = final_report.result.posteriors.as_deref();
 
     // The service no longer knows the session...
     assert!(serve.truth(sid).is_err());
@@ -213,6 +215,17 @@ fn held_reader_survives_eviction_as_session_gone() {
         Some(final_report.result.truths.clone()),
         "terminal snapshot carries the final report"
     );
+    // Publishing shares the converge's report instead of copying it:
+    // both snapshots and the evicted report hold one posterior matrix.
+    for snap in [&live, &gone] {
+        assert!(
+            snap.posteriors()
+                .zip(final_posteriors)
+                .is_some_and(|(a, b)| std::ptr::eq(a, b)),
+            "epoch {}: posteriors were copied",
+            snap.epoch
+        );
+    }
     // Clones taken after eviction still work (they copy the cached snapshot).
     let clone = reader.clone();
     assert!(clone.snapshot().state.is_gone());

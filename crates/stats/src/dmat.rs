@@ -116,19 +116,6 @@ impl DMat {
             *r += a * v;
         }
     }
-
-    /// Copy this matrix into nested rows (for the public `posteriors` /
-    /// `Confusion` API surfaces, which keep the paper-friendly shape).
-    pub fn to_nested(&self) -> Vec<Vec<f64>> {
-        (0..self.rows).map(|i| self.row(i).to_vec()).collect()
-    }
-
-    /// Consuming form of [`Self::to_nested`]. The nested shape requires
-    /// one allocation per row either way; this form just signals that the
-    /// matrix is done being used.
-    pub fn into_nested(self) -> Vec<Vec<f64>> {
-        self.to_nested()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DMat {
@@ -192,8 +179,11 @@ mod tests {
     fn nested_round_trip() {
         let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
         let m = DMat::from_rows(&rows);
-        assert_eq!(m.to_nested(), rows);
-        assert_eq!(m.into_nested(), rows);
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(m.row(i), row.as_slice());
+        }
+        assert_eq!(m.data(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -201,7 +191,6 @@ mod tests {
         let m = DMat::zeros(0, 0);
         assert_eq!(m.rows(), 0);
         assert!(m.data().is_empty());
-        assert_eq!(m.to_nested(), Vec::<Vec<f64>>::new());
     }
 
     #[test]

@@ -466,7 +466,14 @@ impl StreamEngine {
         // into a limit cycle that never meets the tolerance.
         let shrink = self.pending_answers > 0;
         let timer = obs_converge_seconds().start_timer();
-        let report = self.run_capped(self.warm.clone(), cap)?;
+        // The warm state moves into the run rather than being copied;
+        // a failed run hands it back, so an error leaves it unchanged.
+        let mut warm = self.warm.take();
+        let run = self.run_capped(&mut warm, cap);
+        if run.is_err() {
+            self.warm = warm;
+        }
+        let report = run?;
         let dt = timer.stop();
         obs_converge_iterations().record(report.result.iterations as f64);
         if report.warm {
@@ -533,7 +540,7 @@ impl StreamEngine {
     /// the first batch). Does not update the warm state — this is the
     /// baseline the streaming benchmarks compare against.
     pub fn converge_cold(&mut self) -> Result<StreamReport, StreamError> {
-        self.run_capped(None, self.config.options.max_iterations)
+        self.run_capped(&mut None, self.config.options.max_iterations)
     }
 
     /// Drop the warm state (the next converge restarts cold).
@@ -636,9 +643,11 @@ impl StreamEngine {
         rebuilt
     }
 
+    /// Run the method from `warm`, which is moved into the run's
+    /// options and handed back in place when the run ends.
     fn run_capped(
         &mut self,
-        warm: Option<WarmStart>,
+        warm: &mut Option<WarmStart>,
         max_iterations: usize,
     ) -> Result<StreamReport, StreamError> {
         if self.records.is_empty() {
@@ -649,16 +658,18 @@ impl StreamEngine {
         let was_warm = warm.is_some();
         let mut options = self.config.options.clone();
         options.golden = None;
-        options.warm_start = warm;
+        options.warm_start = warm.take();
         options.max_iterations = max_iterations;
         let result = match self.config.method {
-            Method::Ds => Ds.infer_sharded(view, &options)?,
-            Method::Lfc => Lfc::default().infer_sharded(view, &options)?,
-            Method::Zc => Zc::default().infer_sharded(view, &options)?,
-            Method::Glad => Glad::default().infer_sharded(view, &options)?,
-            Method::Mv => Mv.infer_sharded(view, &options)?,
+            Method::Ds => Ds.infer_sharded(view, &options),
+            Method::Lfc => Lfc::default().infer_sharded(view, &options),
+            Method::Zc => Zc::default().infer_sharded(view, &options),
+            Method::Glad => Glad::default().infer_sharded(view, &options),
+            Method::Mv => Mv.infer_sharded(view, &options),
             _ => unreachable!("rejected in StreamEngine::new"),
         };
+        *warm = options.warm_start;
+        let result = result?;
         Ok(StreamReport {
             answers_seen: self.records.len(),
             warm: was_warm,
@@ -670,8 +681,10 @@ impl StreamEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd_core::DMat;
     use crowd_data::datasets::PaperDataset;
     use crowd_data::StreamSession;
+    use std::sync::Arc;
 
     fn decision_config(method: Method, n: usize, m: usize) -> StreamConfig {
         StreamConfig::new(method, TaskType::DecisionMaking, n, m)
@@ -999,14 +1012,38 @@ mod tests {
         );
     }
 
-    fn posterior_bits(p: &Option<Vec<Vec<f64>>>) -> Vec<Vec<u64>> {
+    fn posterior_bits(p: &Option<Arc<DMat>>) -> Vec<Vec<u64>> {
         p.as_ref()
-            .map(|rows| {
-                rows.iter()
-                    .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .map(|m| {
+                (0..m.rows())
+                    .map(|t| m.row(t).iter().map(|x| x.to_bits()).collect())
                     .collect()
             })
             .unwrap_or_default()
+    }
+
+    #[test]
+    fn converge_shares_its_posteriors_with_the_warm_state() {
+        // The converge hand-off is zero-copy: each report and the warm
+        // state it leaves behind hold one posterior allocation — cold,
+        // warm with new answers (worker shrinkage) and a budget resume.
+        let d = PaperDataset::DProduct.generate(0.04, 5);
+        let cfg = decision_config(Method::Ds, d.num_tasks(), d.num_workers());
+        let (records, half) = (d.records(), d.records().len() / 2);
+        let mut engine = StreamEngine::new(cfg).unwrap();
+        for (batch, budget) in [
+            (&records[..half], 100),
+            (&records[half..], 2),
+            (&[][..], 100),
+        ] {
+            engine.push_batch(batch).unwrap();
+            let report = engine
+                .converge_budgeted(ConvergeBudget::iterations(budget))
+                .unwrap();
+            let ours = report.result.posteriors.expect("D&S posteriors");
+            let kept = engine.checkpoint().warm.and_then(|w| w.posteriors);
+            assert!(kept.is_some_and(|kept| Arc::ptr_eq(&ours, &kept)));
+        }
     }
 
     #[test]

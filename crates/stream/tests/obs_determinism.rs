@@ -33,9 +33,9 @@ fn run_stream(method: Method) -> Vec<(Vec<crowd_data::Answer>, Vec<Vec<u64>>, us
             .result
             .posteriors
             .as_ref()
-            .map(|rows| {
-                rows.iter()
-                    .map(|row| row.iter().map(|x| x.to_bits()).collect())
+            .map(|m| {
+                (0..m.rows())
+                    .map(|t| m.row(t).iter().map(|x| x.to_bits()).collect())
                     .collect()
             })
             .unwrap_or_default();

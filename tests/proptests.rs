@@ -22,29 +22,49 @@ fn quality_scalars(q: &WorkerQuality) -> Vec<f64> {
     }
 }
 
-/// A random categorical answer log: (n, m, ℓ, edges, truths).
+/// A random single-choice answer log: (n, m, ℓ, edges, truths).
 fn categorical_dataset(
     max_tasks: usize,
     max_workers: usize,
 ) -> impl Strategy<Value = crowd_truth::data::Dataset> {
-    (2usize..max_tasks, 2usize..max_workers, 2u8..5).prop_flat_map(|(n, m, l)| {
-        let edges = proptest::collection::vec((0..n, 0..m, 0..l), 1..(n * m).min(300));
-        let truths = proptest::collection::vec(proptest::option::of(0..l), n);
-        (Just((n, m, l)), edges, truths).prop_map(|((n, m, l), edges, truths)| {
-            let mut b = DatasetBuilder::new("prop", TaskType::SingleChoice { choices: l }, n, m);
-            let mut seen = std::collections::HashSet::new();
-            for (t, w, a) in edges {
-                if seen.insert((t, w)) {
-                    b.add_label(t, w, a).expect("valid by construction");
-                }
+    (2usize..max_tasks, 2usize..max_workers, 2u8..5)
+        .prop_flat_map(|(n, m, l)| answer_log(TaskType::SingleChoice { choices: l }, n, m))
+}
+
+/// A random yes/no answer log — the only task type KOS, Multi, VI-BP
+/// and VI-MF accept.
+fn decision_dataset(
+    max_tasks: usize,
+    max_workers: usize,
+) -> impl Strategy<Value = crowd_truth::data::Dataset> {
+    (2usize..max_tasks, 2usize..max_workers)
+        .prop_flat_map(|(n, m)| answer_log(TaskType::DecisionMaking, n, m))
+}
+
+/// Arbitrary answers (in arbitrary order, duplicates dropped) and
+/// partial truths over `n` tasks and `m` workers of a categorical type.
+fn answer_log(
+    task_type: TaskType,
+    n: usize,
+    m: usize,
+) -> impl Strategy<Value = crowd_truth::data::Dataset> {
+    let l = task_type.num_choices().expect("categorical task type");
+    let edges = proptest::collection::vec((0..n, 0..m, 0..l), 1..(n * m).min(300));
+    let truths = proptest::collection::vec(proptest::option::of(0..l), n);
+    (edges, truths).prop_map(move |(edges, truths)| {
+        let mut b = DatasetBuilder::new("prop", task_type, n, m);
+        let mut seen = std::collections::HashSet::new();
+        for (t, w, a) in edges {
+            if seen.insert((t, w)) {
+                b.add_label(t, w, a).expect("valid by construction");
             }
-            for (t, truth) in truths.into_iter().enumerate() {
-                if let Some(tr) = truth {
-                    b.set_truth_label(t, tr).expect("valid by construction");
-                }
+        }
+        for (t, truth) in truths.into_iter().enumerate() {
+            if let Some(tr) = truth {
+                b.set_truth_label(t, tr).expect("valid by construction");
             }
-            b.build()
-        })
+        }
+        b.build()
     })
 }
 
@@ -52,42 +72,49 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every method that accepts the dataset returns structurally valid
-    /// results on arbitrary answer logs — no panics, right lengths,
-    /// normalized and finite posteriors, finite worker qualities, labels
-    /// in range. The generator emits answers in arbitrary order, so the
-    /// logs interleave tasks freely.
+    /// results on arbitrary single-choice and decision-making answer
+    /// logs — no panics, right lengths, `n × ℓ` normalized and finite
+    /// posteriors, finite worker qualities, labels in range. The
+    /// generators emit answers in arbitrary order, so the logs
+    /// interleave tasks freely.
     #[test]
     fn methods_are_total_on_arbitrary_categorical_logs(
-        dataset in categorical_dataset(12, 8),
+        single in categorical_dataset(12, 8),
         seed in 0u64..1000,
+        decision in decision_dataset(12, 8),
     ) {
-        if dataset.num_answers() == 0 {
-            return Ok(());
-        }
-        for method in Method::ALL {
-            let instance = method.build();
-            if !instance.supports(dataset.task_type()) {
+        for dataset in [single, decision] {
+            if dataset.num_answers() == 0 {
                 continue;
             }
-            let name = method.name();
-            let result = instance.infer(&dataset, &InferenceOptions::seeded(seed)).unwrap();
-            prop_assert_eq!(result.truths.len(), dataset.num_tasks());
-            prop_assert_eq!(result.worker_quality.len(), dataset.num_workers());
-            let l = dataset.num_choices().unwrap();
-            for t in &result.truths {
-                prop_assert!(t.label().unwrap() < l);
-            }
-            for q in &result.worker_quality {
-                prop_assert!(
-                    quality_scalars(q).iter().all(|x| x.is_finite()),
-                    "{}: non-finite worker quality {:?}", name, q
-                );
-            }
-            if let Some(post) = &result.posteriors {
-                for p in post {
-                    prop_assert!(p.iter().all(|x| x.is_finite()), "{}: posterior {:?}", name, p);
-                    let s: f64 = p.iter().sum();
-                    prop_assert!((s - 1.0).abs() < 1e-6, "{}: posterior sum {}", name, s);
+            for method in Method::ALL {
+                let instance = method.build();
+                if !instance.supports(dataset.task_type()) {
+                    continue;
+                }
+                let name = method.name();
+                let result = instance.infer(&dataset, &InferenceOptions::seeded(seed)).unwrap();
+                prop_assert_eq!(result.truths.len(), dataset.num_tasks());
+                prop_assert_eq!(result.worker_quality.len(), dataset.num_workers());
+                let l = dataset.num_choices().unwrap();
+                for t in &result.truths {
+                    prop_assert!(t.label().unwrap() < l);
+                }
+                for q in &result.worker_quality {
+                    prop_assert!(
+                        quality_scalars(q).iter().all(|x| x.is_finite()),
+                        "{}: non-finite worker quality {:?}", name, q
+                    );
+                }
+                if let Some(post) = &result.posteriors {
+                    prop_assert_eq!(post.rows(), dataset.num_tasks(), "{}: posterior rows", name);
+                    prop_assert_eq!(post.cols(), l as usize, "{}: posterior cols", name);
+                    for t in 0..post.rows() {
+                        let p = post.row(t);
+                        prop_assert!(p.iter().all(|x| x.is_finite()), "{}: posterior {:?}", name, p);
+                        let s: f64 = p.iter().sum();
+                        prop_assert!((s - 1.0).abs() < 1e-6, "{}: posterior sum {}", name, s);
+                    }
                 }
             }
         }
