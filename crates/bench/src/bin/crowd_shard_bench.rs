@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use crowd_core::methods::Ds;
 use crowd_core::views::ShardedView;
-use crowd_core::InferenceOptions;
+use crowd_core::{InferenceOptions, TruthInference};
 use crowd_data::{Answer, StreamSim};
 
 /// Dataset sizes (tasks at scale 1) — the 10⁴–10⁷ axis.

@@ -6,6 +6,8 @@ use crowd_stats::DMat;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::views::ShardedView;
+
 /// How a method initialises worker qualities (line 1 of Algorithm 1).
 #[derive(Debug, Clone, Default)]
 pub enum QualityInit {
@@ -251,19 +253,82 @@ pub trait TruthInference {
         false
     }
 
-    /// Run inference over the answer set.
+    /// Run inference over the answer set. The provided body serves every
+    /// categorical method: it validates the dataset and options, builds
+    /// the one-shard view (golden clamps when the method supports golden
+    /// tasks) and runs [`Self::infer_sharded`]. Methods with a numeric
+    /// path override it.
     fn infer(
         &self,
         dataset: &Dataset,
         options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError>;
+    ) -> Result<InferenceResult, InferenceError> {
+        validate_common(
+            self.name(),
+            dataset,
+            options,
+            self.supports(dataset.task_type()),
+        )?;
+        let view = ShardedView::build(self.name(), dataset, options, self.supports_golden())?;
+        self.infer_sharded(&view, options)
+    }
+
+    /// Run inference on a prebuilt categorical view at any shard count
+    /// (the entry point `crowd-stream` converges through). Golden clamps
+    /// come from the view, not `options.golden`; `options.warm_start`
+    /// resumes the methods that support it. Outputs are bit-identical at
+    /// every shard count and on every arrival order that keeps each
+    /// task's own answer sequence.
+    ///
+    /// A view with `ℓ = 2` counts as decision-making. The provided body
+    /// is for methods without a categorical path: it rejects every view.
+    fn infer_sharded(
+        &self,
+        view: &ShardedView,
+        _options: &InferenceOptions,
+    ) -> Result<InferenceResult, InferenceError> {
+        Err(InferenceError::UnsupportedTaskType {
+            method: self.name(),
+            task_type: view_task_type(view),
+        })
+    }
 }
 
-/// Validate options for the view-level entry points (`infer_view`),
-/// which bypass [`validate_common`]: the view supplies task type and
-/// golden clamps, but a qualification vector still has to match the
-/// worker count or the per-worker init loops would index past its end.
-pub(crate) fn validate_view_options(
+/// The task type a categorical view stands for: decision-making at
+/// `ℓ = 2`, single-choice otherwise.
+fn view_task_type(view: &ShardedView) -> TaskType {
+    match view.l {
+        2 => TaskType::DecisionMaking,
+        l => TaskType::SingleChoice {
+            choices: u8::try_from(l).unwrap_or(u8::MAX),
+        },
+    }
+}
+
+/// The typed errors `infer` would return, for a prebuilt view: the task
+/// type the view stands for must be supported, the view must hold
+/// answers, and a qualification vector must match its worker count.
+pub(crate) fn validate_view<M: TruthInference + ?Sized>(
+    method: &M,
+    view: &ShardedView,
+    options: &InferenceOptions,
+) -> Result<(), InferenceError> {
+    let task_type = view_task_type(view);
+    if !method.supports(task_type) {
+        return Err(InferenceError::UnsupportedTaskType {
+            method: method.name(),
+            task_type,
+        });
+    }
+    if view.num_answers() == 0 {
+        return Err(InferenceError::EmptyDataset);
+    }
+    validate_qualification(view.m, options)
+}
+
+/// A qualification vector must match the worker count, or the
+/// per-worker init loops would index past its end.
+fn validate_qualification(
     num_workers: usize,
     options: &InferenceOptions,
 ) -> Result<(), InferenceError> {
@@ -282,7 +347,9 @@ pub(crate) fn validate_view_options(
 }
 
 /// Validate the parts of [`InferenceOptions`] that are method-independent
-/// (shared by every implementation).
+/// (shared by every implementation). Golden truths must be well-formed
+/// answers for the dataset's task type — a label in range, or a finite
+/// number — under the same rule the dataset builder applies to answers.
 pub(crate) fn validate_common(
     method: &'static str,
     dataset: &Dataset,
@@ -298,17 +365,7 @@ pub(crate) fn validate_common(
     if dataset.num_answers() == 0 {
         return Err(InferenceError::EmptyDataset);
     }
-    if let QualityInit::Qualification(q) = &options.quality_init {
-        if q.len() != dataset.num_workers() {
-            return Err(InferenceError::BadOptions {
-                detail: format!(
-                    "qualification vector has {} entries for {} workers",
-                    q.len(),
-                    dataset.num_workers()
-                ),
-            });
-        }
-    }
+    validate_qualification(dataset.num_workers(), options)?;
     if let Some(g) = &options.golden {
         if g.len() != dataset.num_tasks() {
             return Err(InferenceError::BadOptions {
@@ -318,6 +375,15 @@ pub(crate) fn validate_common(
                     dataset.num_tasks()
                 ),
             });
+        }
+        for (task, truth) in g.iter().enumerate() {
+            if let Some(truth) = truth {
+                dataset.task_type().check_answer(truth).map_err(|e| {
+                    InferenceError::BadOptions {
+                        detail: format!("golden truth of task {task}: {e}"),
+                    }
+                })?;
+            }
         }
     }
     Ok(())
@@ -351,6 +417,79 @@ mod tests {
         // A square-but-wider matrix still works.
         let wide = WorkerQuality::Confusion(vec![vec![0.6, 0.4, 0.0], vec![0.2, 0.8, 0.0]]);
         assert_eq!(wide.scalar(), Some(0.7));
+    }
+
+    /// The error variant of a run, or `"ok"`.
+    fn outcome(r: Result<InferenceResult, InferenceError>) -> &'static str {
+        match r {
+            Ok(_) => "ok",
+            Err(InferenceError::UnsupportedTaskType { .. }) => "unsupported task type",
+            Err(InferenceError::EmptyDataset) => "empty dataset",
+            Err(InferenceError::BadOptions { .. }) => "bad options",
+        }
+    }
+
+    #[test]
+    fn malformed_golden_truths_are_bad_options() {
+        use crowd_data::datasets::PaperDataset;
+        let product = PaperDataset::DProduct.generate(0.02, 3); // ℓ = 2
+        let emotion = PaperDataset::NEmotion.generate(0.1, 3);
+        let cases = [
+            (&product, Answer::Label(5)),
+            (&product, Answer::Numeric(1.0)),
+            (&emotion, Answer::Label(0)),
+            (&emotion, Answer::Numeric(f64::NAN)),
+        ];
+        for method in crate::Method::ALL.map(|m| m.build()) {
+            if !method.supports_golden() {
+                continue;
+            }
+            for (d, truth) in cases.iter().filter(|(d, _)| method.supports(d.task_type())) {
+                let mut golden = vec![None; d.num_tasks()];
+                golden[1] = Some(*truth);
+                let options = InferenceOptions {
+                    golden: Some(golden),
+                    ..InferenceOptions::seeded(1)
+                };
+                assert_eq!(
+                    outcome(method.infer(d, &options)),
+                    "bad options",
+                    "{} with golden {truth:?} on {}",
+                    method.name(),
+                    d.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infer_sharded_returns_the_typed_errors_of_infer() {
+        use crowd_data::datasets::PaperDataset;
+        use crowd_data::DatasetBuilder;
+        let bad_qualification = InferenceOptions {
+            quality_init: QualityInit::Qualification(vec![Some(0.9)]),
+            ..InferenceOptions::default()
+        };
+        let unanswered = DatasetBuilder::new("unanswered", TaskType::DecisionMaking, 3, 2).build();
+        let cases = [
+            (PaperDataset::DProduct.generate(0.02, 3), &bad_qualification),
+            (PaperDataset::SRel.generate(0.02, 3), &bad_qualification),
+            (unanswered, &InferenceOptions::default()),
+        ];
+        for method in crate::Method::ALL.map(|m| m.build()) {
+            for (d, options) in &cases {
+                let view = ShardedView::build("test", d, options, false).expect("categorical");
+                let expected = outcome(method.infer(d, options));
+                assert_ne!(expected, "ok", "{} on {}", method.name(), d.name());
+                assert_eq!(
+                    outcome(method.infer_sharded(&view, options)),
+                    expected,
+                    "{} on {}",
+                    method.name(),
+                    d.name()
+                );
+            }
+        }
     }
 
     #[test]

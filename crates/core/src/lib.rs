@@ -24,7 +24,11 @@
 //! All methods implement [`TruthInference`] and run under the paper's
 //! Algorithm 1 regime: iterate truth inference and worker-quality
 //! estimation until the parameter change drops below a tolerance
-//! (default `1e-3`) or an iteration cap (default 100) is hit. Methods
+//! (default `1e-3`) or an iteration cap (default 100) is hit. The 14
+//! categorical methods share one answer view,
+//! [`views::ShardedView`], and one view entry point,
+//! [`TruthInference::infer_sharded`]; `infer` runs it on the dataset's
+//! one-shard view. Methods
 //! additionally support, where the paper says they do,
 //! **qualification-test initialisation** (Section 6.3.2) via
 //! [`QualityInit::Qualification`] and **hidden-test golden tasks**

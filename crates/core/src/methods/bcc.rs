@@ -13,7 +13,7 @@
 //! empirical label frequencies over the retained sweeps. This is also why
 //! BCC costs ~10× D&S in Table 6 — many sweeps versus a few EM steps.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::dist::{sample_categorical, sample_dirichlet};
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
@@ -21,10 +21,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{label_answers, ShardedView};
 
 /// Gibbs-sampled Bayesian classifier combination.
 #[derive(Debug, Clone, Copy)]
@@ -59,38 +58,32 @@ impl TruthInference for Bcc {
         task_type.is_categorical()
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
-        let l = cat.l;
+        validate_view(self, view, options)?;
+        let l = view.l;
         let mut rng = StdRng::seed_from_u64(options.seed);
 
         // Initialise z from majority vote.
-        let post0 = cat.majority_posteriors();
-        let mut z: Vec<u8> = cat.decode(&post0, &mut rng);
+        let post0 = view.majority_posteriors();
+        let mut z: Vec<u8> = view.decode(&post0, &mut rng);
 
-        let mut tally = vec![vec![0u32; l]; cat.n];
-        let mut confusion_acc = vec![vec![vec![0.0f64; l]; l]; cat.m];
+        let mut tally = vec![vec![0u32; l]; view.n];
+        let mut confusion_acc = vec![vec![vec![0.0f64; l]; l]; view.m];
         // Truth-sampling weight row, reused across tasks and sweeps.
         let mut weights = vec![0.0f64; l];
 
         for sweep in 0..self.burn_in + self.samples {
             // Sample confusion matrices given z.
-            let mut confusion = vec![vec![vec![0.0f64; l]; l]; cat.m];
-            for w in 0..cat.m {
+            let mut confusion = vec![vec![vec![0.0f64; l]; l]; view.m];
+            for w in 0..view.m {
                 let mut counts = vec![vec![0.0f64; l]; l];
-                for (task, label) in cat.worker(w) {
+                view.worker(w).for_each(|(task, label)| {
                     counts[z[task] as usize][label as usize] += 1.0;
-                }
+                });
                 for j in 0..l {
                     let alpha: Vec<f64> = (0..l)
                         .map(|k| {
@@ -114,11 +107,11 @@ impl TruthInference for Bcc {
             let prior = sample_dirichlet(&mut rng, &class_counts);
 
             // Sample z given confusion matrices and prior.
-            for task in 0..cat.n {
+            for task in 0..view.n {
                 weights.copy_from_slice(&prior);
-                for (worker, label) in cat.task(task) {
+                for &(worker, label) in view.task_row(task) {
                     for (j, wgt) in weights.iter_mut().enumerate() {
-                        *wgt *= confusion[worker][j][label as usize].max(1e-12);
+                        *wgt *= confusion[worker as usize][j][label as usize].max(1e-12);
                     }
                 }
                 // Rescale to avoid underflow on high-degree tasks.
@@ -133,7 +126,7 @@ impl TruthInference for Bcc {
                 for (task, &zi) in z.iter().enumerate() {
                     tally[task][zi as usize] += 1;
                 }
-                for w in 0..cat.m {
+                for w in 0..view.m {
                     for j in 0..l {
                         for k in 0..l {
                             confusion_acc[w][j][k] += confusion[w][j][k];
@@ -153,9 +146,9 @@ impl TruthInference for Bcc {
             })
             .collect();
 
-        let labels = cat.decode(&post, &mut rng);
+        let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality: mean_confusion
                 .into_iter()
                 .map(WorkerQuality::Confusion)

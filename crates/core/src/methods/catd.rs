@@ -21,10 +21,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_common, validate_view, InferenceError, InferenceOptions, InferenceResult,
+    TruthInference, WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat, Num};
+use crate::views::{initial_accuracy, label_answers, Num, ShardedView};
 
 /// CATD: chi-squared-scaled reliability weights.
 #[derive(Debug, Clone, Copy)]
@@ -64,46 +64,46 @@ impl TruthInference for Catd {
     ) -> Result<InferenceResult, InferenceError> {
         validate_common(self.name(), dataset, options, true)?;
         if dataset.task_type().is_categorical() {
-            self.infer_categorical(dataset, options)
+            let view = ShardedView::build(self.name(), dataset, options, true)?;
+            self.infer_sharded(&view, options)
         } else {
             self.infer_numeric(dataset, options)
         }
     }
-}
 
-impl Catd {
-    fn infer_categorical(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        let cat = Cat::build("CATD", dataset, options, true)?;
+        validate_view(self, view, options)?;
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let chi: Vec<f64> = (0..cat.m)
-            .map(|w| chi2_quantile_975(cat.worker_len(w)))
+        let chi: Vec<f64> = (0..view.m)
+            .map(|w| chi2_quantile_975(view.worker_len(w)))
             .collect();
 
         let mut quality: Vec<f64> = match &options.quality_init {
-            crate::framework::QualityInit::Uniform => vec![1.0; cat.m],
-            _ => initial_accuracy(options, cat.m, 0.7),
+            crate::framework::QualityInit::Uniform => vec![1.0; view.m],
+            _ => initial_accuracy(options, view.m, 0.7),
         };
-        let mut truths: Vec<u8> = vec![0; cat.n];
+        let mut truths: Vec<u8> = vec![0; view.n];
         // Pre-allocated scratch: vote scores, tie list, and the
         // convergence vector — the loop allocates nothing per iteration.
-        let mut scores = vec![0.0f64; cat.l];
-        let mut ties: Vec<u8> = Vec::with_capacity(cat.l);
-        let mut params = vec![0.0f64; cat.n];
+        let mut scores = vec![0.0f64; view.l];
+        let mut ties: Vec<u8> = Vec::with_capacity(view.l);
+        let mut params = vec![0.0f64; view.n];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
+        let golden = view.golden();
 
         loop {
-            for task in 0..cat.n {
-                if let Some(g) = cat.golden[task] {
+            for task in 0..view.n {
+                if let Some(g) = golden[task] {
                     truths[task] = g;
                     continue;
                 }
                 scores.fill(0.0);
-                for (worker, label) in cat.task(task) {
-                    scores[label as usize] += quality[worker];
+                for &(worker, label) in view.task_row(task) {
+                    scores[label as usize] += quality[worker as usize];
                 }
                 let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 ties.clear();
@@ -121,8 +121,8 @@ impl Catd {
                 };
             }
 
-            for w in 0..cat.m {
-                let mistakes = cat
+            for w in 0..view.m {
+                let mistakes = view
                     .worker(w)
                     .filter(|&(task, label)| truths[task] != label)
                     .count() as f64;
@@ -142,14 +142,16 @@ impl Catd {
         }
 
         Ok(InferenceResult {
-            truths: Cat::answers(&truths),
+            truths: label_answers(&truths),
             worker_quality: quality.into_iter().map(WorkerQuality::Weight).collect(),
             iterations: tracker.iterations(),
             converged: tracker.converged(),
             posteriors: None,
         })
     }
+}
 
+impl Catd {
     fn infer_numeric(
         &self,
         dataset: &Dataset,

@@ -13,7 +13,7 @@
 //! explore soft per-worker perturbations, which the pooled Dirichlet
 //! posterior subsumes for benchmark purposes).
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::dist::{sample_categorical, sample_dirichlet};
 use crowd_stats::kernels::{exp_slice, safe_ln_slice};
 use crowd_stats::DMat;
@@ -22,10 +22,9 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{label_answers, ShardedView};
 
 use super::bcc::tally_posteriors;
 
@@ -65,28 +64,22 @@ impl TruthInference for Cbcc {
         task_type.is_categorical()
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
-        let l = cat.l;
+        validate_view(self, view, options)?;
+        let l = view.l;
         let mc = self.communities.max(1);
         let mut rng = StdRng::seed_from_u64(options.seed);
 
-        let post0 = cat.majority_posteriors();
-        let mut z: Vec<u8> = cat.decode(&post0, &mut rng);
-        let mut community: Vec<usize> = (0..cat.m).map(|_| rng.gen_range(0..mc)).collect();
+        let post0 = view.majority_posteriors();
+        let mut z: Vec<u8> = view.decode(&post0, &mut rng);
+        let mut community: Vec<usize> = (0..view.m).map(|_| rng.gen_range(0..mc)).collect();
 
-        let mut tally = vec![vec![0u32; l]; cat.n];
-        let mut comm_tally = vec![vec![0u32; mc]; cat.m];
+        let mut tally = vec![vec![0u32; l]; view.n];
+        let mut comm_tally = vec![vec![0u32; mc]; view.m];
         let mut confusion_acc = vec![vec![vec![0.0f64; l]; l]; mc];
         // Log-domain community confusion tables, refreshed once per sweep
         // with one batched safe_ln sweep (community `c`, truth row `j` at
@@ -101,11 +94,11 @@ impl TruthInference for Cbcc {
         for sweep in 0..self.burn_in + self.samples {
             // 1. Sample community confusion matrices from pooled counts.
             let mut pooled = vec![vec![vec![0.0f64; l]; l]; mc];
-            for w in 0..cat.m {
+            for w in 0..view.m {
                 let c = community[w];
-                for (task, label) in cat.worker(w) {
+                view.worker(w).for_each(|(task, label)| {
                     pooled[c][z[task] as usize][label as usize] += 1.0;
-                }
+                });
             }
             let mut pi = vec![vec![vec![0.0f64; l]; l]; mc];
             for (c, pool) in pooled.iter().enumerate() {
@@ -144,18 +137,18 @@ impl TruthInference for Cbcc {
             safe_ln_slice(log_pi.data_mut());
             let lp = log_pi.data();
             let stride = l * l;
-            for w in 0..cat.m {
+            for w in 0..view.m {
                 // log-likelihood of w's answers under each community:
                 // walk the flat table at fixed (truth, label) offset,
                 // community-major.
                 logw.copy_from_slice(&log_rho);
-                for (task, label) in cat.worker(w) {
+                view.worker(w).for_each(|(task, label)| {
                     let mut idx = z[task] as usize * l + label as usize;
                     for lw in logw.iter_mut() {
                         *lw += lp[idx];
                         idx += stride;
                     }
-                }
+                });
                 let max = logw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 for (wt, &x) in comm_weights.iter_mut().zip(&logw) {
                     *wt = x - max;
@@ -170,10 +163,10 @@ impl TruthInference for Cbcc {
                 class_counts[zi as usize] += 1.0;
             }
             let prior = sample_dirichlet(&mut rng, &class_counts);
-            for task in 0..cat.n {
+            for task in 0..view.n {
                 weights.copy_from_slice(&prior);
-                for (worker, label) in cat.task(task) {
-                    let c = community[worker];
+                for &(worker, label) in view.task_row(task) {
+                    let c = community[worker as usize];
                     for (j, wgt) in weights.iter_mut().enumerate() {
                         *wgt *= pi[c][j][label as usize].max(1e-12);
                     }
@@ -205,7 +198,7 @@ impl TruthInference for Cbcc {
         let post = tally_posteriors(&tally, l);
 
         // Report each worker's modal community matrix (posterior mean).
-        let worker_quality: Vec<WorkerQuality> = (0..cat.m)
+        let worker_quality: Vec<WorkerQuality> = (0..view.m)
             .map(|w| {
                 let c = comm_tally[w]
                     .iter()
@@ -221,9 +214,9 @@ impl TruthInference for Cbcc {
             })
             .collect();
 
-        let labels = cat.decode(&post, &mut rng);
+        let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality,
             iterations: self.burn_in + self.samples,
             converged: true,

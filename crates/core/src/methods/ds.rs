@@ -10,7 +10,7 @@
 //! Dirichlet (Beta) priors on the confusion rows; D&S itself uses a tiny
 //! symmetric smoothing count purely for numerical safety.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::{fused_posterior_rows, safe_ln_map_into, ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use crate::exec;
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, QualityInit,
-    TruthInference, WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, QualityInit, TruthInference,
+    WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat, ShardedView};
+use crate::views::{initial_accuracy, label_answers, ShardedView};
 
 /// M-step work (≈ `|V|·ℓ + m·ℓ²` flops) below which the worker fan-out
 /// stays on the calling thread. The serial path performs **zero heap
@@ -66,7 +66,8 @@ pub(crate) struct DsEngine {
 }
 
 impl DsEngine {
-    /// Run the EM loop on a task-range sharded view:
+    /// Run the EM loop on a task-range sharded view the caller has
+    /// validated ([`validate_view`]):
     ///
     /// - **E-step**: every task row is computed independently from the
     ///   log tables, fanned out over row blocks that never straddle a
@@ -87,10 +88,6 @@ impl DsEngine {
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        if view.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(view.m, options)?;
         let l = view.l;
 
         // Initial posteriors: majority vote; with qualification scores we
@@ -273,7 +270,7 @@ impl DsEngine {
             })
             .collect();
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality,
             iterations,
             converged,
@@ -357,28 +354,14 @@ impl Ds {
         }
     }
 
-    /// Run D&S on a prebuilt flat view: [`Self::infer_sharded`] on its
-    /// one-shard copy. Golden clamps come from the view (not
-    /// `options.golden`); `options.warm_start` resumes from a previous
-    /// run's state.
+    /// A forward to [`TruthInference::infer_sharded`], kept for callers
+    /// written against the flat-view API (perfbench's views probe).
     pub fn infer_view(
-        &self,
-        view: &Cat,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        self.infer_sharded(&ShardedView::from_cat(view, 1), options)
-    }
-
-    /// Run D&S on a task-range sharded view (row-block E-steps,
-    /// shard-ascending M-step fold) — bit-identical at any shard count;
-    /// see `DsEngine::run`. Golden clamps come from the view;
-    /// `options.warm_start` resumes from a previous run's state.
-    pub fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        self.engine().run(view, options)
+        self.infer_sharded(view, options)
     }
 }
 
@@ -399,19 +382,15 @@ impl TruthInference for Ds {
         true
     }
 
-    fn infer(
+    /// Run D&S on a task-range sharded view (row-block E-steps,
+    /// shard-ascending M-step fold) — see `DsEngine::run`.
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let view = ShardedView::build(self.name(), dataset, options, true)?;
-        self.infer_sharded(&view, options)
+        validate_view(self, view, options)?;
+        self.engine().run(view, options)
     }
 }
 

@@ -9,7 +9,7 @@
 //! which is also why GLAD is orders of magnitude slower than D&S in
 //! Table 6.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::kernels;
 use crowd_stats::{
     exp_map_into, fused_two_term_rows, ln_map_into, sigmoid_map_into, ConvergenceTracker,
@@ -19,10 +19,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat, ShardedView};
+use crate::views::{initial_accuracy, label_answers, ShardedView};
 
 /// GLAD: worker ability × task difficulty EM.
 ///
@@ -113,33 +112,6 @@ impl TruthInference for Glad {
         true
     }
 
-    fn infer(
-        &self,
-        dataset: &Dataset,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let view = ShardedView::build(self.name(), dataset, options, true)?;
-        self.infer_sharded(&view, options)
-    }
-}
-
-impl Glad {
-    /// Run GLAD on a prebuilt flat view: [`Self::infer_sharded`] on its
-    /// one-shard copy (see `Ds::infer_view`).
-    pub fn infer_view(
-        &self,
-        cat: &Cat,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        self.infer_sharded(&ShardedView::from_cat(cat, 1), options)
-    }
-
     /// Run GLAD on a task-range sharded view. GLAD is task-major
     /// throughout — the E-step posterior accumulation, the σ table
     /// fills, and the M-step gradient scatter all walk task rows in
@@ -153,15 +125,12 @@ impl Glad {
     /// the previous run's reported `σ(α_w)`); task difficulties `β_i`
     /// restart at 1 — they are not part of the reported state — so GLAD
     /// re-converges warm on the worker side only.
-    pub fn infer_sharded(
+    fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        if view.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(view.m, options)?;
+        validate_view(self, view, options)?;
         let lm1 = (view.l - 1).max(1) as f64;
 
         // α_w from qualification accuracy via the inverse of σ at β = 1
@@ -325,7 +294,7 @@ impl Glad {
         let mut rng = StdRng::seed_from_u64(options.seed);
         let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             // Report σ(α) — the worker's correctness probability on a
             // difficulty-1 task — as the scalar quality.
             worker_quality: alpha
@@ -336,6 +305,18 @@ impl Glad {
             converged: tracker.converged(),
             posteriors: Some(Arc::new(post)),
         })
+    }
+}
+
+impl Glad {
+    /// A forward to [`TruthInference::infer_sharded`], kept for callers
+    /// written against the flat-view API (perfbench's views probe).
+    pub fn infer_view(
+        &self,
+        view: &ShardedView,
+        options: &InferenceOptions,
+    ) -> Result<InferenceResult, InferenceError> {
+        self.infer_sharded(view, options)
     }
 }
 

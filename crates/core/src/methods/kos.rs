@@ -14,7 +14,7 @@
 //! are normalised each round to prevent magnitude blow-up (the algorithm
 //! is scale-invariant).
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::dist::sample_gaussian;
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
@@ -22,10 +22,9 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{label_answers, ShardedView};
 
 /// KOS belief-propagation-style message passing.
 #[derive(Debug, Clone, Copy)]
@@ -50,18 +49,12 @@ impl TruthInference for Kos {
         task_type == TaskType::DecisionMaking
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
+        validate_view(self, view, options)?;
         let mut rng = StdRng::seed_from_u64(options.seed);
 
         // Edge list with per-edge messages. sign = +1 for label 0 ('T').
@@ -71,10 +64,10 @@ impl TruthInference for Kos {
             y: f64, // worker → task
         }
         let mut edges: Vec<Edge> = Vec::new();
-        let mut task_edges: Vec<Vec<usize>> = vec![Vec::new(); cat.n];
-        let mut worker_edges: Vec<Vec<usize>> = vec![Vec::new(); cat.m];
-        for task in 0..cat.n {
-            for (worker, label) in cat.task(task) {
+        let mut task_edges: Vec<Vec<usize>> = vec![Vec::new(); view.n];
+        let mut worker_edges: Vec<Vec<usize>> = vec![Vec::new(); view.m];
+        for task in 0..view.n {
+            for &(worker, label) in view.task_row(task) {
                 let sign = if label == 0 { 1.0 } else { -1.0 };
                 let idx = edges.len();
                 edges.push(Edge {
@@ -83,13 +76,13 @@ impl TruthInference for Kos {
                     y: sample_gaussian(&mut rng, 1.0, 1.0),
                 });
                 task_edges[task].push(idx);
-                worker_edges[worker].push(idx);
+                worker_edges[worker as usize].push(idx);
             }
         }
 
         for _ in 0..self.rounds {
             // Task → worker.
-            for task in 0..cat.n {
+            for task in 0..view.n {
                 let total: f64 = task_edges[task]
                     .iter()
                     .map(|&e| edges[e].sign * edges[e].y)
@@ -99,7 +92,7 @@ impl TruthInference for Kos {
                 }
             }
             // Worker → task.
-            for worker in 0..cat.m {
+            for worker in 0..view.m {
                 let total: f64 = worker_edges[worker]
                     .iter()
                     .map(|&e| edges[e].sign * edges[e].x)
@@ -123,9 +116,9 @@ impl TruthInference for Kos {
         // estimate); orient the solution with the model's own
         // assumption that the average worker is better than chance, by
         // aligning the margins with the raw answer sums.
-        let mut margins = vec![0.0f64; cat.n];
+        let mut margins = vec![0.0f64; view.n];
         let mut orientation = 0.0f64;
-        for task in 0..cat.n {
+        for task in 0..view.n {
             let score: f64 = task_edges[task]
                 .iter()
                 .map(|&e| edges[e].sign * edges[e].y)
@@ -137,7 +130,7 @@ impl TruthInference for Kos {
         if orientation < 0.0 {
             margins.iter_mut().for_each(|m| *m = -*m);
         }
-        let mut truths = vec![0u8; cat.n];
+        let mut truths = vec![0u8; view.n];
         for (task, &score) in margins.iter().enumerate() {
             truths[task] = if score > 0.0 {
                 0
@@ -149,8 +142,8 @@ impl TruthInference for Kos {
         }
 
         // Worker quality proxy: mean y-message (the KOS reliability score).
-        let mut quality = vec![0.0f64; cat.m];
-        for worker in 0..cat.m {
+        let mut quality = vec![0.0f64; view.m];
+        for worker in 0..view.m {
             let es = &worker_edges[worker];
             if !es.is_empty() {
                 quality[worker] = es.iter().map(|&e| edges[e].y).sum::<f64>() / es.len() as f64;
@@ -158,14 +151,14 @@ impl TruthInference for Kos {
         }
 
         // Posteriors from margins via a logistic squash (diagnostic only).
-        let mut post = DMat::zeros(cat.n, 2);
+        let mut post = DMat::zeros(view.n, 2);
         for (task, &s) in margins.iter().enumerate() {
             let p = 1.0 / (1.0 + crowd_stats::kernels::exp(-s));
             post.row_mut(task).copy_from_slice(&[p, 1.0 - p]);
         }
 
         Ok(InferenceResult {
-            truths: Cat::answers(&truths),
+            truths: label_answers(&truths),
             worker_quality: quality.into_iter().map(WorkerQuality::Weight).collect(),
             iterations: self.rounds,
             converged: true,

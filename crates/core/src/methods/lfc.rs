@@ -6,13 +6,13 @@
 //! two-class formulation, generalised to `ℓ` classes). The paper groups
 //! LFC with D&S/BCC as the consistently strong trio (§6.3.1, Table 6).
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference,
 };
 use crate::methods::ds::DsEngine;
-use crate::views::{Cat, ShardedView};
+use crate::views::ShardedView;
 
 /// LFC: MAP Dawid–Skene with diagonal-favouring Dirichlet priors.
 #[derive(Debug, Clone, Copy)]
@@ -42,25 +42,14 @@ impl Lfc {
         }
     }
 
-    /// Run LFC on a prebuilt flat view: [`Self::infer_sharded`] on its
-    /// one-shard copy (see `Ds::infer_view`).
+    /// A forward to [`TruthInference::infer_sharded`], kept for callers
+    /// written against the flat-view API (perfbench's views probe).
     pub fn infer_view(
-        &self,
-        view: &Cat,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        self.infer_sharded(&ShardedView::from_cat(view, 1), options)
-    }
-
-    /// Run LFC on a task-range sharded view — bit-identical at any shard
-    /// count; see `DsEngine::run`. `options.warm_start` resumes from a
-    /// previous run's state.
-    pub fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        self.engine().run(view, options)
+        self.infer_sharded(view, options)
     }
 }
 
@@ -81,19 +70,14 @@ impl TruthInference for Lfc {
         true
     }
 
-    fn infer(
+    /// Run LFC on a task-range sharded view — see `DsEngine::run`.
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let view = ShardedView::build(self.name(), dataset, options, true)?;
-        self.infer_sharded(&view, options)
+        validate_view(self, view, options)?;
+        self.engine().run(view, options)
     }
 }
 

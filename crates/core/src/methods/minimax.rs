@@ -21,7 +21,7 @@
 //!    counts (with L2 regularisation, as in the authors' "regularised
 //!    minimax conditional entropy" follow-up).
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::kernels::{self, log_normalize, log_normalize_rows_flat, log_sum_exp_rows_flat};
 use crowd_stats::{ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
@@ -29,10 +29,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{label_answers, ShardedView};
 
 /// Minimax entropy truth inference.
 #[derive(Debug, Clone, Copy)]
@@ -75,19 +74,13 @@ impl TruthInference for Minimax {
         true
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, true)?;
-        let l = cat.l;
+        validate_view(self, view, options)?;
+        let l = view.l;
 
         // Flat-memory multipliers: τ is `n × ℓ`, σ packs every worker's
         // `ℓ × ℓ` block as rows `w·ℓ + j` of one `(m·ℓ) × ℓ` matrix —
@@ -96,16 +89,16 @@ impl TruthInference for Minimax {
         // nested-`Vec` form allocated `n + m·(ℓ+1)` vectors per gradient
         // step and one ℓ-vector per (answer, j) model evaluation, which
         // dominated Minimax's wall time.
-        let mut tau = DMat::zeros(cat.n, l);
-        let mut sigma = DMat::zeros(cat.m * l, l);
+        let mut tau = DMat::zeros(view.n, l);
+        let mut sigma = DMat::zeros(view.m * l, l);
         // Break the label-permutation symmetry: seed σ diagonals positive.
-        for w in 0..cat.m {
+        for w in 0..view.m {
             for j in 0..l {
                 sigma[(w * l + j, j)] = 1.0;
             }
         }
-        let mut grad_tau = DMat::zeros(cat.n, l);
-        let mut grad_sigma = DMat::zeros(cat.m * l, l);
+        let mut grad_tau = DMat::zeros(view.n, l);
+        let mut grad_sigma = DMat::zeros(view.m * l, l);
         // Scratch for one posterior row (dynamic-width fallback).
         let mut logp = vec![0.0f64; l];
         // Per-task list of the truth hypotheses with non-negligible
@@ -115,26 +108,28 @@ impl TruthInference for Minimax {
         // is hoisted here and rebuilt once per outer iteration — the
         // surviving (answer, j) pairs and their visit order are
         // unchanged.
-        let mut active: Vec<(u8, f64)> = Vec::with_capacity(cat.n * l);
-        let mut active_off: Vec<usize> = vec![0; cat.n + 1];
+        let mut active: Vec<(u8, f64)> = Vec::with_capacity(view.n * l);
+        let mut active_off: Vec<usize> = vec![0; view.n + 1];
         // Flat batch of ℓ-wide model rows (one per (answer, hypothesis)
         // pair) and their log-sum-exps: the hot passes gather many rows
         // into this scratch and softmax/lse them with one batched
         // kernel call instead of one dispatch per row. Sized once for
         // the largest flush ([`ROW_BLOCK`] rows, or one task's worth if
         // a task alone exceeds the block).
-        let max_task_len = (0..cat.n).map(|t| cat.task_len(t)).max().unwrap_or(0);
+        let max_task_len = (0..view.n).map(|t| view.task_len(t)).max().unwrap_or(0);
         let mut row_buf: Vec<f64> = vec![0.0; ROW_BLOCK.max(l * max_task_len) * l];
         let mut lse_buf: Vec<f64> = vec![0.0; l * max_task_len];
 
-        let mut post = cat.majority_posteriors();
+        let mut post = view.majority_posteriors();
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
 
         // Degree normalisers: keep step sizes independent of how many
         // answers a task/worker has.
-        let task_deg: Vec<f64> = (0..cat.n).map(|t| cat.task_len(t).max(1) as f64).collect();
-        let worker_deg: Vec<f64> = (0..cat.m)
-            .map(|w| cat.worker_len(w).max(1) as f64)
+        let task_deg: Vec<f64> = (0..view.n)
+            .map(|t| view.task_len(t).max(1) as f64)
+            .collect();
+        let worker_deg: Vec<f64> = (0..view.m)
+            .map(|w| view.worker_len(w).max(1) as f64)
             .collect();
 
         let mut st = State {
@@ -154,7 +149,7 @@ impl TruthInference for Minimax {
             // Rebuild the active-hypothesis lists under the current
             // posterior (see `active` above).
             st.active.clear();
-            for task in 0..cat.n {
+            for task in 0..view.n {
                 for (j, &qj) in st.post.row(task).iter().enumerate() {
                     if qj >= 1e-9 {
                         st.active.push((j as u8, qj));
@@ -171,23 +166,23 @@ impl TruthInference for Minimax {
             // the `six_choice_fallback_runs` test).
             match l {
                 2 => {
-                    dual_ascent::<2>(self, &cat, &mut st);
-                    truth_update::<2>(&cat, &mut st);
+                    dual_ascent::<2>(self, view, &mut st);
+                    truth_update::<2>(view, &mut st);
                 }
                 3 => {
-                    dual_ascent::<3>(self, &cat, &mut st);
-                    truth_update::<3>(&cat, &mut st);
+                    dual_ascent::<3>(self, view, &mut st);
+                    truth_update::<3>(view, &mut st);
                 }
                 4 => {
-                    dual_ascent::<4>(self, &cat, &mut st);
-                    truth_update::<4>(&cat, &mut st);
+                    dual_ascent::<4>(self, view, &mut st);
+                    truth_update::<4>(view, &mut st);
                 }
                 _ => {
-                    dual_ascent_dyn(self, &cat, &mut st);
-                    truth_update_dyn(&cat, &mut st, &mut logp);
+                    dual_ascent_dyn(self, view, &mut st);
+                    truth_update_dyn(view, &mut st, &mut logp);
                 }
             }
-            cat.clamp_golden(st.post);
+            view.clamp_golden(st.post);
 
             if tracker.step(st.post.data()) {
                 break;
@@ -195,7 +190,7 @@ impl TruthInference for Minimax {
         }
 
         // Worker quality: the diagonal pull of σ (diverse-skill summary).
-        let worker_quality: Vec<WorkerQuality> = (0..cat.m)
+        let worker_quality: Vec<WorkerQuality> = (0..view.m)
             .map(|w| {
                 let skills: Vec<f64> = (0..l).map(|j| sigma.row(w * l + j)[j]).collect();
                 WorkerQuality::Skills(skills)
@@ -203,9 +198,9 @@ impl TruthInference for Minimax {
             .collect();
 
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&post, &mut rng);
+        let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality,
             iterations: tracker.iterations(),
             converged: tracker.converged(),
@@ -241,9 +236,9 @@ const ROW_BLOCK: usize = 512;
 /// The regularised multiplier updates after one gradient accumulation
 /// (cold relative to the accumulation itself, so kept dynamic and
 /// shared by both paths).
-fn update_multipliers(mm: &Minimax, cat: &Cat, st: &mut State) {
+fn update_multipliers(mm: &Minimax, view: &ShardedView, st: &mut State) {
     let l = st.tau.cols();
-    for t in 0..cat.n {
+    for t in 0..view.n {
         let g = st.grad_tau.row(t);
         let deg = st.task_deg[t];
         let tau_row = st.tau.row_mut(t);
@@ -252,7 +247,7 @@ fn update_multipliers(mm: &Minimax, cat: &Cat, st: &mut State) {
             tau_row[k] = tau_row[k].clamp(-6.0, 6.0);
         }
     }
-    for w in 0..cat.m {
+    for w in 0..view.m {
         let deg = st.worker_deg[w];
         for j in 0..l {
             let g = st.grad_sigma.row(w * l + j);
@@ -277,22 +272,22 @@ fn update_multipliers(mm: &Minimax, cat: &Cat, st: &mut State) {
 /// loop, but the kernel dispatch (and under `fast-math-avx2` the
 /// whole `#[target_feature]` region, with the per-row `ln` vectorised
 /// across rows) is paid once per task instead of once per pair.
-fn dual_ascent<const L: usize>(mm: &Minimax, cat: &Cat, st: &mut State) {
+fn dual_ascent<const L: usize>(mm: &Minimax, view: &ShardedView, st: &mut State) {
     for _ in 0..mm.gradient_steps {
         st.grad_tau.fill(0.0);
         st.grad_sigma.fill(0.0);
 
         // Tasks are processed in blocks whose model rows fill
-        // [`ROW_BLOCK`] (the scratch was sized in `infer`): one batched
+        // [`ROW_BLOCK`] (the scratch was sized in `infer_sharded`): one batched
         // softmax per block amortises the kernel dispatch over ~hundreds
         // of rows and leaves at most 3 sub-vector remainder rows per
         // flush instead of per task.
         let mut start = 0;
-        while start < cat.n {
+        while start < view.n {
             let mut rows = 0usize;
             let mut end = start;
-            while end < cat.n {
-                let need = (st.active_off[end + 1] - st.active_off[end]) * cat.task_len(end);
+            while end < view.n {
+                let need = (st.active_off[end + 1] - st.active_off[end]) * view.task_len(end);
                 if rows > 0 && rows + need > ROW_BLOCK {
                     break;
                 }
@@ -304,7 +299,7 @@ fn dual_ascent<const L: usize>(mm: &Minimax, cat: &Cat, st: &mut State) {
             for task in start..end {
                 let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
                 let tau_row: &[f64; L] = st.tau.row(task).try_into().expect("row width ℓ");
-                for &(worker, _) in cat.task_row(task) {
+                for &(worker, _) in view.task_row(task) {
                     let base = worker as usize * L;
                     for &(j, _) in acts.iter() {
                         // Model distribution for this (i, w, j).
@@ -331,7 +326,7 @@ fn dual_ascent<const L: usize>(mm: &Minimax, cat: &Cat, st: &mut State) {
                 let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
                 let gt_row: &mut [f64; L] =
                     st.grad_tau.row_mut(task).try_into().expect("row width ℓ");
-                for &(worker, label) in cat.task_row(task) {
+                for &(worker, label) in view.task_row(task) {
                     let base = worker as usize * L;
                     for &(j, qj) in acts.iter() {
                         let lp: &[f64; L] = lps
@@ -357,21 +352,21 @@ fn dual_ascent<const L: usize>(mm: &Minimax, cat: &Cat, st: &mut State) {
             start = end;
         }
 
-        update_multipliers(mm, cat, st);
+        update_multipliers(mm, view, st);
     }
 }
 
 /// Dynamic-width fallback for [`dual_ascent`] (ℓ outside the
 /// specialised range): same operations, same order, slice-based.
-fn dual_ascent_dyn(mm: &Minimax, cat: &Cat, st: &mut State) {
+fn dual_ascent_dyn(mm: &Minimax, view: &ShardedView, st: &mut State) {
     let l = st.tau.cols();
     for _ in 0..mm.gradient_steps {
         st.grad_tau.fill(0.0);
         st.grad_sigma.fill(0.0);
 
-        for task in 0..cat.n {
+        for task in 0..view.n {
             let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
-            let answers = cat.task_row(task);
+            let answers = view.task_row(task);
             if acts.is_empty() || answers.is_empty() {
                 continue;
             }
@@ -411,7 +406,7 @@ fn dual_ascent_dyn(mm: &Minimax, cat: &Cat, st: &mut State) {
             }
         }
 
-        update_multipliers(mm, cat, st);
+        update_multipliers(mm, view, st);
     }
 }
 
@@ -420,20 +415,20 @@ fn dual_ascent_dyn(mm: &Minimax, cat: &Cat, st: &mut State) {
 /// log-sum-exp of the model row once and exponentiates a single
 /// element — the same values the full row-normalise produced, minus
 /// ℓ−1 unused `exp`s and `ln`s per row.
-fn truth_update<const L: usize>(cat: &Cat, st: &mut State) {
+fn truth_update<const L: usize>(view: &ShardedView, st: &mut State) {
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
     let mut fused_rows = 0u64;
-    for task in 0..cat.n {
-        if cat.golden[task].is_some() || cat.task_len(task) == 0 {
+    for task in 0..view.n {
+        if view.golden()[task].is_some() || view.task_len(task) == 0 {
             continue;
         }
         fused_rows += 1;
-        let answers = cat.task_row(task);
+        let answers = view.task_row(task);
         let tau_row: &[f64; L] = st.tau.row(task).try_into().expect("row width ℓ");
         // Gather the ℓ model rows of every answer into one flat batch
         // and log-sum-exp them in a single kernel call; only the
         // answered label's probability is read out afterwards. The
-        // scratch was sized in `infer` for the largest task.
+        // scratch was sized in `infer_sharded` for the largest task.
         let rows = answers.len() * L;
         let mut out = st.row_buf[..rows * L].chunks_exact_mut(L);
         for &(worker, _) in answers {
@@ -473,16 +468,16 @@ fn truth_update<const L: usize>(cat: &Cat, st: &mut State) {
 }
 
 /// Dynamic-width fallback for [`truth_update`].
-fn truth_update_dyn(cat: &Cat, st: &mut State, logp: &mut [f64]) {
+fn truth_update_dyn(view: &ShardedView, st: &mut State, logp: &mut [f64]) {
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
     let mut fused_rows = 0u64;
     let l = st.tau.cols();
-    for task in 0..cat.n {
-        if cat.golden[task].is_some() || cat.task_len(task) == 0 {
+    for task in 0..view.n {
+        if view.golden()[task].is_some() || view.task_len(task) == 0 {
             continue;
         }
         fused_rows += 1;
-        let answers = cat.task_row(task);
+        let answers = view.task_row(task);
         let tau_row = st.tau.row(task);
         st.row_buf.clear();
         st.row_buf.reserve(answers.len() * l * l);

@@ -20,7 +20,7 @@
 //! matrices on these datasets and costs more time (§6.3.4) — is
 //! reproduced in the experiment harness.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::dist::sample_gaussian;
 use crowd_stats::kernels::sigmoid_slice;
 use crowd_stats::{ConvergenceTracker, DMat};
@@ -29,10 +29,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{label_answers, ShardedView};
 
 /// Welinder et al.'s multidimensional worker/task model.
 #[derive(Debug, Clone, Copy)]
@@ -67,18 +66,12 @@ impl TruthInference for Multi {
         task_type == TaskType::DecisionMaking
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
+        validate_view(self, view, options)?;
         let k = self.dims.max(1);
         let mut rng = StdRng::seed_from_u64(options.seed);
 
@@ -88,33 +81,33 @@ impl TruthInference for Multi {
         // Both live in flat row-major matrices (`n × K`, `m × K`) so the
         // gradient sweeps read contiguous memory; the RNG draw order
         // matches the old nested-`Vec` initialisation exactly.
-        let post0 = cat.majority_posteriors();
-        let mut x = DMat::zeros(cat.n, k);
-        for i in 0..cat.n {
+        let post0 = view.majority_posteriors();
+        let mut x = DMat::zeros(view.n, k);
+        for i in 0..view.n {
             let row = x.row_mut(i);
             row[0] = 2.0 * post0.row(i)[0] - 1.0;
             for d in row.iter_mut().skip(1) {
                 *d = sample_gaussian(&mut rng, 0.0, 0.1);
             }
         }
-        let mut w = DMat::zeros(cat.m, k);
-        for i in 0..cat.m {
+        let mut w = DMat::zeros(view.m, k);
+        for i in 0..view.m {
             let row = w.row_mut(i);
             for d in row.iter_mut() {
                 *d = sample_gaussian(&mut rng, 0.0, 0.1);
             }
             row[0] += 1.0;
         }
-        let mut tau = vec![0.0f64; cat.m];
+        let mut tau = vec![0.0f64; view.m];
 
         // Per-iteration scratch, allocated once: gradient matrices, the
         // convergence parameter vector, and the batched per-answer score
         // buffer (sized by the largest task degree).
-        let mut gx = DMat::zeros(cat.n, k);
-        let mut gw = DMat::zeros(cat.m, k);
-        let mut gt = vec![0.0f64; cat.m];
-        let mut params: Vec<f64> = Vec::with_capacity((cat.n + cat.m) * k + cat.m);
-        let max_deg = (0..cat.n).map(|t| cat.task_len(t)).max().unwrap_or(0);
+        let mut gx = DMat::zeros(view.n, k);
+        let mut gw = DMat::zeros(view.m, k);
+        let mut gt = vec![0.0f64; view.m];
+        let mut params: Vec<f64> = Vec::with_capacity((view.n + view.m) * k + view.m);
+        let max_deg = (0..view.n).map(|t| view.task_len(t)).max().unwrap_or(0);
         let mut sig = vec![0.0f64; max_deg];
 
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
@@ -122,9 +115,11 @@ impl TruthInference for Multi {
         // Degree normalisers keep per-step movement independent of how
         // many answers an entity has — heavy workers would otherwise take
         // steps of magnitude lr·|T^w| and oscillate into clamp corners.
-        let task_deg: Vec<f64> = (0..cat.n).map(|t| cat.task_len(t).max(1) as f64).collect();
-        let worker_deg: Vec<f64> = (0..cat.m)
-            .map(|w| cat.worker_len(w).max(1) as f64)
+        let task_deg: Vec<f64> = (0..view.n)
+            .map(|t| view.task_len(t).max(1) as f64)
+            .collect();
+        let worker_deg: Vec<f64> = (0..view.m)
+            .map(|w| view.worker_len(w).max(1) as f64)
             .collect();
 
         loop {
@@ -136,8 +131,8 @@ impl TruthInference for Multi {
                 // Two passes per task row: the dot-product scores go
                 // through one batched sigmoid sweep, then the error
                 // terms accumulate in the original answer order.
-                for task in 0..cat.n {
-                    let row = cat.task_row(task);
+                for task in 0..view.n {
+                    let row = view.task_row(task);
                     let deg = row.len();
                     let x_row = x.row(task);
                     for (s, &(worker, _)) in sig.iter_mut().zip(row) {
@@ -169,7 +164,7 @@ impl TruthInference for Multi {
 
                 let lr = self.learning_rate;
                 let lam = self.prior_precision;
-                for t in 0..cat.n {
+                for t in 0..view.n {
                     let gi = gx.row(t);
                     let deg = task_deg[t];
                     let xi = x.row_mut(t);
@@ -181,7 +176,7 @@ impl TruthInference for Multi {
                 // The worker prior is centred at e_0 (a competent,
                 // unbiased worker); it also anchors the global sign
                 // symmetry (x, w) → (−x, −w) to the MV-aligned branch.
-                for wk in 0..cat.m {
+                for wk in 0..view.m {
                     let gi = gw.row(wk);
                     let deg = worker_deg[wk];
                     let wi = w.row_mut(wk);
@@ -208,28 +203,28 @@ impl TruthInference for Multi {
 
         // Consensus direction: mean worker vector and threshold.
         let mut u = vec![0.0f64; k];
-        for wk in 0..cat.m {
+        for wk in 0..view.m {
             for (ud, &wd) in u.iter_mut().zip(w.row(wk)) {
                 *ud += wd;
             }
         }
-        u.iter_mut().for_each(|d| *d /= cat.m.max(1) as f64);
-        let tau_bar: f64 = tau.iter().sum::<f64>() / cat.m.max(1) as f64;
+        u.iter_mut().for_each(|d| *d /= view.m.max(1) as f64);
+        let tau_bar: f64 = tau.iter().sum::<f64>() / view.m.max(1) as f64;
 
         // Final decode: one batched sigmoid over all task scores.
-        let mut truths = vec![0u8; cat.n];
-        let mut scores = vec![0.0f64; cat.n];
+        let mut truths = vec![0u8; view.n];
+        let mut scores = vec![0.0f64; view.n];
         for (task, s) in scores.iter_mut().enumerate() {
             *s = x.row(task).iter().zip(&u).map(|(a, b)| a * b).sum::<f64>() - tau_bar;
         }
         sigmoid_slice(&mut scores);
-        let mut post = DMat::zeros(cat.n, 2);
+        let mut post = DMat::zeros(view.n, 2);
         for (task, &p) in scores.iter().enumerate() {
             truths[task] = if p >= 0.5 { 0 } else { 1 };
             post.row_mut(task).copy_from_slice(&[p, 1.0 - p]);
         }
 
-        let worker_quality: Vec<WorkerQuality> = (0..cat.m)
+        let worker_quality: Vec<WorkerQuality> = (0..view.m)
             .map(|wk| {
                 // Report the skill vector; the threshold is the bias entry
                 // appended so diagnostics can reconstruct the model.
@@ -240,7 +235,7 @@ impl TruthInference for Multi {
             .collect();
 
         Ok(InferenceResult {
-            truths: Cat::answers(&truths),
+            truths: label_answers(&truths),
             worker_quality,
             iterations: tracker.iterations(),
             converged: tracker.converged(),

@@ -4,51 +4,29 @@
 //! (Section 5.1). Ties break uniformly at random, which is why MV has a
 //! 50% chance of getting `t1` of the running example wrong.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::{Cat, ShardedView};
+use crate::views::{label_answers, ShardedView};
 
 /// Majority Voting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mv;
 
 impl Mv {
-    /// Run MV on a prebuilt flat view: [`Self::infer_sharded`] on its
-    /// one-shard copy.
+    /// A forward to [`TruthInference::infer_sharded`], kept for callers
+    /// written against the flat-view API (perfbench's views probe).
     pub fn infer_view(
-        &self,
-        view: &Cat,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        self.infer_sharded(&ShardedView::from_cat(view, 1), options)
-    }
-
-    /// Run MV on a task-range sharded view: the majority posteriors plus
-    /// the seeded tie-breaking decode, bit-identical at any shard count.
-    /// MV is its own fixed point, so there is no warm state to resume.
-    pub fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        crate::framework::validate_view_options(view.m, options)?;
-        let post = view.majority_posteriors();
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = view.decode(&post, &mut rng);
-        Ok(InferenceResult {
-            truths: Cat::answers(&labels),
-            worker_quality: vec![WorkerQuality::Unmodeled; view.m],
-            iterations: 1,
-            converged: true,
-            posteriors: Some(Arc::new(post)),
-        })
+        self.infer_sharded(view, options)
     }
 }
 
@@ -61,19 +39,24 @@ impl TruthInference for Mv {
         task_type.is_categorical()
     }
 
-    fn infer(
+    /// The majority posteriors plus the seeded tie-breaking decode. MV
+    /// is its own fixed point, so there is no warm state to resume.
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let view = ShardedView::build(self.name(), dataset, options, false)?;
-        self.infer_sharded(&view, options)
+        validate_view(self, view, options)?;
+        let post = view.majority_posteriors();
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        let labels = view.decode(&post, &mut rng);
+        Ok(InferenceResult {
+            truths: label_answers(&labels),
+            worker_quality: vec![WorkerQuality::Unmodeled; view.m],
+            iterations: 1,
+            converged: true,
+            posteriors: Some(Arc::new(post)),
+        })
     }
 }
 

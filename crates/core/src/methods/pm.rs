@@ -20,10 +20,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_common, validate_view, InferenceError, InferenceOptions, InferenceResult,
+    TruthInference, WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat, Num};
+use crate::views::{initial_accuracy, label_answers, Num, ShardedView};
 
 /// PM: conflict-resolution by joint optimisation.
 #[derive(Debug, Clone, Copy)]
@@ -64,48 +64,48 @@ impl TruthInference for Pm {
     ) -> Result<InferenceResult, InferenceError> {
         validate_common(self.name(), dataset, options, true)?;
         if dataset.task_type().is_categorical() {
-            self.infer_categorical(dataset, options)
+            let view = ShardedView::build(self.name(), dataset, options, true)?;
+            self.infer_sharded(&view, options)
         } else {
             self.infer_numeric(dataset, options)
         }
     }
-}
 
-impl Pm {
-    fn infer_categorical(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        let cat = Cat::build("PM", dataset, options, true)?;
+        validate_view(self, view, options)?;
         let mut rng = StdRng::seed_from_u64(options.seed);
 
         // Initial qualities: uniform 1 (paper) or scaled test accuracy.
         let mut quality: Vec<f64> = match &options.quality_init {
-            crate::framework::QualityInit::Uniform => vec![1.0; cat.m],
-            _ => initial_accuracy(options, cat.m, 0.7),
+            crate::framework::QualityInit::Uniform => vec![1.0; view.m],
+            _ => initial_accuracy(options, view.m, 0.7),
         };
 
-        let mut truths: Vec<u8> = vec![0; cat.n];
+        let mut truths: Vec<u8> = vec![0; view.n];
         // Pre-allocated scratch: vote scores, tie list, per-worker
         // distances, and the convergence vector — the loop allocates
         // nothing per iteration.
-        let mut scores = vec![0.0f64; cat.l];
-        let mut ties: Vec<u8> = Vec::with_capacity(cat.l);
-        let mut dist = vec![0.0f64; cat.m];
-        let mut params = vec![0.0f64; cat.n];
+        let mut scores = vec![0.0f64; view.l];
+        let mut ties: Vec<u8> = Vec::with_capacity(view.l);
+        let mut dist = vec![0.0f64; view.m];
+        let mut params = vec![0.0f64; view.n];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
+        let golden = view.golden();
 
         loop {
             // Step 1: weighted vote.
-            for task in 0..cat.n {
-                if let Some(g) = cat.golden[task] {
+            for task in 0..view.n {
+                if let Some(g) = golden[task] {
                     truths[task] = g;
                     continue;
                 }
                 scores.fill(0.0);
-                for (worker, label) in cat.task(task) {
-                    scores[label as usize] += quality[worker];
+                for &(worker, label) in view.task_row(task) {
+                    scores[label as usize] += quality[worker as usize];
                 }
                 let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 ties.clear();
@@ -125,7 +125,7 @@ impl Pm {
 
             // Step 2: q^w = −log(Σd / max Σd).
             for (w, d) in dist.iter_mut().enumerate() {
-                *d = cat
+                *d = view
                     .worker(w)
                     .filter(|&(task, label)| truths[task] != label)
                     .count() as f64;
@@ -148,14 +148,16 @@ impl Pm {
         }
 
         Ok(InferenceResult {
-            truths: Cat::answers(&truths),
+            truths: label_answers(&truths),
             worker_quality: quality.into_iter().map(WorkerQuality::Weight).collect(),
             iterations: tracker.iterations(),
             converged: tracker.converged(),
             posteriors: None,
         })
     }
+}
 
+impl Pm {
     fn infer_numeric(
         &self,
         dataset: &Dataset,

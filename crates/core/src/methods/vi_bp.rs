@@ -22,7 +22,7 @@
 //! this implementation retains that failure mode — see the regression
 //! test pinning it below. The substitution is recorded in DESIGN.md §5.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::special::digamma;
 use crowd_stats::{dist::log_normalize, ConvergenceTracker};
 use rand::rngs::StdRng;
@@ -30,10 +30,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{label_answers, ShardedView};
 
 /// Belief-propagation variational inference (two-coin Dirichlet model).
 #[derive(Debug, Clone, Copy)]
@@ -62,25 +61,19 @@ impl TruthInference for ViBp {
         task_type == TaskType::DecisionMaking
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
-        let l = cat.l;
+        validate_view(self, view, options)?;
+        let l = view.l;
 
-        let mut beliefs = cat.majority_posteriors();
+        let mut beliefs = view.majority_posteriors();
         // Double-buffered beliefs plus the variational Dirichlet
         // parameters, all pre-allocated outside the loop.
-        let mut next = crowd_stats::DMat::zeros(cat.n, l);
-        let mut alpha_hat = vec![vec![vec![0.0f64; l]; l]; cat.m];
+        let mut next = crowd_stats::DMat::zeros(view.n, l);
+        let mut alpha_hat = vec![vec![vec![0.0f64; l]; l]; view.m];
         let mut logp = vec![0.0f64; l];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
 
@@ -96,21 +89,22 @@ impl TruthInference for ViBp {
                         };
                     }
                 }
-                for (task, label) in cat.worker(w) {
+                view.worker(w).for_each(|(task, label)| {
                     for j in 0..l {
                         alpha_w[j][label as usize] += beliefs.row(task)[j];
                     }
-                }
+                });
             }
 
             // New beliefs from cavity messages.
-            for task in 0..cat.n {
-                if cat.task_len(task) == 0 {
+            for task in 0..view.n {
+                if view.task_len(task) == 0 {
                     next.row_mut(task).copy_from_slice(beliefs.row(task));
                     continue;
                 }
                 logp.fill(0.0);
-                for (worker, label) in cat.task(task) {
+                for &(worker, label) in view.task_row(task) {
+                    let worker = worker as usize;
                     for (j, lp) in logp.iter_mut().enumerate() {
                         // Leave task `task`'s own contribution out of the
                         // Dirichlet parameters (the BP cavity).
@@ -131,7 +125,7 @@ impl TruthInference for ViBp {
         }
 
         // Report posterior-mean confusions from final beliefs.
-        let mut confusion = vec![vec![vec![0.0f64; l]; l]; cat.m];
+        let mut confusion = vec![vec![vec![0.0f64; l]; l]; view.m];
         for (w, conf_w) in confusion.iter_mut().enumerate() {
             for (j, row) in conf_w.iter_mut().enumerate() {
                 for (k, cell) in row.iter_mut().enumerate() {
@@ -142,11 +136,11 @@ impl TruthInference for ViBp {
                     };
                 }
             }
-            for (task, label) in cat.worker(w) {
+            view.worker(w).for_each(|(task, label)| {
                 for j in 0..l {
                     conf_w[j][label as usize] += beliefs.row(task)[j];
                 }
-            }
+            });
             for row in conf_w.iter_mut() {
                 let total: f64 = row.iter().sum();
                 row.iter_mut().for_each(|c| *c /= total);
@@ -154,9 +148,9 @@ impl TruthInference for ViBp {
         }
 
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&beliefs, &mut rng);
+        let labels = view.decode(&beliefs, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality: confusion
                 .into_iter()
                 .map(WorkerQuality::Confusion)

@@ -12,7 +12,7 @@
 //! - `q(z_i = j) ∝ exp( Σ_{w∈W_i} E[ln π^w_j,v_iw] )` where
 //!   `E[ln π_jk] = ψ(α̂_jk) − ψ(Σ_k α̂_jk)`.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::special::digamma;
 use crowd_stats::{fused_posterior_rows, fused_two_term_rows, ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
@@ -20,10 +20,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat};
+use crate::views::{initial_accuracy, label_answers, ShardedView};
 
 use super::ds::posterior_bases;
 use super::zc::two_term_answers;
@@ -64,68 +63,67 @@ impl TruthInference for ViMf {
         true
     }
 
-    fn infer(
+    fn infer_sharded(
         &self,
-        dataset: &Dataset,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let cat = Cat::build(self.name(), dataset, options, true)?;
-        let l = cat.l;
+        validate_view(self, view, options)?;
+        let l = view.l;
 
         // Initial posteriors: majority vote, possibly sharpened by
         // qualification-test accuracies via one weighted-vote pass.
-        let mut post = cat.majority_posteriors();
+        let mut post = view.majority_posteriors();
         if let crate::framework::QualityInit::Qualification(_) = &options.quality_init {
-            let acc = initial_accuracy(options, cat.m, 0.7);
+            let acc = initial_accuracy(options, view.m, 0.7);
             // Per-worker correct/wrong log terms, tabulated once as two
             // fused fill-and-ln maps (elementwise identical to the old
             // per-answer `p.max(1e-9).ln()`), instead of ℓ `ln`s per
             // answer.
-            let mut ln_correct = vec![0.0f64; cat.m];
-            let mut ln_wrong = vec![0.0f64; cat.m];
+            let mut ln_correct = vec![0.0f64; view.m];
+            let mut ln_wrong = vec![0.0f64; view.m];
             ln_map_into(&mut ln_correct, |w| acc[w].max(1e-9));
             ln_map_into(&mut ln_wrong, |w| {
                 ((1.0 - acc[w]) / (l - 1) as f64).max(1e-9)
             });
             fused_two_term_rows(post.data_mut(), l, |task| {
-                two_term_answers(cat.golden[task], cat.task_row(task), &ln_correct, &ln_wrong)
+                two_term_answers(
+                    view.golden()[task],
+                    view.task_row(task),
+                    &ln_correct,
+                    &ln_wrong,
+                )
             });
-            cat.clamp_golden(&mut post);
+            view.clamp_golden(&mut post);
         }
 
         // Variational Dirichlet parameters per worker row, flat: worker
         // `w`, truth row `j` at DMat row `w·ℓ + j`. `eln` holds the
         // expected log-confusions in the same layout. Both update in
         // place — the loop below allocates nothing per iteration.
-        let mut alpha_hat = crowd_stats::DMat::zeros(cat.m * l, l);
-        let mut eln = crowd_stats::DMat::zeros(cat.m * l, l);
+        let mut alpha_hat = crowd_stats::DMat::zeros(view.m * l, l);
+        let mut eln = crowd_stats::DMat::zeros(view.m * l, l);
         let zero_prior = vec![0.0f64; l];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
 
         loop {
             // Update q(π^w): prior + expected counts.
-            for w in 0..cat.m {
+            for w in 0..view.m {
                 for j in 0..l {
                     let row = alpha_hat.row_mut(w * l + j);
                     row.fill(self.off_prior);
                     row[j] = self.diag_prior;
                 }
-                for (task, label) in cat.worker(w) {
+                view.worker(w).for_each(|(task, label)| {
                     let post_row = post.row(task);
                     for j in 0..l {
                         alpha_hat.row_mut(w * l + j)[label as usize] += post_row[j];
                     }
-                }
+                });
             }
 
             // Expected log-confusions.
-            for r in 0..cat.m * l {
+            for r in 0..view.m * l {
                 let a_row = alpha_hat.row(r);
                 let total: f64 = a_row.iter().sum();
                 let d_total = digamma(total);
@@ -144,11 +142,11 @@ impl TruthInference for ViMf {
             {
                 let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
                 let fused_rows = fused_posterior_rows(post.data_mut(), &zero_prior, el, |task| {
-                    posterior_bases(l, cat.golden[task], cat.task_row(task))
+                    posterior_bases(l, view.golden()[task], view.task_row(task))
                 });
                 crate::methods::obs_fused_rows().add(fused_rows);
             }
-            cat.clamp_golden(&mut post);
+            view.clamp_golden(&mut post);
 
             if tracker.step(post.data()) {
                 break;
@@ -156,7 +154,7 @@ impl TruthInference for ViMf {
         }
 
         // Posterior-mean confusion matrices for reporting.
-        let confusion: Vec<Vec<Vec<f64>>> = (0..cat.m)
+        let confusion: Vec<Vec<Vec<f64>>> = (0..view.m)
             .map(|w| {
                 (0..l)
                     .map(|j| {
@@ -169,9 +167,9 @@ impl TruthInference for ViMf {
             .collect();
 
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&post, &mut rng);
+        let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality: confusion
                 .into_iter()
                 .map(WorkerQuality::Confusion)

@@ -10,7 +10,7 @@
 //! hidden-test golden tasks (posterior clamped at the revealed truth),
 //! matching the paper's §6.3.2–6.3.3 method lists.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::{fused_two_term_rows, safe_ln_map_into, ConvergenceTracker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,10 +18,9 @@ use std::sync::Arc;
 
 use crate::exec;
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat, ShardedView};
+use crate::views::{initial_accuracy, label_answers, ShardedView};
 
 /// ZenCrowd: EM over one-probability workers.
 #[derive(Debug, Clone, Copy)]
@@ -54,33 +53,6 @@ impl TruthInference for Zc {
         true
     }
 
-    fn infer(
-        &self,
-        dataset: &Dataset,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let view = ShardedView::build(self.name(), dataset, options, true)?;
-        self.infer_sharded(&view, options)
-    }
-}
-
-impl Zc {
-    /// Run ZC on a prebuilt flat view: [`Self::infer_sharded`] on its
-    /// one-shard copy (see `Ds::infer_view`).
-    pub fn infer_view(
-        &self,
-        cat: &Cat,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        self.infer_sharded(&ShardedView::from_cat(cat, 1), options)
-    }
-
     /// Run ZC on a task-range sharded view. The E-step fans out over row
     /// blocks (every task row is computed independently, so posteriors
     /// are bit-identical at any shard and thread count). The M-step
@@ -94,15 +66,12 @@ impl Zc {
     /// probability-like scalar); the posterior side of a warm start is
     /// implicit, since the first E-step recomputes every posterior from
     /// the warmed reliabilities.
-    pub fn infer_sharded(
+    fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        if view.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(view.m, options)?;
+        validate_view(self, view, options)?;
         let l = view.l;
         let lm1 = (l - 1).max(1) as f64;
 
@@ -188,7 +157,7 @@ impl Zc {
         let mut rng = StdRng::seed_from_u64(options.seed);
         let labels = view.decode(&post, &mut rng);
         Ok(InferenceResult {
-            truths: Cat::answers(&labels),
+            truths: label_answers(&labels),
             worker_quality: quality
                 .into_iter()
                 .map(WorkerQuality::Probability)
@@ -197,6 +166,18 @@ impl Zc {
             converged: tracker.converged(),
             posteriors: Some(Arc::new(post)),
         })
+    }
+}
+
+impl Zc {
+    /// A forward to [`TruthInference::infer_sharded`], kept for callers
+    /// written against the flat-view API (perfbench's views probe).
+    pub fn infer_view(
+        &self,
+        view: &ShardedView,
+        options: &InferenceOptions,
+    ) -> Result<InferenceResult, InferenceError> {
+        self.infer_sharded(view, options)
     }
 }
 

@@ -6,19 +6,17 @@
 //! worker `T^w`) in **CSR form**: one contiguous entry buffer plus a
 //! `u32` offset array per dimension. A task's (or worker's) answers are a
 //! contiguous slice — no pointer chasing, no per-row allocations — and
-//! posteriors live in a row-major [`DMat`], so the E/M hot loops touch
-//! only flat memory.
+//! posteriors live in a row-major [`DMat`](crate::DMat), so the E/M hot
+//! loops touch only flat memory.
 //!
-//! Two categorical views exist. [`ShardedView`] is the one the EM loops
-//! of D&S, LFC, ZC and GLAD (and MV) run on: `infer` builds it with one
-//! shard, `crowd-stream` maintains it incrementally with any number of
-//! shards, and its worker rows are always in the canonical
-//! task-ascending order, so every output depends only on each task's own
-//! answer sequence. [`Cat`] is the unsharded view the other categorical
-//! methods build; [`Num`] is its numeric counterpart.
+//! One categorical view exists: [`ShardedView`], which every categorical
+//! method runs on. `infer` builds it with one shard, `crowd-stream`
+//! maintains it incrementally with any number of shards, and its worker
+//! rows are always in the canonical task-ascending order, so every
+//! output depends only on each task's own answer sequence. [`Num`] is
+//! the numeric view of LFC_N, CATD, PM, Mean and Median.
 
 use crowd_data::{Answer, Dataset};
-use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -128,185 +126,15 @@ impl<V: Copy + Default> Csr<V> {
     }
 }
 
-/// Dense categorical view: every answer as `(task, worker, label)` plus
-/// CSR adjacency in both directions and golden clamps.
-#[derive(Debug)]
-pub struct Cat {
-    /// Number of tasks.
-    pub n: usize,
-    /// Number of workers.
-    pub m: usize,
-    /// Number of choices ℓ.
-    pub l: usize,
-    /// Per-task CSR: row `t` holds `(worker, label)` pairs.
-    task_adj: Csr<u8>,
-    /// Per-worker CSR: row `w` holds `(task, label)` pairs.
-    worker_adj: Csr<u8>,
-    /// Golden clamp per task (from `InferenceOptions::golden`).
-    pub golden: Vec<Option<u8>>,
-}
+/// The categorical view's former name, kept as an alias of
+/// [`ShardedView`] for callers written against it (perfbench's views
+/// probe calls `Cat::build` and the `infer_view` forwards); new code
+/// names `ShardedView`.
+pub type Cat = ShardedView;
 
-impl Cat {
-    /// Build the view; fails on numeric datasets or malformed options.
-    pub fn build(
-        method: &'static str,
-        dataset: &Dataset,
-        options: &InferenceOptions,
-        use_golden: bool,
-    ) -> Result<Self, InferenceError> {
-        let l = num_choices(method, dataset)?;
-        let n = dataset.num_tasks();
-        let m = dataset.num_workers();
-        let records = dataset.records();
-        let task_adj = Csr::from_triples(
-            n,
-            records.iter().map(|r| {
-                (
-                    r.task,
-                    r.worker as u32,
-                    r.answer.label().expect("categorical dataset"),
-                )
-            }),
-        );
-        let worker_adj = Csr::from_triples(
-            m,
-            records.iter().map(|r| {
-                (
-                    r.worker,
-                    r.task as u32,
-                    r.answer.label().expect("categorical dataset"),
-                )
-            }),
-        );
-        Ok(Self {
-            n,
-            m,
-            l,
-            task_adj,
-            worker_adj,
-            golden: golden_labels(options, use_golden, n),
-        })
-    }
-
-    /// Total answers in the view (`|V|`).
-    pub fn num_answers(&self) -> usize {
-        self.task_adj.num_entries()
-    }
-
-    /// Answers on task `t` as `(worker, label)` pairs, in record order —
-    /// a contiguous slice decoded on the fly.
-    #[inline]
-    pub fn task(&self, t: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.task_adj
-            .row(t)
-            .iter()
-            .map(|&(w, label)| (w as usize, label))
-    }
-
-    /// Raw CSR row for task `t` — the tightest-loop form (one slice, no
-    /// iterator adapter).
-    #[inline]
-    pub fn task_row(&self, t: usize) -> &[(u32, u8)] {
-        self.task_adj.row(t)
-    }
-
-    /// Number of answers on task `t` (`|W_t|`).
-    #[inline]
-    pub fn task_len(&self, t: usize) -> usize {
-        self.task_adj.row_len(t)
-    }
-
-    /// Answers by worker `w` as `(task, label)` pairs, in record order.
-    #[inline]
-    pub fn worker(&self, w: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.worker_adj
-            .row(w)
-            .iter()
-            .map(|&(t, label)| (t as usize, label))
-    }
-
-    /// Raw CSR row for worker `w` — the allocation-free M-step form.
-    #[inline]
-    pub fn worker_row(&self, w: usize) -> &[(u32, u8)] {
-        self.worker_adj.row(w)
-    }
-
-    /// Number of answers by worker `w` (`|T^w|`).
-    #[inline]
-    pub fn worker_len(&self, w: usize) -> usize {
-        self.worker_adj.row_len(w)
-    }
-
-    /// Soft majority-vote posteriors: per-task normalized label counts
-    /// (uniform when a task has no answers), with golden clamps applied.
-    /// The standard initialisation for EM-style methods.
-    pub fn majority_posteriors(&self) -> DMat {
-        let mut post = DMat::zeros(self.n, self.l);
-        for task in 0..self.n {
-            if let Some(g) = self.golden[task] {
-                post[(task, g as usize)] = 1.0;
-                continue;
-            }
-            if self.task_len(task) == 0 {
-                post.row_mut(task).fill(1.0 / self.l as f64);
-                continue;
-            }
-            for (_, label) in self.task(task) {
-                post[(task, label as usize)] += 1.0;
-            }
-            // Rows reaching here hold ≥ 1 count, so the normalize is a
-            // plain division by the (positive) total.
-            post.row_normalize(task);
-        }
-        post
-    }
-
-    /// Clamp golden tasks in a posterior matrix (delta at the truth).
-    pub fn clamp_golden(&self, post: &mut DMat) {
-        for (task, g) in self.golden.iter().enumerate() {
-            if let Some(truth) = g {
-                let row = post.row_mut(task);
-                row.fill(0.0);
-                row[*truth as usize] = 1.0;
-            }
-        }
-    }
-
-    /// Decode MAP labels from posteriors, breaking exact ties uniformly
-    /// at random (the paper's MV behaviour on ties).
-    pub fn decode(&self, post: &DMat, rng: &mut StdRng) -> Vec<u8> {
-        (0..self.n)
-            .map(|task| decode_row(post.row(task), rng))
-            .collect()
-    }
-
-    /// Convert decoded labels into `Answer`s.
-    pub fn answers(labels: &[u8]) -> Vec<Answer> {
-        labels.iter().map(|&l| Answer::Label(l)).collect()
-    }
-}
-
-/// ℓ of a categorical dataset; a typed error for numeric ones.
-fn num_choices(method: &'static str, dataset: &Dataset) -> Result<usize, InferenceError> {
-    dataset
-        .num_choices()
-        .map(usize::from)
-        .ok_or(InferenceError::UnsupportedTaskType {
-            method,
-            task_type: dataset.task_type(),
-        })
-}
-
-/// Golden clamp per task from `options.golden` (all `None` unless
-/// `use_golden`).
-fn golden_labels(options: &InferenceOptions, use_golden: bool, n: usize) -> Vec<Option<u8>> {
-    match (&options.golden, use_golden) {
-        (Some(g), true) => g
-            .iter()
-            .map(|t| t.as_ref().and_then(Answer::label))
-            .collect(),
-        _ => vec![None; n],
-    }
+/// Decoded labels as `Answer`s.
+pub(crate) fn label_answers(labels: &[u8]) -> Vec<Answer> {
+    labels.iter().map(|&l| Answer::Label(l)).collect()
 }
 
 /// MAP label of one posterior row with seeded uniform tie-breaking:
@@ -340,7 +168,8 @@ fn decode_row(p: &[f64], rng: &mut StdRng) -> u8 {
     label as u8
 }
 
-/// Dense numeric view (CSR, like [`Cat`] with `f64` values).
+/// Dense numeric view: `(worker, value)` task rows and `(task, value)`
+/// worker rows in CSR form, both in record order.
 #[derive(Debug)]
 pub struct Num {
     /// Number of tasks.
@@ -515,52 +344,72 @@ mod tests {
         })
     }
 
+    /// `dataset`'s records as a view over `shards` task-range shards.
+    fn sharded(dataset: &Dataset, shards: usize) -> ShardedView {
+        ShardedView::from_records(
+            dataset.num_tasks(),
+            dataset.num_workers(),
+            dataset.num_choices().unwrap() as usize,
+            shards,
+            dataset
+                .records()
+                .iter()
+                .map(|r| (r.task as u32, r.worker as u32, r.answer.label().unwrap())),
+            vec![None; dataset.num_tasks()],
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The CSR view round-trips `Dataset::records()`: walking the
-        /// per-task rows in order recovers exactly the record log grouped
-        /// by task (and likewise per worker), with degrees intact.
+        /// The categorical view round-trips `Dataset::records()` at every
+        /// shard count: each task row is that task's records in record
+        /// order, and each worker's rows, concatenated across shards, are
+        /// that worker's records sorted by task — with degrees intact.
         #[test]
         fn cat_csr_round_trips_records(dataset in arb_categorical()) {
-            let cat = Cat::build("test", &dataset, &InferenceOptions::default(), false).unwrap();
-            prop_assert_eq!(cat.num_answers(), dataset.num_answers());
-
-            // Per-task rows == records grouped by task, preserving order.
-            let mut by_task: Vec<Vec<(usize, u8)>> = vec![Vec::new(); dataset.num_tasks()];
+            let mut by_task: Vec<Vec<(u32, u8)>> = vec![Vec::new(); dataset.num_tasks()];
             let mut by_worker: Vec<Vec<(usize, u8)>> = vec![Vec::new(); dataset.num_workers()];
             for r in dataset.records() {
                 let label = r.answer.label().unwrap();
-                by_task[r.task].push((r.worker, label));
+                by_task[r.task].push((r.worker as u32, label));
                 by_worker[r.worker].push((r.task, label));
             }
-            for t in 0..dataset.num_tasks() {
-                let row: Vec<(usize, u8)> = cat.task(t).collect();
-                prop_assert_eq!(&row, &by_task[t], "task {} row mismatch", t);
-                prop_assert_eq!(cat.task_len(t), dataset.task_degree(t));
+            for row in &mut by_worker {
+                row.sort_by_key(|&(task, _)| task);
             }
-            for w in 0..dataset.num_workers() {
-                let row: Vec<(usize, u8)> = cat.worker(w).collect();
-                prop_assert_eq!(&row, &by_worker[w], "worker {} row mismatch", w);
-                prop_assert_eq!(cat.worker_len(w), dataset.worker_degree(w));
+            let n = dataset.num_tasks();
+            for shards in [1, 2, 3, n, n + 2] {
+                let view = sharded(&dataset, shards);
+                prop_assert_eq!(view.num_answers(), dataset.num_answers());
+                for t in 0..n {
+                    prop_assert_eq!(view.task_row(t), &by_task[t][..], "task {} at {} shards", t, shards);
+                    prop_assert_eq!(view.task_len(t), dataset.task_degree(t));
+                }
+                for w in 0..dataset.num_workers() {
+                    let row: Vec<(usize, u8)> = view.worker(w).collect();
+                    prop_assert_eq!(&row, &by_worker[w], "worker {} at {} shards", w, shards);
+                    prop_assert_eq!(view.worker_len(w), dataset.worker_degree(w));
+                }
+                prop_assert_eq!(view.max_task_degree(), (0..n).map(|t| dataset.task_degree(t)).max().unwrap_or(0));
             }
         }
 
-        /// Majority posteriors over the CSR view are proper distributions
+        /// Majority posteriors over the view are proper distributions
         /// and match the per-task label counts.
         #[test]
         fn majority_posteriors_match_counts(dataset in arb_categorical()) {
-            let cat = Cat::build("test", &dataset, &InferenceOptions::default(), false).unwrap();
-            let post = cat.majority_posteriors();
-            for t in 0..cat.n {
+            let view = ShardedView::build("test", &dataset, &InferenceOptions::default(), false).unwrap();
+            let post = view.majority_posteriors();
+            for t in 0..view.n {
                 let row = post.row(t);
                 let sum: f64 = row.iter().sum();
                 prop_assert!((sum - 1.0).abs() < 1e-9, "task {} sums to {}", t, sum);
-                let deg = cat.task_len(t);
+                let deg = view.task_len(t);
                 if deg > 0 {
                     for (label, &p) in row.iter().enumerate() {
                         let count =
-                            cat.task(t).filter(|&(_, a)| a as usize == label).count();
+                            view.task_row(t).iter().filter(|&&(_, a)| a as usize == label).count();
                         prop_assert!((p - count as f64 / deg as f64).abs() < 1e-9);
                     }
                 }
@@ -702,12 +551,16 @@ mod tests {
         b.add_label(3, 2, 1).unwrap();
         // Tasks 1-2 and worker 1 receive nothing.
         let d = b.build();
-        let cat = Cat::build("test", &d, &InferenceOptions::default(), false).unwrap();
-        assert_eq!(cat.task_len(1), 0);
-        assert_eq!(cat.task_len(2), 0);
-        assert_eq!(cat.worker_len(1), 0);
-        assert_eq!(cat.task(1).count(), 0);
-        assert_eq!(cat.task(0).collect::<Vec<_>>(), vec![(0usize, 0u8)]);
-        assert_eq!(cat.task(3).collect::<Vec<_>>(), vec![(2usize, 1u8)]);
+        for shards in [1, 2, 4, 6] {
+            let view = sharded(&d, shards);
+            assert_eq!(view.task_len(1), 0);
+            assert_eq!(view.task_len(2), 0);
+            assert_eq!(view.worker_len(1), 0);
+            assert_eq!(view.worker(1).count(), 0);
+            assert!(view.task_row(1).is_empty());
+            assert_eq!(view.task_row(0), &[(0u32, 0u8)]);
+            assert_eq!(view.task_row(3), &[(2u32, 1u8)]);
+            assert_eq!(view.worker(2).collect::<Vec<_>>(), vec![(3usize, 1u8)]);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Task-range sharding of the categorical CSR view — the data layer of
-//! every D&S, LFC, ZC, GLAD and MV run (see ARCHITECTURE.md §sharded
-//! substrate). The unsharded case is one shard.
+//! every categorical method (see ARCHITECTURE.md §sharded substrate).
+//! The unsharded case is one shard.
 //!
 //! A [`ShardedView`] splits the task axis into contiguous ranges
 //! (the **shard directory**) and stores, per shard, both CSR
@@ -14,28 +14,28 @@
 //!   order).
 //!
 //! The canonical worker-row order is the bit-identity keystone: walking
-//! every shard's worker row in ascending shard order visits a worker's
-//! answers in ascending task order **regardless of the shard count and
-//! of how the records interleave across tasks**, so any per-worker f64
-//! fold over the view depends only on each task's own answer sequence.
+//! every shard's worker row in ascending shard order
+//! ([`ShardedView::worker`]) visits a worker's answers in ascending task
+//! order **regardless of the shard count and of how the records
+//! interleave across tasks**, so any per-worker f64 fold over the view
+//! depends only on each task's own answer sequence.
 //!
 //! Every constructor funnels through one flat task CSR built by the
 //! two-pass [`Csr::from_triples`] (count, then scatter — no intermediate
 //! copy of the log), split at the shard boundaries; each shard then
 //! derives its worker rows from its task rows
 //! ([`Csr::from_triples_counted`]). [`ShardedView::build`] is the
-//! dataset entry point `infer` uses, [`ShardedView::from_records`] reads
-//! a re-iterable `(task, worker, label)` source (a streamed generator
-//! or a stream's arrival log), and [`ShardedView::from_cat`] copies an
-//! existing [`Cat`]'s task rows.
+//! dataset entry point `infer` uses, and [`ShardedView::from_records`]
+//! reads a re-iterable `(task, worker, label)` source (a streamed
+//! generator or a stream's arrival log).
 
-use crowd_data::Dataset;
+use crowd_data::{Answer, Dataset};
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use super::{decode_row, golden_labels, num_choices, Cat, Csr};
+use super::{decode_row, Csr};
 use crate::exec;
 use crate::framework::{InferenceError, InferenceOptions};
 
@@ -125,8 +125,9 @@ impl ShardData {
 }
 
 /// A categorical answer view split into contiguous task-range shards —
-/// the substrate the EM paths (`Ds::infer_sharded` and friends) run on.
-/// See the module docs for the layout and order guarantees.
+/// the substrate every categorical method's
+/// [`TruthInference::infer_sharded`](crate::TruthInference::infer_sharded)
+/// runs on. See the module docs for the layout and order guarantees.
 #[derive(Debug)]
 pub struct ShardedView {
     /// Number of tasks.
@@ -149,7 +150,7 @@ pub struct ShardedView {
 
 impl ShardedView {
     /// The one-shard view of a categorical dataset — what `infer` runs
-    /// D&S, LFC, ZC, GLAD and MV on. Fails on numeric datasets; golden
+    /// every categorical method on. Fails on numeric datasets; golden
     /// clamps come from `options.golden` when `use_golden`.
     pub fn build(
         method: &'static str,
@@ -157,12 +158,24 @@ impl ShardedView {
         options: &InferenceOptions,
         use_golden: bool,
     ) -> Result<Self, InferenceError> {
-        let l = num_choices(method, dataset)?;
+        let l = dataset
+            .num_choices()
+            .ok_or(InferenceError::UnsupportedTaskType {
+                method,
+                task_type: dataset.task_type(),
+            })?;
         let n = dataset.num_tasks();
+        let golden = match (&options.golden, use_golden) {
+            (Some(g), true) => g
+                .iter()
+                .map(|t| t.as_ref().and_then(Answer::label))
+                .collect(),
+            _ => vec![None; n],
+        };
         Ok(Self::from_records(
             n,
             dataset.num_workers(),
-            l,
+            usize::from(l),
             1,
             dataset.records().iter().map(|r| {
                 (
@@ -171,21 +184,8 @@ impl ShardedView {
                     r.answer.label().expect("categorical dataset"),
                 )
             }),
-            golden_labels(options, use_golden, n),
+            golden,
         ))
-    }
-
-    /// Slice an existing flat view into `shard_count` task-range shards.
-    /// Task rows are copied verbatim; worker rows are re-derived in the
-    /// canonical task-ascending order.
-    pub fn from_cat(cat: &Cat, shard_count: usize) -> Self {
-        Self::from_task_adj(
-            cat.m,
-            cat.l,
-            shard_count,
-            cat.task_adj.clone(),
-            cat.golden.clone(),
-        )
     }
 
     /// Build from a `(task, worker, label)` record source in two passes
@@ -196,12 +196,12 @@ impl ShardedView {
     ///
     /// Within each task, record order is preserved, so the view depends
     /// only on each task's own answer sequence: any interleaving of the
-    /// same per-task sequences builds an entry-identical view, equal to
-    /// [`ShardedView::from_cat`] over the equivalent flat view.
+    /// same per-task sequences builds an entry-identical view.
     ///
     /// # Panics
     /// Panics on any out-of-range record (task ≥ `n`, worker ≥ `m`,
-    /// label ≥ `l`) or a `golden` vector that is not `n` long.
+    /// label ≥ `l`), a `golden` vector that is not `n` long, or a golden
+    /// label ≥ `l`.
     pub fn from_records(
         n: usize,
         m: usize,
@@ -211,6 +211,10 @@ impl ShardedView {
         golden: Vec<Option<u8>>,
     ) -> Self {
         assert_eq!(golden.len(), n, "golden vector length");
+        assert!(
+            golden.iter().flatten().all(|&g| usize::from(g) < l),
+            "golden label ≥ {l}"
+        );
         let task_adj = Csr::from_triples(
             n,
             records.map(|(task, worker, label)| (task as usize, worker, label)),
@@ -363,10 +367,41 @@ impl ShardedView {
         *self.entry_offsets.last().unwrap()
     }
 
+    /// Answers on global task `t` as one contiguous slice of `(worker,
+    /// label)` entries, in record order.
+    #[inline]
+    pub fn task_row(&self, t: usize) -> &[(u32, u8)] {
+        // Every `infer` view has one shard, and Minimax and Multi read a
+        // task row per task per gradient step: skip the directory there.
+        match &self.shards[..] {
+            [only] => only.task_adj.row(t),
+            _ => {
+                let s = self.shard_for_task(t);
+                self.shards[s].task_adj.row(t - self.starts[s])
+            }
+        }
+    }
+
     /// Number of answers on global task `t`.
     pub fn task_len(&self, t: usize) -> usize {
-        let s = self.shard_for_task(t);
-        self.shards[s].task_adj.row_len(t - self.starts[s])
+        self.task_row(t).len()
+    }
+
+    /// Worker `w`'s answers as `(task, label)` pairs: its per-shard rows
+    /// concatenated in ascending shard order, which is ascending task
+    /// order at any shard count. Internal iteration (`for_each`, `sum`,
+    /// `count`) compiles to one plain loop per shard; hot loops use it
+    /// rather than `for`, which pays the concatenation's bookkeeping on
+    /// every answer.
+    #[inline]
+    pub fn worker(&self, w: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
+        self.shards.iter().flat_map(move |shard| {
+            shard
+                .worker_adj
+                .row(w)
+                .iter()
+                .map(|&(task, label)| (task as usize, label))
+        })
     }
 
     /// Number of answers by worker `w` (summed over shards).
@@ -445,9 +480,11 @@ impl ShardedView {
         });
     }
 
-    /// Soft majority-vote posteriors — same per-task arithmetic as
-    /// [`Cat::majority_posteriors`], walked shard-by-shard, so the
-    /// result is bit-identical at any shard count.
+    /// Soft majority-vote posteriors: per-task normalized label counts
+    /// (uniform when a task has no answers), with golden clamps applied —
+    /// the standard initialisation for EM-style methods. Walked
+    /// shard-by-shard; each row depends only on its task's answers, so
+    /// the result is bit-identical at any shard count.
     pub fn majority_posteriors(&self) -> DMat {
         let mut post = DMat::zeros(self.n, self.l);
         for s in 0..self.num_shards() {
@@ -482,8 +519,9 @@ impl ShardedView {
         }
     }
 
-    /// Decode MAP labels from posteriors with seeded tie-breaking — same
-    /// RNG consumption pattern as [`Cat::decode`].
+    /// Decode MAP labels from posteriors, breaking exact ties uniformly
+    /// at random (the paper's MV behaviour on ties); the RNG draws only
+    /// on tied rows, in task order.
     pub fn decode(&self, post: &DMat, rng: &mut StdRng) -> Vec<u8> {
         (0..self.n)
             .map(|task| decode_row(post.row(task), rng))
@@ -502,24 +540,23 @@ fn shard_of(starts: &[usize], t: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::InferenceOptions;
-    use crowd_data::{DatasetBuilder, TaskType};
 
-    fn ragged_cat() -> Cat {
-        let mut b = DatasetBuilder::new("shard", TaskType::SingleChoice { choices: 3 }, 7, 4);
-        // Task-by-task fill with uneven degrees and gaps (task 3 empty).
-        b.add_label(0, 0, 0).unwrap();
-        b.add_label(0, 1, 1).unwrap();
-        b.add_label(0, 2, 0).unwrap();
-        b.add_label(1, 3, 2).unwrap();
-        b.add_label(2, 0, 1).unwrap();
-        b.add_label(2, 3, 1).unwrap();
-        b.add_label(4, 1, 2).unwrap();
-        b.add_label(5, 0, 0).unwrap();
-        b.add_label(5, 2, 2).unwrap();
-        b.add_label(6, 3, 0).unwrap();
-        let d = b.build();
-        Cat::build("test", &d, &InferenceOptions::default(), false).unwrap()
+    /// A ragged single-choice log (ℓ = 3) with uneven degrees and gaps
+    /// (task 3 empty), filled task by task, over `shards` shards.
+    fn ragged(shards: usize) -> ShardedView {
+        let records = [
+            (0u32, 0u32, 0u8),
+            (0, 1, 1),
+            (0, 2, 0),
+            (1, 3, 2),
+            (2, 0, 1),
+            (2, 3, 1),
+            (4, 1, 2),
+            (5, 0, 0),
+            (5, 2, 2),
+            (6, 3, 0),
+        ];
+        ShardedView::from_records(7, 4, 3, shards, records.into_iter(), vec![None; 7])
     }
 
     #[test]
@@ -534,82 +571,87 @@ mod tests {
     }
 
     #[test]
-    fn from_cat_preserves_rows_and_canonicalizes_workers() {
-        let cat = ragged_cat();
+    fn build_preserves_rows_and_canonicalizes_workers() {
+        // The ragged log with tasks interleaved (task 2's answers arrive
+        // before task 0's last one, task 5's before task 4's).
+        let records = [
+            (0u32, 0u32, 0u8),
+            (2, 0, 1),
+            (0, 1, 1),
+            (1, 3, 2),
+            (2, 3, 1),
+            (0, 2, 0),
+            (5, 0, 0),
+            (4, 1, 2),
+            (6, 3, 0),
+            (5, 2, 2),
+        ];
         for shards in [1, 2, 3, 7, 11] {
-            let view = ShardedView::from_cat(&cat, shards);
-            assert_eq!(view.num_answers(), cat.num_answers());
+            let view =
+                ShardedView::from_records(7, 4, 3, shards, records.into_iter(), vec![None; 7]);
+            assert_eq!(view.num_answers(), records.len());
             assert_eq!(view.max_task_degree(), 3);
-            // Task rows are verbatim slices.
-            for t in 0..cat.n {
-                let s = view.shard_for_task(t);
-                assert_eq!(
-                    view.shard_task_row(s, t - view.shard_tasks(s).start),
-                    cat.task_row(t),
-                    "task {t} at {shards} shards"
-                );
-                assert_eq!(view.task_len(t), cat.task_len(t));
+            // Task rows keep each task's answers in record order.
+            for t in 0..7 {
+                let row: Vec<(u32, u8)> = records
+                    .iter()
+                    .filter(|r| r.0 as usize == t)
+                    .map(|&(_, w, label)| (w, label))
+                    .collect();
+                assert_eq!(view.task_row(t), &row[..], "task {t} at {shards} shards");
+                assert_eq!(view.task_len(t), row.len());
             }
             // Concatenated worker rows are the task-ascending canonical
-            // order (the builder filled task-by-task, so this equals the
-            // flat worker rows).
-            for w in 0..cat.m {
+            // order, whatever the arrival order across tasks.
+            for w in 0..4 {
+                let mut row: Vec<(u32, u8)> = records
+                    .iter()
+                    .filter(|r| r.1 as usize == w)
+                    .map(|&(t, _, label)| (t, label))
+                    .collect();
+                row.sort_by_key(|&(t, _)| t);
                 let mut concat: Vec<(u32, u8)> = Vec::new();
                 for s in 0..view.num_shards() {
                     concat.extend_from_slice(view.shard_worker_row(s, w));
                 }
-                assert_eq!(concat, cat.worker_row(w), "worker {w} at {shards} shards");
-                assert_eq!(view.worker_len(w), cat.worker_len(w));
+                assert_eq!(concat, row, "worker {w} at {shards} shards");
+                assert_eq!(view.worker_len(w), row.len());
             }
         }
     }
 
     #[test]
     fn streamed_build_matches_sliced_build() {
-        let cat = ragged_cat();
-        let records: Vec<(u32, u32, u8)> = (0..cat.n)
-            .flat_map(|t| {
-                cat.task_row(t)
-                    .iter()
-                    .map(move |&(w, label)| (t as u32, w, label))
-            })
-            .collect();
+        // A view built over S shards is the one-shard view sliced at the
+        // directory: the same task rows, and each shard's worker rows are
+        // the one-shard worker rows restricted to the shard's tasks.
+        let flat = ragged(1);
         for shards in [1, 2, 5, 9] {
-            let sliced = ShardedView::from_cat(&cat, shards);
-            let streamed = ShardedView::from_records(
-                cat.n,
-                cat.m,
-                cat.l,
-                shards,
-                records.iter().copied(),
-                vec![None; cat.n],
-            );
-            for s in 0..sliced.num_shards() {
-                let start = sliced.shard_tasks(s).start;
-                for t in sliced.shard_tasks(s) {
-                    assert_eq!(
-                        sliced.shard_task_row(s, t - start),
-                        streamed.shard_task_row(s, t - start)
-                    );
-                }
-                for w in 0..cat.m {
-                    assert_eq!(
-                        sliced.shard_worker_row(s, w),
-                        streamed.shard_worker_row(s, w)
-                    );
+            let view = ragged(shards);
+            assert_eq!(view.num_answers(), flat.num_answers());
+            for t in 0..flat.n {
+                assert_eq!(view.task_row(t), flat.task_row(t), "task {t}");
+            }
+            for s in 0..view.num_shards() {
+                let range = view.shard_tasks(s);
+                for w in 0..flat.m {
+                    let restricted: Vec<(u32, u8)> = flat
+                        .shard_worker_row(0, w)
+                        .iter()
+                        .copied()
+                        .filter(|&(t, _)| range.contains(&(t as usize)))
+                        .collect();
+                    assert_eq!(view.shard_worker_row(s, w), &restricted[..]);
                 }
             }
-            assert_eq!(sliced.directory(), streamed.directory());
         }
     }
 
     #[test]
     fn majority_posteriors_bit_identical_to_flat() {
-        let cat = ragged_cat();
-        let flat = cat.majority_posteriors();
+        let flat = ragged(1).majority_posteriors();
         for shards in [1, 2, 7, 16] {
-            let view = ShardedView::from_cat(&cat, shards);
-            let sharded = view.majority_posteriors();
+            let sharded = ragged(shards).majority_posteriors();
             assert_eq!(
                 flat.data()
                     .iter()
@@ -627,8 +669,8 @@ mod tests {
 
     #[test]
     fn rebuild_shard_swaps_one_range_only() {
-        let cat = ragged_cat();
-        let mut view = ShardedView::from_cat(&cat, 3);
+        let flat = ragged(1);
+        let mut view = ragged(3);
         // Shard 1 covers tasks 3..5 (ceil split of 7 into 3: [0,3,5,7]).
         let range = view.shard_tasks(1);
         // Replace shard 1's content: task 4 now has two answers.
@@ -638,22 +680,29 @@ mod tests {
         assert_eq!(view.task_len(4), 2);
         assert_eq!(view.task_len(3), 0);
         // Other shards untouched.
-        assert_eq!(view.shard_task_row(0, 0), cat.task_row(0));
-        assert_eq!(view.task_len(6), cat.task_len(6));
+        assert_eq!(view.task_row(0), flat.task_row(0));
+        assert_eq!(view.task_len(6), flat.task_len(6));
         // Entry offsets re-derived.
         assert_eq!(
             view.num_answers(),
-            cat.num_answers() - cat.task_len(3) - cat.task_len(4) + 2
+            flat.num_answers() - flat.task_len(3) - flat.task_len(4) + 2
         );
         // Canonical worker rows reflect the swap.
         assert_eq!(view.shard_worker_row(1, 0), &[(4u32, 1u8)]);
     }
 
     #[test]
+    #[should_panic(expected = "golden label")]
+    fn from_records_rejects_out_of_range_golden_labels() {
+        let mut golden = vec![None; 2];
+        golden[0] = Some(3);
+        ShardedView::from_records(2, 1, 3, 1, [(1u32, 0u32, 0u8)].into_iter(), golden);
+    }
+
+    #[test]
     #[should_panic(expected = "outside shard")]
     fn rebuild_shard_rejects_out_of_range_records() {
-        let cat = ragged_cat();
-        let mut view = ShardedView::from_cat(&cat, 3);
+        let mut view = ragged(3);
         view.rebuild_shard(1, &[(0, 0, 0)]);
     }
 }

@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crowd_core::methods::{Ds, Glad, Lfc, LfcN, Zc};
+use crowd_core::methods::{Ds, Glad, Lfc, LfcN, Minimax, Multi, ViBp, ViMf, Zc};
 use crowd_core::{InferenceOptions, TruthInference};
 use crowd_data::datasets::PaperDataset;
 use crowd_data::Dataset;
@@ -100,6 +100,15 @@ fn main() {
     assert_iteration_alloc_free(&Lfc::default(), &categorical);
     assert_iteration_alloc_free(&Zc::default(), &categorical);
     assert_iteration_alloc_free(&Glad::default(), &categorical);
+    // These walk a worker's rows across shards (`ShardedView::worker`),
+    // which must allocate nothing either.
+    assert_iteration_alloc_free(&ViMf::default(), &categorical);
+    assert_iteration_alloc_free(&ViBp::default(), &categorical);
+    assert_iteration_alloc_free(&Multi::default(), &categorical);
+    assert_iteration_alloc_free(&Minimax::default(), &categorical);
+    // ℓ = 4: Minimax's other specialised width.
+    let single_choice = PaperDataset::SRel.generate(0.02, 7);
+    assert_iteration_alloc_free(&Minimax::default(), &single_choice);
 
     let numeric = PaperDataset::NEmotion.generate(0.2, 7);
     assert_iteration_alloc_free(&LfcN::default(), &numeric);

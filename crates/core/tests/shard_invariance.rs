@@ -1,24 +1,23 @@
-//! Shard-invariance property tests: every method on the sharded
-//! substrate must be **bit-identical** — posteriors, truths, worker
-//! quality, iteration count — at every shard count, including the
+//! Shard-invariance property tests: every categorical method on the
+//! sharded substrate must be **bit-identical** — posteriors, truths,
+//! worker quality, iteration count — at every shard count, including the
 //! adversarial directory shapes (more shards than tasks, one task per
 //! shard, empty shards from gap-heavy logs), and on every arrival order
 //! that keeps each task's own answer sequence.
 //!
 //! Why bit equality is the right bar (and achievable): E-steps are
 //! per-task independent, so fanning them out per shard changes nothing;
-//! the M-steps fold each worker's per-shard adjacency rows in ascending
-//! shard order over the *canonical* task-ascending worker rows, so the
-//! non-associative f64 accumulation visits answers in one order fixed by
-//! the per-task answer sequences alone. GLAD never walks a worker row at
-//! all. The `infer_view` entry points run the one-shard copy of a flat
-//! view, so comparing them with `infer_sharded` pins shard-count
+//! every per-worker fold walks the *canonical* task-ascending worker
+//! rows (`ShardedView::worker`, or each shard's rows in ascending shard
+//! order), so the non-associative f64 accumulation visits answers in one
+//! order fixed by the per-task answer sequences alone. `infer` runs the
+//! one-shard view, so comparing it with `infer_sharded` pins shard-count
 //! invariance against the `S = 1` baseline.
 
-use crowd_core::methods::{Ds, Glad, Lfc, Mv, Zc};
-use crowd_core::views::{Cat, ShardedView};
-use crowd_core::{InferenceOptions, InferenceResult, Method, WorkerQuality};
-use crowd_data::{AnswerRecord, Dataset, DatasetBuilder, StreamSim, TaskType};
+use crowd_core::methods::Ds;
+use crowd_core::views::ShardedView;
+use crowd_core::{InferenceOptions, InferenceResult, Method, TruthInference, WorkerQuality};
+use crowd_data::{Dataset, DatasetBuilder, StreamSim, TaskType};
 use proptest::prelude::*;
 
 /// The tested shard counts: the required {1, 2, 7, 16} plus `n` (every
@@ -55,26 +54,40 @@ fn fixtures() -> Vec<(&'static str, Dataset)> {
     vec![("streamed", streamed), ("ragged", ragged)]
 }
 
+/// `dataset`'s records, in record order, as a view over `shards`
+/// task-range shards with no golden clamps.
+fn view(d: &Dataset, shards: usize) -> ShardedView {
+    ShardedView::from_records(
+        d.num_tasks(),
+        d.num_workers(),
+        d.num_choices().unwrap() as usize,
+        shards,
+        d.records()
+            .iter()
+            .map(|r| (r.task as u32, r.worker as u32, r.answer.label().unwrap())),
+        vec![None; d.num_tasks()],
+    )
+}
+
+/// The posterior bits; empty for the methods that report none (CATD,
+/// PM).
 fn posterior_bits(r: &InferenceResult) -> Vec<u64> {
     r.posteriors
         .as_ref()
-        .expect("method reports posteriors")
-        .data()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect()
+        .map_or_else(Vec::new, |p| p.data().iter().map(|x| x.to_bits()).collect())
 }
 
 fn quality_bits(r: &InferenceResult) -> Vec<u64> {
     r.worker_quality
         .iter()
         .flat_map(|q| match q {
-            WorkerQuality::Probability(p) => vec![p.to_bits()],
+            WorkerQuality::Probability(p) | WorkerQuality::Weight(p) => vec![p.to_bits()],
             WorkerQuality::Confusion(m) => m
                 .iter()
                 .flatten()
                 .map(|c| c.to_bits())
                 .collect::<Vec<u64>>(),
+            WorkerQuality::Skills(s) => s.iter().map(|x| x.to_bits()).collect(),
             WorkerQuality::Unmodeled => vec![],
             other => panic!("unexpected quality kind {other:?}"),
         })
@@ -103,66 +116,56 @@ fn assert_identical(name: &str, shards: usize, flat: &InferenceResult, sharded: 
     );
 }
 
-fn check_method(
-    name: &str,
-    flat_run: impl Fn(&Cat, &InferenceOptions) -> InferenceResult,
-    sharded_run: impl Fn(&ShardedView, &InferenceOptions) -> InferenceResult,
-) {
+/// `method`'s `infer_sharded` at every shard count against its `infer`
+/// (the one-shard view), on every fixture whose task type it accepts.
+fn check_method(method: Method) {
+    let inference = method.build();
     for (dataset_name, d) in fixtures() {
+        if !method.supports(d.task_type()) {
+            continue;
+        }
         let options = InferenceOptions::seeded(17);
-        let cat = Cat::build("shard-test", &d, &options, true).unwrap();
-        let flat = flat_run(&cat, &options);
-        for shards in shard_counts(cat.n) {
-            let view = ShardedView::from_cat(&cat, shards);
-            let sharded = sharded_run(&view, &options);
-            assert_identical(&format!("{name}/{dataset_name}"), shards, &flat, &sharded);
+        let flat = inference.infer(&d, &options).unwrap();
+        for shards in shard_counts(d.num_tasks()) {
+            let sharded = inference
+                .infer_sharded(&view(&d, shards), &options)
+                .unwrap();
+            let name = format!("{}/{dataset_name}", method.name());
+            assert_identical(&name, shards, &flat, &sharded);
         }
     }
 }
 
 #[test]
+fn every_categorical_method_bit_identical_across_shard_counts() {
+    for method in Method::ALL {
+        check_method(method);
+    }
+}
+
+#[test]
 fn ds_bit_identical_across_shard_counts() {
-    check_method(
-        "D&S",
-        |cat, o| Ds.infer_view(cat, o).unwrap(),
-        |view, o| Ds.infer_sharded(view, o).unwrap(),
-    );
+    check_method(Method::Ds);
 }
 
 #[test]
 fn lfc_bit_identical_across_shard_counts() {
-    check_method(
-        "LFC",
-        |cat, o| Lfc::default().infer_view(cat, o).unwrap(),
-        |view, o| Lfc::default().infer_sharded(view, o).unwrap(),
-    );
+    check_method(Method::Lfc);
 }
 
 #[test]
 fn zc_bit_identical_across_shard_counts() {
-    check_method(
-        "ZC",
-        |cat, o| Zc::default().infer_view(cat, o).unwrap(),
-        |view, o| Zc::default().infer_sharded(view, o).unwrap(),
-    );
+    check_method(Method::Zc);
 }
 
 #[test]
 fn glad_bit_identical_across_shard_counts() {
-    check_method(
-        "GLAD",
-        |cat, o| Glad::default().infer_view(cat, o).unwrap(),
-        |view, o| Glad::default().infer_sharded(view, o).unwrap(),
-    );
+    check_method(Method::Glad);
 }
 
 #[test]
 fn mv_bit_identical_across_shard_counts() {
-    check_method(
-        "MV",
-        |cat, o| Mv.infer_view(cat, o).unwrap(),
-        |view, o| Mv.infer_sharded(view, o).unwrap(),
-    );
+    check_method(Method::Mv);
 }
 
 #[test]
@@ -172,33 +175,29 @@ fn warm_started_sharded_runs_stay_bit_identical() {
     // compare.
     let d = StreamSim::new(5, 40, 10, 2, 3).to_dataset("warm");
     let cold_options = InferenceOptions::seeded(3);
-    let cat = Cat::build("shard-test", &d, &cold_options, true).unwrap();
-    let cold = Ds.infer_view(&cat, &cold_options).unwrap();
+    let cold = Ds.infer(&d, &cold_options).unwrap();
     let warm_options = InferenceOptions {
         warm_start: Some(crowd_core::WarmStart::from_result(&cold)),
         ..InferenceOptions::seeded(3)
     };
-    let flat = Ds.infer_view(&cat, &warm_options).unwrap();
+    let flat = Ds.infer(&d, &warm_options).unwrap();
     for shards in [1usize, 2, 7, 16] {
-        let view = ShardedView::from_cat(&cat, shards);
-        let sharded = Ds.infer_sharded(&view, &warm_options).unwrap();
+        let sharded = Ds.infer_sharded(&view(&d, shards), &warm_options).unwrap();
         assert_identical("D&S-warm", shards, &flat, &sharded);
     }
 }
 
 #[test]
 fn streamed_construction_matches_sliced_construction_end_to_end() {
-    // `from_records` (single-pass streaming build) must be
-    // indistinguishable from slicing the equivalent flat view — run the
-    // full EM on both and compare.
+    // A view streamed from the generator (`from_records` over
+    // `sim.records()`) must be indistinguishable from one built from the
+    // materialised dataset's records — run the full EM on both and
+    // compare.
     let sim = StreamSim::new(29, 50, 9, 3, 3);
     let d = sim.to_dataset("stream-e2e");
     let options = InferenceOptions::seeded(8);
-    // The flat view keeps golden empty (use_golden=false ⇒ no clamps) so
-    // the streamed build with no golden matches.
-    let cat = Cat::build("shard-test", &d, &options, false).unwrap();
     for shards in [3usize, 8] {
-        let sliced = ShardedView::from_cat(&cat, shards);
+        let sliced = view(&d, shards);
         let streamed = ShardedView::from_records(
             sim.num_tasks(),
             sim.num_workers(),
@@ -259,10 +258,13 @@ fn interleaved(grouped: &[KeyedAnswer]) -> Vec<KeyedAnswer> {
         .collect()
 }
 
-fn dataset(n: usize, m: usize, l: u8, log: &[KeyedAnswer]) -> Dataset {
-    let mut b = DatasetBuilder::new("order", TaskType::SingleChoice { choices: l }, n, m);
+/// The log as a dataset of `task_type`, labels folded into its range
+/// (a decision-making copy keeps each label's parity).
+fn dataset(task_type: TaskType, n: usize, m: usize, log: &[KeyedAnswer]) -> Dataset {
+    let l = task_type.num_choices().unwrap();
+    let mut b = DatasetBuilder::new("order", task_type, n, m);
     for &(t, w, label, _) in log {
-        b.add_label(t, w, label).expect("unique valid answer");
+        b.add_label(t, w, label % l).expect("unique valid answer");
     }
     b.build()
 }
@@ -270,28 +272,10 @@ fn dataset(n: usize, m: usize, l: u8, log: &[KeyedAnswer]) -> Dataset {
 /// `infer` on `d`, then `infer_sharded` on views streamed from `d`'s
 /// records at 1, 2 and 7 shards.
 fn runs(method: Method, d: &Dataset, options: &InferenceOptions) -> Vec<(String, InferenceResult)> {
-    let mut out = vec![(
-        "infer".to_string(),
-        method.build().infer(d, options).unwrap(),
-    )];
+    let inference = method.build();
+    let mut out = vec![("infer".to_string(), inference.infer(d, options).unwrap())];
     for shards in [1usize, 2, 7] {
-        let view = ShardedView::from_records(
-            d.num_tasks(),
-            d.num_workers(),
-            d.num_choices().unwrap() as usize,
-            shards,
-            d.records().iter().map(|r: &AnswerRecord| {
-                (r.task as u32, r.worker as u32, r.answer.label().unwrap())
-            }),
-            vec![None; d.num_tasks()],
-        );
-        let sharded = match method {
-            Method::Ds => Ds.infer_sharded(&view, options),
-            Method::Lfc => Lfc::default().infer_sharded(&view, options),
-            Method::Zc => Zc::default().infer_sharded(&view, options),
-            Method::Glad => Glad::default().infer_sharded(&view, options),
-            _ => Mv.infer_sharded(&view, options),
-        };
+        let sharded = inference.infer_sharded(&view(d, shards), options);
         out.push((format!("{shards} shards"), sharded.unwrap()));
     }
     out
@@ -301,28 +285,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arrival order is not an input: any permutation of a log that
-    /// keeps each task's own answer order gives bit-identical posteriors,
-    /// qualities, truths and iteration counts — through `infer` and at
-    /// 1, 2 and 7 shards.
+    /// keeps each task's own answer order gives every categorical method
+    /// bit-identical posteriors, qualities, truths and iteration counts —
+    /// through `infer` and at 1, 2 and 7 shards. Each log also runs as a
+    /// decision-making copy, the only task type KOS, Multi, VI-BP and
+    /// VI-MF accept.
     #[test]
     fn outputs_ignore_arrival_order_across_tasks((n, m, l, grouped) in arb_log()) {
         let permuted = interleaved(&grouped);
-        let (a, b) = (dataset(n, m, l, &grouped), dataset(n, m, l, &permuted));
         let options = InferenceOptions::seeded(5);
-        for method in [Method::Ds, Method::Lfc, Method::Zc, Method::Glad, Method::Mv] {
-            let reference = &runs(method, &a, &options)[0].1;
-            for (arrival, d) in [("grouped", &a), ("interleaved", &b)] {
-                for (path, r) in runs(method, d, &options) {
-                    let at = format!("{} {arrival} {path}", method.name());
-                    prop_assert_eq!(&reference.truths, &r.truths, "{}: truths", at);
-                    prop_assert_eq!(posterior_bits(reference), posterior_bits(&r), "{}: posteriors", at);
-                    prop_assert_eq!(quality_bits(reference), quality_bits(&r), "{}: quality", at);
-                    prop_assert_eq!(
-                        (reference.iterations, reference.converged),
-                        (r.iterations, r.converged),
-                        "{}: trajectory",
-                        at
-                    );
+        for task_type in [TaskType::SingleChoice { choices: l }, TaskType::DecisionMaking] {
+            let a = dataset(task_type, n, m, &grouped);
+            let b = dataset(task_type, n, m, &permuted);
+            for method in Method::ALL.into_iter().filter(|m| m.supports(task_type)) {
+                let reference = &runs(method, &a, &options)[0].1;
+                for (arrival, d) in [("grouped", &a), ("interleaved", &b)] {
+                    for (path, r) in runs(method, d, &options) {
+                        let at = format!("{} {task_type:?} {arrival} {path}", method.name());
+                        prop_assert_eq!(&reference.truths, &r.truths, "{}: truths", at);
+                        prop_assert_eq!(posterior_bits(reference), posterior_bits(&r), "{}: posteriors", at);
+                        prop_assert_eq!(quality_bits(reference), quality_bits(&r), "{}: quality", at);
+                        prop_assert_eq!(
+                            (reference.iterations, reference.converged),
+                            (r.iterations, r.converged),
+                            "{}: trajectory",
+                            at
+                        );
+                    }
                 }
             }
         }

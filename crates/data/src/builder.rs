@@ -55,37 +55,6 @@ impl DatasetBuilder {
         Ok(())
     }
 
-    fn check_answer(&self, answer: &Answer) -> Result<(), DataError> {
-        match (self.task_type, answer) {
-            (TaskType::Numeric, Answer::Numeric(v)) => {
-                if v.is_finite() {
-                    Ok(())
-                } else {
-                    Err(DataError::AnswerKindMismatch {
-                        detail: format!("non-finite numeric answer {v}"),
-                    })
-                }
-            }
-            (TaskType::Numeric, Answer::Label(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "label answer on a numeric dataset".into(),
-            }),
-            (t, Answer::Label(l)) => {
-                let choices = t.num_choices().expect("categorical task type");
-                if *l < choices {
-                    Ok(())
-                } else {
-                    Err(DataError::LabelOutOfRange {
-                        label: *l,
-                        num_choices: choices,
-                    })
-                }
-            }
-            (_, Answer::Numeric(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "numeric answer on a categorical dataset".into(),
-            }),
-        }
-    }
-
     /// Record `worker`'s answer for `task`.
     pub fn add_answer(
         &mut self,
@@ -94,7 +63,7 @@ impl DatasetBuilder {
         answer: Answer,
     ) -> Result<(), DataError> {
         self.check_indices(task, worker)?;
-        self.check_answer(&answer)?;
+        self.task_type.check_answer(&answer)?;
         if !self.seen.insert((task, worker)) {
             return Err(DataError::DuplicateAnswer { task, worker });
         }
@@ -124,7 +93,7 @@ impl DatasetBuilder {
                 num_tasks: self.num_tasks,
             });
         }
-        self.check_answer(&truth)?;
+        self.task_type.check_answer(&truth)?;
         self.truths[task] = Some(truth);
         Ok(())
     }

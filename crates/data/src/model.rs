@@ -37,6 +37,40 @@ impl TaskType {
     pub fn is_categorical(&self) -> bool {
         !matches!(self, Self::Numeric)
     }
+
+    /// Check that `answer` is a valid answer (or truth) for this task
+    /// type: a label below the choice count for categorical tasks, a
+    /// finite number for numeric ones.
+    pub fn check_answer(&self, answer: &Answer) -> Result<(), DataError> {
+        match (self, answer) {
+            (Self::Numeric, Answer::Numeric(v)) => {
+                if v.is_finite() {
+                    Ok(())
+                } else {
+                    Err(DataError::AnswerKindMismatch {
+                        detail: format!("non-finite numeric answer {v}"),
+                    })
+                }
+            }
+            (Self::Numeric, Answer::Label(_)) => Err(DataError::AnswerKindMismatch {
+                detail: "label answer on a numeric dataset".into(),
+            }),
+            (t, Answer::Label(l)) => {
+                let choices = t.num_choices().expect("categorical task type");
+                if *l < choices {
+                    Ok(())
+                } else {
+                    Err(DataError::LabelOutOfRange {
+                        label: *l,
+                        num_choices: choices,
+                    })
+                }
+            }
+            (_, Answer::Numeric(_)) => Err(DataError::AnswerKindMismatch {
+                detail: "numeric answer on a categorical dataset".into(),
+            }),
+        }
+    }
 }
 
 /// One answer value (Definition 3).
@@ -235,30 +269,6 @@ impl Dataset {
         self.truths.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Validate a candidate answer against the task type.
-    pub fn check_answer(&self, answer: &Answer) -> Result<(), DataError> {
-        match (self.task_type, answer) {
-            (TaskType::Numeric, Answer::Numeric(_)) => Ok(()),
-            (TaskType::Numeric, Answer::Label(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "label answer on a numeric dataset".into(),
-            }),
-            (t, Answer::Label(l)) => {
-                let choices = t.num_choices().expect("categorical");
-                if *l < choices {
-                    Ok(())
-                } else {
-                    Err(DataError::LabelOutOfRange {
-                        label: *l,
-                        num_choices: choices,
-                    })
-                }
-            }
-            (_, Answer::Numeric(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "numeric answer on a categorical dataset".into(),
-            }),
-        }
-    }
-
     /// Produce a copy of this dataset that keeps only the given answer
     /// records (used by the redundancy sub-sampling protocol). Ground
     /// truth, task/worker universe and name are preserved.
@@ -362,14 +372,26 @@ mod tests {
 
     #[test]
     fn check_answer_enforces_kinds_and_ranges() {
-        let d = tiny();
-        assert!(d.check_answer(&Answer::Label(1)).is_ok());
+        let t = tiny().task_type();
+        assert!(t.check_answer(&Answer::Label(1)).is_ok());
         assert!(matches!(
-            d.check_answer(&Answer::Label(2)),
+            t.check_answer(&Answer::Label(2)),
             Err(DataError::LabelOutOfRange { .. })
         ));
         assert!(matches!(
-            d.check_answer(&Answer::Numeric(1.0)),
+            t.check_answer(&Answer::Numeric(1.0)),
+            Err(DataError::AnswerKindMismatch { .. })
+        ));
+        let numeric = TaskType::Numeric;
+        assert!(numeric.check_answer(&Answer::Numeric(-3.5)).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                numeric.check_answer(&Answer::Numeric(bad)),
+                Err(DataError::AnswerKindMismatch { .. })
+            ));
+        }
+        assert!(matches!(
+            numeric.check_answer(&Answer::Label(0)),
             Err(DataError::AnswerKindMismatch { .. })
         ));
     }

@@ -1,7 +1,6 @@
 //! The streaming inference engine: answer deltas in, warm re-converged
 //! truth estimates out.
 
-use crowd_core::methods::{Ds, Glad, Lfc, Mv, Zc};
 use crowd_core::views::ShardedView;
 use crowd_core::{InferenceOptions, InferenceResult, Method, WarmStart, WorkerQuality};
 use crowd_data::{Answer, AnswerRecord, TaskType};
@@ -51,9 +50,11 @@ pub const WARM_SHRINKAGE_PSEUDOCOUNT: f64 = 12.0;
 /// method, and the inference options every converge reuses.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// The inference method re-converged per batch. Supported: the
-    /// EM-family categorical methods with warm starts (`Ds`, `Lfc`,
-    /// `Zc`, `Glad`) plus `Mv` (recomputed directly from the view).
+    /// The inference method re-converged per batch, through its
+    /// `TruthInference::infer_sharded`. Supported: the EM-family
+    /// categorical methods with warm starts (`Ds`, `Lfc`, `Zc`, `Glad`)
+    /// plus `Mv` (recomputed directly from the view): the five that
+    /// the write-ahead log of `crowd-serve` has header tags for.
     pub method: Method,
     /// The task type (must be categorical).
     pub task_type: TaskType,
@@ -66,12 +67,12 @@ pub struct StreamConfig {
     /// ignored).
     pub options: InferenceOptions,
     /// Task-range shards of the session's [`ShardedView`] (default `1`).
-    /// Every converge runs the sharded entry points (`Ds::infer_sharded`
-    /// &c.) on that view, rebuilding only the shards whose task ranges
-    /// received answers since the previous sync. The knob sets the
-    /// rebuild granularity and the working set per E-step block, never
-    /// the output: results are bit-identical at any shard count, on any
-    /// arrival order (see `tests` and `crowd_core::views::sharded`).
+    /// Every converge runs `TruthInference::infer_sharded` on that view,
+    /// rebuilding only the shards whose task ranges received answers
+    /// since the previous sync. The knob sets the rebuild granularity
+    /// and the working set per E-step block, never the output: results
+    /// are bit-identical at any shard count, on any arrival order (see
+    /// `tests` and `crowd_core::views::sharded`).
     pub shard_count: usize,
 }
 
@@ -660,14 +661,7 @@ impl StreamEngine {
         options.golden = None;
         options.warm_start = warm.take();
         options.max_iterations = max_iterations;
-        let result = match self.config.method {
-            Method::Ds => Ds.infer_sharded(view, &options),
-            Method::Lfc => Lfc::default().infer_sharded(view, &options),
-            Method::Zc => Zc::default().infer_sharded(view, &options),
-            Method::Glad => Glad::default().infer_sharded(view, &options),
-            Method::Mv => Mv.infer_sharded(view, &options),
-            _ => unreachable!("rejected in StreamEngine::new"),
-        };
+        let result = self.config.method.build().infer_sharded(view, &options);
         *warm = options.warm_start;
         let result = result?;
         Ok(StreamReport {
@@ -895,8 +889,10 @@ mod tests {
             engine.push_batch(&batch.records).expect("valid replay");
         }
         let streamed = engine.converge_cold().unwrap();
-        use crowd_core::TruthInference;
-        let batch = Ds.infer(&d, &InferenceOptions::default()).unwrap();
+        let batch = Method::Ds
+            .build()
+            .infer(&d, &InferenceOptions::default())
+            .unwrap();
         assert_eq!(streamed.result.truths, batch.truths);
         assert_eq!(streamed.result.iterations, batch.iterations);
     }

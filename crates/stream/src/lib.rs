@@ -15,10 +15,10 @@
 //!   ranges that received answers, and re-converges the method from the
 //!   previous converged posteriors and worker-quality parameters
 //!   (`crowd_core::WarmStart`) instead of from majority vote, via the
-//!   sharded entry points (`Ds::infer_sharded` &c.) — no dataset
-//!   materialisation, no cold restart. The canonical worker order of the
-//!   view makes every converge independent of the shard count and of
-//!   how answers to different tasks interleave. On the paper's
+//!   view entry point `crowd_core::TruthInference::infer_sharded` — no
+//!   dataset materialisation, no cold restart. The canonical worker
+//!   order of the view makes every converge independent of the shard
+//!   count and of how answers to different tasks interleave. On the paper's
 //!   categorical datasets warm starts cut per-batch EM iterations by
 //!   roughly an order of magnitude (see `BENCH_stream.json`).
 //! - **Typed errors** ([`StreamError`]): malformed answers are rejected

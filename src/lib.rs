@@ -16,7 +16,8 @@
 //! - [`core`] — the 17 inference methods and the [`core::TruthInference`]
 //!   trait
 //! - [`stream`] — incremental inference over live answer streams
-//!   (delta-buffered CSR views, warm-start re-convergence)
+//!   (an arrival log kept in a task-range sharded view, rebuilt per
+//!   dirty shard; warm-start re-convergence)
 //! - [`serve`] — multi-session service core: sharded stream engines
 //!   behind a bounded async-style ingest front, drained on the worker
 //!   pool with budgeted re-convergence
