@@ -1,9 +1,7 @@
 //! The shared parallel execution backend.
 //!
-//! One executor used by the method hot loops (worker-level M-step
-//! fan-out), the experiment harness (repeat-level fan-out), and the bench
-//! crate. Work is dispatched to a **persistent worker pool** — threads
-//! are spawned once, parked on a condvar between batches, and woken per
+//! Work is dispatched to a **persistent worker pool** — threads are
+//! spawned once, parked on a condvar between batches, and woken per
 //! fan-out — so dispatching a batch costs a few microseconds instead of
 //! the ~100µs a fresh `std::thread::scope` spawn costs. That is what lets
 //! the E/M fan-out thresholds sit an order of magnitude lower than in the
@@ -11,28 +9,30 @@
 //!
 //! Two entry points:
 //!
-//! - [`parallel_map`]: run `n` heterogeneous closures, preserving output
-//!   order — the repeat/sweep pattern.
-//! - [`parallel_chunks`]: split one contiguous `&mut [T]` into fixed-size
-//!   chunks and process each `(chunk_index, chunk)` — the pattern for
-//!   fanning a flat-matrix M-step out across workers without aliasing.
-//!
-//! Both steal work over an atomic cursor so uneven job costs do not
-//! serialise a batch, and both fall back to inline execution when
-//! `threads <= 1` or the job count is 1, so callers can gate parallelism
-//! by problem size and keep small runs allocation-free and deterministic
-//! in cost.
+//! - [`parallel_chunks`]: the borrowed fan-out. Split one contiguous
+//!   `&mut [T]` into fixed-size chunks and process each
+//!   `(chunk_index, chunk)` on the calling thread plus pool workers — the
+//!   pattern for fanning a flat-matrix E/M-step out across workers
+//!   without aliasing. Chunks are stolen over an atomic cursor so uneven
+//!   costs do not serialise a batch, and the call falls back to a plain
+//!   loop when `threads <= 1` or there is one chunk, so callers can gate
+//!   parallelism by problem size and keep small runs allocation-free.
+//! - [`WorkerPool::submit`]: the owned-job queue. A `'static` job
+//!   submitted from any thread comes back through a [`JobTicket`] as its
+//!   value, its panic payload, or a cancellation — the serve layer's
+//!   multi-shard drain and the experiment harness's sweep runner are
+//!   built on it.
 //!
 //! Thread budget: [`default_threads`] is the machine's available
 //! parallelism, capped by the **`CROWD_THREADS`** environment variable
 //! when set (deployments use it to bound parallelism without code
 //! changes).
 //!
-//! Nesting: a fan-out issued from inside a pool batch (e.g. a method's
-//! internal E-step fan-out while the experiment harness is already
-//! fanning repeats out) runs inline on the calling thread instead of
-//! re-entering the pool — the machine is already saturated, and inline
-//! execution is exactly the serial path whose outputs are bit-identical.
+//! Nesting: a fan-out issued from inside a pool batch or a submitted job
+//! (e.g. a method's internal E-step fan-out while a sweep cell runs on a
+//! pool worker) runs inline on the calling thread instead of re-entering
+//! the pool — the machine is already saturated, and inline execution is
+//! exactly the serial path whose outputs are bit-identical.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -90,40 +90,40 @@ struct JobPtr(*const (dyn Fn() + Sync));
 // alive (see `run_batch`).
 unsafe impl Send for JobPtr {}
 
-/// A free-standing job submitted from any thread via
-/// [`WorkerPool::submit`], paired with the ticket its completion is
-/// reported through.
+/// A job submitted via [`WorkerPool::submit`], its result type erased:
+/// `run(true)` runs the job and completes its ticket; `run(false)`
+/// completes the ticket as [`JobOutcome::Cancelled`] without running it
+/// (the pool shut down first).
 struct QueuedJob {
-    job: Box<dyn FnOnce() + Send>,
-    ticket: Arc<TicketInner>,
+    run: Box<dyn FnOnce(bool) + Send>,
     /// Enqueue instant for the `core.pool.dispatch_seconds` queue-time
     /// histogram; `None` while recording is disabled (no clock read).
     queued_at: Option<Instant>,
 }
 
-/// Shared state behind a [`JobTicket`].
-struct TicketInner {
-    state: Mutex<TicketState>,
-    done: Condvar,
-}
-
-enum TicketState {
-    Pending,
-    Finished(JobOutcome),
-    /// The outcome was already taken by `join`.
-    Taken,
-}
-
 /// How a submitted job ended.
 #[derive(Debug)]
-pub enum JobOutcome {
-    /// The job ran to completion.
-    Completed,
+pub enum JobOutcome<T> {
+    /// The job ran to completion and returned this value.
+    Completed(T),
     /// The job panicked; the payload is returned to the submitter instead
     /// of poisoning the pool.
     Panicked(Box<dyn std::any::Any + Send>),
     /// The pool shut down before the job was started.
     Cancelled,
+}
+
+/// Shared state behind a [`JobTicket`]: the outcome, once there is one.
+struct TicketInner<T> {
+    outcome: Mutex<Option<JobOutcome<T>>>,
+    done: Condvar,
+}
+
+impl<T> TicketInner<T> {
+    fn finish(&self, outcome: JobOutcome<T>) {
+        *self.outcome.lock().expect("ticket state") = Some(outcome);
+        self.done.notify_all();
+    }
 }
 
 /// Completion handle for a job submitted with [`WorkerPool::submit`].
@@ -132,92 +132,20 @@ pub enum JobOutcome {
 /// re-raised on the submitting thread — it is delivered here as
 /// [`JobOutcome::Panicked`], so one failing job cannot take down the
 /// submitter or its sibling jobs (the isolation the multi-session serve
-/// layer is built on).
-pub struct JobTicket(Arc<TicketInner>);
+/// layer and the sweep runner are built on).
+pub struct JobTicket<T>(Arc<TicketInner<T>>);
 
-impl JobTicket {
-    fn new() -> (Self, Arc<TicketInner>) {
-        let inner = Arc::new(TicketInner {
-            state: Mutex::new(TicketState::Pending),
-            done: Condvar::new(),
-        });
-        (Self(Arc::clone(&inner)), inner)
-    }
-
+impl<T> JobTicket<T> {
     /// Block until the job has finished (or was cancelled) and return how
     /// it ended.
-    pub fn join(self) -> JobOutcome {
-        let mut st = self.0.state.lock().expect("ticket state");
-        loop {
-            match std::mem::replace(&mut *st, TicketState::Taken) {
-                TicketState::Pending => {
-                    *st = TicketState::Pending;
-                    st = self.0.done.wait(st).expect("ticket wait");
-                }
-                TicketState::Finished(outcome) => return outcome,
-                TicketState::Taken => unreachable!("ticket joined twice"),
-            }
-        }
-    }
-}
-
-fn finish_ticket(ticket: &TicketInner, outcome: JobOutcome) {
-    *ticket.state.lock().expect("ticket state") = TicketState::Finished(outcome);
-    ticket.done.notify_all();
-}
-
-/// How a typed submitted job failed (the error half of
-/// [`TypedTicket::join`]).
-#[derive(Debug)]
-pub enum JobError {
-    /// The job panicked; the payload is returned to the submitter instead
-    /// of poisoning the pool.
-    Panicked(Box<dyn std::any::Any + Send>),
-    /// The pool shut down before the job was started.
-    Cancelled,
-}
-
-impl JobError {
-    /// Best-effort human-readable panic message (`"cancelled"` for
-    /// [`JobError::Cancelled`]). Panic payloads are `&str` or `String` in
-    /// practice; anything else renders as a placeholder.
-    pub fn message(&self) -> String {
-        match self {
-            Self::Cancelled => "cancelled".to_string(),
-            Self::Panicked(payload) => payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string()),
-        }
-    }
-}
-
-/// Completion handle for a job submitted with
-/// [`WorkerPool::submit_with_result`]: a [`JobTicket`] plus the slot the
-/// job's return value lands in, so callers stop hand-rolling
-/// `Arc<Mutex<Option<T>>>` result plumbing around [`WorkerPool::submit`].
-pub struct TypedTicket<T> {
-    ticket: JobTicket,
-    slot: Arc<Mutex<Option<T>>>,
-}
-
-impl<T> TypedTicket<T> {
-    /// Block until the job has finished and return its value. A panic in
-    /// the job is **not** re-raised here — it comes back as
-    /// [`JobError::Panicked`] with the payload, preserving the submit
-    /// path's isolation guarantee.
-    pub fn join(self) -> Result<T, JobError> {
-        match self.ticket.join() {
-            JobOutcome::Completed => Ok(self
-                .slot
-                .lock()
-                .expect("typed result slot")
-                .take()
-                .expect("completed job stored its result")),
-            JobOutcome::Panicked(payload) => Err(JobError::Panicked(payload)),
-            JobOutcome::Cancelled => Err(JobError::Cancelled),
-        }
+    pub fn join(self) -> JobOutcome<T> {
+        let outcome = self.0.outcome.lock().expect("ticket state");
+        let mut outcome = self
+            .0
+            .done
+            .wait_while(outcome, |o| o.is_none())
+            .expect("ticket wait");
+        outcome.take().expect("a finished ticket holds its outcome")
     }
 }
 
@@ -330,10 +258,9 @@ impl WorkerPool {
         self.handles.lock().expect("pool handles").len()
     }
 
-    /// Free-standing jobs submitted via [`WorkerPool::submit`]/
-    /// [`WorkerPool::submit_with_result`] that are queued but not yet
-    /// started. Cheap (one short mutex acquire); the live signal behind
-    /// the `core.pool.queue_depth` gauge.
+    /// Free-standing jobs submitted via [`WorkerPool::submit`] that are
+    /// queued but not yet started. Cheap (one short mutex acquire); the
+    /// live signal behind the `core.pool.queue_depth` gauge.
     pub fn queue_depth(&self) -> usize {
         self.inner.state.lock().expect("pool state").queue.len()
     }
@@ -341,11 +268,6 @@ impl WorkerPool {
     /// Free-standing jobs currently executing on pool workers.
     pub fn jobs_in_flight(&self) -> usize {
         self.inner.state.lock().expect("pool state").queued_running
-    }
-
-    /// Workers currently executing inside an open fan-out batch.
-    pub fn batch_workers_running(&self) -> usize {
-        self.inner.state.lock().expect("pool state").running
     }
 
     /// Whether the pool is fully quiescent: no queued jobs, no running
@@ -438,59 +360,60 @@ impl WorkerPool {
 
     /// Submit a free-standing job from any thread. The job is queued and
     /// picked up by a parked pool worker (batch fan-outs keep priority);
-    /// the returned [`JobTicket`] reports completion, panic, or
-    /// cancellation. The submitting thread does **not** participate —
-    /// this is the fire-and-join path the multi-session serve layer
-    /// drains its shards through, where the submitter goes on to submit
-    /// the next shard's job instead of working.
+    /// the returned [`JobTicket`] hands back its value, its panic
+    /// payload, or its cancellation. The submitting thread does **not**
+    /// participate — this is the fire-and-join path the multi-session
+    /// serve layer drains its shards through and the sweep runner queues
+    /// its cells on, where the submitter goes on to submit the next job
+    /// instead of working.
     ///
-    /// Jobs run with the nested-fan-out flag set, so any `parallel_map`/
-    /// `parallel_chunks` issued from inside a submitted job executes
+    /// Jobs run with the nested-fan-out flag set, so any
+    /// [`parallel_chunks`] issued from inside a submitted job executes
     /// inline on that worker — submitted jobs are the unit of
     /// parallelism, and their outputs stay bit-identical to inline
     /// execution.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> JobTicket {
-        let (ticket, inner) = JobTicket::new();
+    pub fn submit<T: Send + 'static>(
+        &self,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> JobTicket<T> {
+        let inner = Arc::new(TicketInner {
+            outcome: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        let ticket = JobTicket(Arc::clone(&inner));
+        // A panic is delivered through the ticket (never unwinds the
+        // worker), so one submitted job cannot poison a batch or a
+        // sibling job.
+        let run = move |start: bool| {
+            inner.finish(if start {
+                match std::panic::catch_unwind(AssertUnwindSafe(job)) {
+                    Ok(value) => JobOutcome::Completed(value),
+                    Err(payload) => JobOutcome::Panicked(payload),
+                }
+            } else {
+                JobOutcome::Cancelled
+            });
+        };
+        let mut st = self.inner.state.lock().expect("pool state");
+        if st.shutdown {
+            drop(st);
+            run(false);
+            return ticket;
+        }
+        st.queue.push_back(QueuedJob {
+            run: Box::new(run),
+            queued_at: crowd_obs::enabled().then(Instant::now),
+        });
+        obs_submits().inc();
+        obs_queue_depth().set(st.queue.len() as i64);
         // At least one worker must exist to drain the queue; scale with
         // demand up to the cap so concurrent submitters actually run
         // concurrently.
-        {
-            let mut st = self.inner.state.lock().expect("pool state");
-            if st.shutdown {
-                drop(st);
-                finish_ticket(&inner, JobOutcome::Cancelled);
-                return ticket;
-            }
-            st.queue.push_back(QueuedJob {
-                job: Box::new(job),
-                ticket: Arc::clone(&inner),
-                queued_at: crowd_obs::enabled().then(Instant::now),
-            });
-            obs_submits().inc();
-            obs_queue_depth().set(st.queue.len() as i64);
-            let demand = st.queue.len() + st.queued_running;
-            drop(st);
-            self.ensure_workers(demand);
-        }
+        let demand = st.queue.len() + st.queued_running;
+        drop(st);
+        self.ensure_workers(demand);
         self.inner.work.notify_all();
         ticket
-    }
-
-    /// [`WorkerPool::submit`] for jobs that return a value: the result is
-    /// stored behind the returned [`TypedTicket`] and handed back by
-    /// [`TypedTicket::join`], with panics delivered as
-    /// [`JobError::Panicked`] rather than unwinding the submitter.
-    pub fn submit_with_result<T: Send + 'static>(
-        &self,
-        job: impl FnOnce() -> T + Send + 'static,
-    ) -> TypedTicket<T> {
-        let slot = Arc::new(Mutex::new(None));
-        let out = Arc::clone(&slot);
-        let ticket = self.submit(move || {
-            let value = job();
-            *out.lock().expect("typed result slot") = Some(value);
-        });
-        TypedTicket { ticket, slot }
     }
 
     /// Spawn workers until `target` are available (bounded by
@@ -520,7 +443,7 @@ impl Drop for WorkerPool {
         // Jobs never started are cancelled, not dropped silently — their
         // tickets must complete or a joiner would hang forever.
         for q in orphans {
-            finish_ticket(&q.ticket, JobOutcome::Cancelled);
+            (q.run)(false);
         }
         let handles = std::mem::take(&mut *self.handles.lock().expect("pool handles"));
         for handle in handles {
@@ -569,8 +492,7 @@ fn worker_loop(inner: &PoolInner) {
         }
         // No batch to join — drain the free-standing job queue. A panic
         // is delivered through the job's ticket (not stored in the batch
-        // panic slot), so one submitted job cannot poison a batch or a
-        // sibling job.
+        // panic slot; see `submit`).
         if let Some(q) = st.queue.pop_front() {
             st.queued_running += 1;
             obs_queue_depth().set(st.queue.len() as i64);
@@ -579,14 +501,7 @@ fn worker_loop(inner: &PoolInner) {
             if let Some(t0) = q.queued_at {
                 obs_dispatch_seconds().record(t0.elapsed().as_secs_f64());
             }
-            let result = std::panic::catch_unwind(AssertUnwindSafe(q.job));
-            finish_ticket(
-                &q.ticket,
-                match result {
-                    Ok(()) => JobOutcome::Completed,
-                    Err(payload) => JobOutcome::Panicked(payload),
-                },
-            );
+            (q.run)(true);
             st = inner.state.lock().expect("pool state");
             st.queued_running -= 1;
             obs_jobs_in_flight().set(st.queued_running as i64);
@@ -596,9 +511,9 @@ fn worker_loop(inner: &PoolInner) {
     }
 }
 
-/// The process-wide pool shared by [`parallel_map`] and
-/// [`parallel_chunks`]. Sized to the machine (workers spawn lazily, so an
-/// all-serial workload never spawns any).
+/// The process-wide pool behind [`parallel_chunks`]. Sized to the
+/// machine (workers spawn lazily, so an all-serial workload never spawns
+/// any).
 fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     // Workers spawn lazily per the largest batch actually requested, so a
@@ -610,54 +525,8 @@ fn global_pool() -> &'static WorkerPool {
 }
 
 // ---------------------------------------------------------------------------
-// Fan-out entry points.
+// The borrowed fan-out.
 // ---------------------------------------------------------------------------
-
-/// Run `jobs` closures across at most `threads` OS threads, preserving
-/// output order. Panics in a job propagate to the caller.
-pub fn parallel_map<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-
-    // Work-stealing by atomic cursor over the job list.
-    let queue: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let job = queue[i]
-            .lock()
-            .expect("job mutex")
-            .take()
-            .expect("job taken once");
-        let out = job();
-        *results[i].lock().expect("result mutex") = Some(out);
-    };
-    global_pool().run_batch(threads - 1, &worker);
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result mutex")
-                .expect("every job ran")
-        })
-        .collect()
-}
 
 /// Raw base pointer of a chunked buffer, sendable to pool workers. The
 /// chunk-stealing cursor hands each chunk index to exactly one worker, so
@@ -724,42 +593,6 @@ where
         f(i, chunk);
     };
     global_pool().run_batch(threads - 1, &worker);
-}
-
-/// Combine per-shard partials in a **fixed, shard-count-independent
-/// shape**: repeated rounds of adjacent pairwise combines (`0⊕1`, `2⊕3`,
-/// …, odd tail carried) until one value remains. The combine order is a
-/// pure function of `items.len()`, never of thread timing — there is no
-/// parallelism here by design, so two runs over the same partials always
-/// produce the same result.
-///
-/// Use it for reductions whose combine is **exact or order-free**:
-/// integer counts, maxima/minima, flag unions, disjoint-range merges.
-/// For f64 *sums* the pairwise shape still differs from a left fold
-/// (floating-point addition is not associative), which is why the
-/// sharded EM M-steps do **not** tree-reduce their confusion partials:
-/// they fold shards sequentially in ascending order, so the sum visits a
-/// worker's answers in the same task-ascending order at any shard count
-/// (see `methods/ds.rs::DsEngine::run` and ARCHITECTURE.md §sharded
-/// substrate).
-///
-/// Returns `None` for an empty input.
-pub fn tree_reduce<T>(mut items: Vec<T>, combine: impl Fn(T, T) -> T) -> Option<T> {
-    if items.is_empty() {
-        return None;
-    }
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(combine(a, b)),
-                None => next.push(a),
-            }
-        }
-        items = next;
-    }
-    items.pop()
 }
 
 /// A malformed `CROWD_*` environment override.
@@ -844,30 +677,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..64usize).map(|i| Box::new(move || i * i) as _).collect();
-        let out = parallel_map(4, jobs);
-        assert_eq!(out, (0..64usize).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_handles_empty_and_single() {
-        let empty: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![];
-        assert!(parallel_map(4, empty).is_empty());
-        let one: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![Box::new(|| 42)];
-        assert_eq!(parallel_map(8, one), vec![42]);
-    }
-
-    #[test]
-    fn map_serial_path_matches_parallel() {
-        let mk = || -> Vec<Box<dyn FnOnce() -> usize + Send>> {
-            (0..33usize).map(|i| Box::new(move || i + 1) as _).collect()
-        };
-        assert_eq!(parallel_map(1, mk()), parallel_map(7, mk()));
-    }
-
-    #[test]
     fn chunks_cover_all_elements_once() {
         for threads in [1, 2, 5] {
             let mut data = vec![0u32; 103];
@@ -887,34 +696,6 @@ mod tests {
     fn chunks_empty_is_noop() {
         let mut data: Vec<u8> = vec![];
         parallel_chunks(4, &mut data, 3, |_, _| panic!("no chunks expected"));
-    }
-
-    #[test]
-    fn tree_reduce_shape_is_deterministic_and_total() {
-        assert_eq!(tree_reduce(Vec::<u32>::new(), u32::max), None);
-        assert_eq!(tree_reduce(vec![7u32], u32::max), Some(7));
-        // Exact ops see every element exactly once, any length (incl.
-        // odd tails at every round).
-        for n in 1usize..40 {
-            let items: Vec<u64> = (0..n as u64).map(|i| 1u64 << (i % 60)).collect();
-            let expect: u64 = items.iter().copied().fold(0, |a, b| a | b);
-            assert_eq!(tree_reduce(items, |a, b| a | b), Some(expect), "n={n}");
-            assert_eq!(
-                tree_reduce((0..n).collect::<Vec<usize>>(), usize::max),
-                Some(n - 1)
-            );
-        }
-        // The combine shape is a pure function of the length: record it
-        // via a string trace and pin the 5-element shape.
-        let trace = tree_reduce(
-            vec!["a", "b", "c", "d", "e"]
-                .into_iter()
-                .map(String::from)
-                .collect::<Vec<String>>(),
-            |a, b| format!("({a}{b})"),
-        )
-        .unwrap();
-        assert_eq!(trace, "(((ab)(cd))e)");
     }
 
     #[test]
@@ -943,91 +724,28 @@ mod tests {
 
     #[test]
     fn submitted_jobs_run_and_join() {
+        // Every job runs once, and each ticket hands back its own job's
+        // value, in submission order.
         let pool = WorkerPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
-        let tickets: Vec<JobTicket> = (0..32)
-            .map(|_| {
+        let tickets: Vec<JobTicket<usize>> = (0..32)
+            .map(|i| {
                 let c = Arc::clone(&counter);
                 pool.submit(move || {
                     c.fetch_add(1, Ordering::SeqCst);
+                    i * i
                 })
             })
             .collect();
-        for t in tickets {
-            assert!(matches!(t.join(), JobOutcome::Completed));
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn typed_tickets_return_values_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let tickets: Vec<TypedTicket<usize>> = (0..32)
-            .map(|i| pool.submit_with_result(move || i * i))
-            .collect();
         let out: Vec<usize> = tickets
             .into_iter()
-            .map(|t| t.join().expect("job completed"))
+            .map(|t| match t.join() {
+                JobOutcome::Completed(v) => v,
+                other => panic!("expected a value, got {other:?}"),
+            })
             .collect();
         assert_eq!(out, (0..32usize).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn typed_ticket_delivers_panic_without_unwinding() {
-        let pool = WorkerPool::new(2);
-        let bad = pool.submit_with_result(|| -> usize { panic!("typed boom") });
-        let good = pool.submit_with_result(|| 7usize);
-        match bad.join() {
-            Err(JobError::Panicked(_)) => {}
-            other => panic!("expected panic error, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(good.join().expect("sibling unaffected"), 7);
-    }
-
-    #[test]
-    fn typed_job_error_messages() {
-        let pool = WorkerPool::new(1);
-        let bad = pool.submit_with_result(|| -> () { panic!("str payload") });
-        assert_eq!(bad.join().unwrap_err().message(), "str payload");
-        let owned = pool.submit_with_result(|| -> () { panic!("{}-{}", "fmt", 1) });
-        assert_eq!(owned.join().unwrap_err().message(), "fmt-1");
-        assert_eq!(JobError::Cancelled.message(), "cancelled");
-    }
-
-    #[test]
-    fn dropping_pool_cancels_unstarted_typed_jobs() {
-        // Mirror of `dropping_pool_cancels_unstarted_jobs` for the typed
-        // path: a blocked single worker, a queued typed job, pool drop.
-        let pool = WorkerPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let started = Arc::new(AtomicUsize::new(0));
-        let g = Arc::clone(&gate);
-        let s = Arc::clone(&started);
-        let first = pool.submit(move || {
-            s.store(1, Ordering::SeqCst);
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        });
-        while started.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        let stuck = pool.submit_with_result(|| 9usize);
-        let opener = {
-            let g = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                let (lock, cv) = &*g;
-                *lock.lock().unwrap() = true;
-                cv.notify_all();
-            })
-        };
-        drop(pool);
-        opener.join().unwrap();
-        assert!(matches!(first.join(), JobOutcome::Completed));
-        assert!(matches!(stuck.join(), Err(JobError::Cancelled)));
+        assert_eq!(counter.load(Ordering::SeqCst), 32);
     }
 
     #[test]
@@ -1035,8 +753,8 @@ mod tests {
         // A panicking submitted job reports through its own ticket and
         // leaves siblings, later submissions, and batches untouched.
         let pool = WorkerPool::new(2);
-        let bad = pool.submit(|| panic!("job boom"));
-        let good = pool.submit(|| ());
+        let bad = pool.submit(|| -> usize { panic!("job boom") });
+        let good = pool.submit(|| 7usize);
         match bad.join() {
             JobOutcome::Panicked(payload) => {
                 let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
@@ -1044,7 +762,7 @@ mod tests {
             }
             other => panic!("expected panic outcome, got {other:?}"),
         }
-        assert!(matches!(good.join(), JobOutcome::Completed));
+        assert!(matches!(good.join(), JobOutcome::Completed(7)));
         // The pool still runs batches after a job panic.
         let n = AtomicUsize::new(0);
         pool.run_batch(1, &|| {
@@ -1057,7 +775,7 @@ mod tests {
     fn submitted_jobs_interleave_with_batches() {
         let pool = Arc::new(WorkerPool::new(4));
         let hits = Arc::new(AtomicUsize::new(0));
-        let tickets: Vec<JobTicket> = (0..8)
+        let tickets: Vec<JobTicket<()>> = (0..8)
             .map(|_| {
                 let h = Arc::clone(&hits);
                 pool.submit(move || {
@@ -1069,29 +787,26 @@ mod tests {
             pool.run_batch(2, &|| {});
         }
         for t in tickets {
-            assert!(matches!(t.join(), JobOutcome::Completed));
+            assert!(matches!(t.join(), JobOutcome::Completed(())));
         }
         assert_eq!(hits.load(Ordering::SeqCst), 8);
     }
 
     #[test]
     fn nested_fanout_inside_submitted_job_runs_inline() {
-        // A submitted job that itself calls parallel_map must not
+        // A submitted job that itself calls parallel_chunks must not
         // deadlock or re-enter the pool — the worker thread carries the
         // in-batch flag.
         let pool = WorkerPool::new(2);
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&out);
-        let t = pool.submit(move || {
-            let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-                (0..8usize).map(|i| Box::new(move || i * 2) as _).collect();
-            *o.lock().unwrap() = parallel_map(4, jobs);
+        let t = pool.submit(|| {
+            let mut out = vec![0usize; 8];
+            parallel_chunks(4, &mut out, 1, |i, c| c[0] = i * 2);
+            out
         });
-        assert!(matches!(t.join(), JobOutcome::Completed));
-        assert_eq!(
-            *out.lock().unwrap(),
-            (0..8usize).map(|i| i * 2).collect::<Vec<_>>()
-        );
+        let JobOutcome::Completed(out) = t.join() else {
+            panic!("the submitted job did not complete");
+        };
+        assert_eq!(out, (0..8usize).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1116,7 +831,7 @@ mod tests {
         while started.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        let stuck: Vec<JobTicket> = (0..4).map(|_| pool.submit(|| ())).collect();
+        let stuck: Vec<JobTicket<usize>> = (0..4).map(|i| pool.submit(move || i)).collect();
         // Open the gate from another thread after the drop begins.
         let opener = {
             let g = Arc::clone(&gate);
@@ -1129,7 +844,7 @@ mod tests {
         };
         drop(pool);
         opener.join().unwrap();
-        assert!(matches!(first.join(), JobOutcome::Completed));
+        assert!(matches!(first.join(), JobOutcome::Completed(())));
         for t in stuck {
             assert!(matches!(t.join(), JobOutcome::Cancelled));
         }
@@ -1163,7 +878,7 @@ mod tests {
         assert!(!pool.is_idle());
 
         // The single worker is blocked, so these can only queue.
-        let queued: Vec<JobTicket> = (0..5).map(|_| pool.submit(|| ())).collect();
+        let queued: Vec<JobTicket<()>> = (0..5).map(|_| pool.submit(|| ())).collect();
         assert_eq!(pool.queue_depth(), 5, "submits behind a blocked worker");
 
         {
@@ -1171,9 +886,9 @@ mod tests {
             *lock.lock().unwrap() = true;
             cv.notify_all();
         }
-        assert!(matches!(blocker.join(), JobOutcome::Completed));
+        assert!(matches!(blocker.join(), JobOutcome::Completed(())));
         for t in queued {
-            assert!(matches!(t.join(), JobOutcome::Completed));
+            assert!(matches!(t.join(), JobOutcome::Completed(())));
         }
         assert_eq!(pool.queue_depth(), 0, "queue drained");
         // The last ticket completes before the worker re-takes the state
@@ -1233,17 +948,13 @@ mod tests {
     #[test]
     fn pool_propagates_worker_panic() {
         let result = std::panic::catch_unwind(|| {
-            let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-                .map(|i| {
-                    Box::new(move || {
-                        if i == 7 {
-                            panic!("boom");
-                        }
-                        i
-                    }) as _
-                })
-                .collect();
-            parallel_map(4, jobs)
+            let mut data = vec![0usize; 16];
+            parallel_chunks(4, &mut data, 1, |i, c| {
+                if i == 7 {
+                    panic!("boom");
+                }
+                c[0] = i;
+            });
         });
         assert!(result.is_err(), "panic in a job must propagate");
     }
@@ -1254,14 +965,17 @@ mod tests {
         // fan-outs (possibly much later, in a long-lived process) have
         // to keep working.
         let poisoned = std::panic::catch_unwind(|| {
-            let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-                vec![Box::new(|| panic!("boom")), Box::new(|| 1)];
-            parallel_map(2, jobs)
+            let mut data = vec![0usize; 2];
+            parallel_chunks(2, &mut data, 1, |i, c| {
+                if i == 0 {
+                    panic!("boom");
+                }
+                c[0] = 1;
+            });
         });
         assert!(poisoned.is_err());
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..16usize).map(|i| Box::new(move || i * 3) as _).collect();
-        let out = parallel_map(4, jobs);
+        let mut out = vec![0usize; 16];
+        parallel_chunks(4, &mut out, 1, |i, c| c[0] = i * 3);
         assert_eq!(out, (0..16usize).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -1269,17 +983,12 @@ mod tests {
     fn nested_fanout_runs_inline() {
         // A fan-out issued from inside a pool batch must not deadlock on
         // the (held) submission lock — it runs inline instead.
-        let outer: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    let inner: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4usize)
-                        .map(|j| Box::new(move || i * 10 + j) as _)
-                        .collect();
-                    parallel_map(4, inner).into_iter().sum()
-                }) as _
-            })
-            .collect();
-        let out = parallel_map(4, outer);
+        let mut out = vec![0usize; 8];
+        parallel_chunks(4, &mut out, 1, |i, c| {
+            let mut inner = vec![0usize; 4];
+            parallel_chunks(4, &mut inner, 1, |j, d| d[0] = i * 10 + j);
+            c[0] = inner.into_iter().sum();
+        });
         let expect: Vec<usize> = (0..8).map(|i| (0..4).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(out, expect);
     }
@@ -1290,10 +999,9 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
                     scope.spawn(move || {
-                        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-                            .map(|i| Box::new(move || t * 100 + i) as _)
-                            .collect();
-                        parallel_map(3, jobs).into_iter().sum::<usize>()
+                        let mut out = vec![0usize; 16];
+                        parallel_chunks(3, &mut out, 1, |i, c| c[0] = t * 100 + i);
+                        out.into_iter().sum::<usize>()
                     })
                 })
                 .collect();

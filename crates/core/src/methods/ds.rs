@@ -80,9 +80,7 @@ impl DsEngine {
     ///   [`ShardedView::shard_worker_row`] makes the visit sequence — and
     ///   hence the non-associative f64 sum — independent of the shard
     ///   count and of how records interleaved across tasks. Parallelism
-    ///   comes from the per-worker chunk fan-out. Exact cross-shard
-    ///   reductions (counts, maxima) go through [`exec::tree_reduce`];
-    ///   the f64 partials deliberately do not — see its docs.
+    ///   comes from the per-worker chunk fan-out.
     pub fn run(
         &self,
         view: &ShardedView,

@@ -417,21 +417,15 @@ impl ShardedView {
         &self.golden
     }
 
-    /// Maximum per-task answer count, combined across shards with the
-    /// deterministic pairwise [`exec::tree_reduce`] (max is exact, so
-    /// the combine shape cannot change the result).
+    /// Maximum per-task answer count over every shard's task rows.
     pub fn max_task_degree(&self) -> usize {
-        let per_shard: Vec<usize> = self
-            .shards
+        self.shards
             .iter()
-            .map(|shard| {
-                (0..shard.task_adj.num_rows())
-                    .map(|local| shard.task_adj.row_len(local))
-                    .max()
-                    .unwrap_or(0)
+            .flat_map(|shard| {
+                (0..shard.task_adj.num_rows()).map(|local| shard.task_adj.row_len(local))
             })
-            .collect();
-        exec::tree_reduce(per_shard, usize::max).unwrap_or(0)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Run `rows(shard, first_local_task, block)` over every shard's

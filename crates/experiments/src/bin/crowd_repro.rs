@@ -20,12 +20,19 @@
 //!   fig8          hidden test, single-choice (Figure 8)
 //!   fig9          hidden test, numeric (Figure 9)
 //!   streaming     warm-vs-cold streaming grid on the sweep runner
+//!   assignment    task-assignment strategies at equal budget (§7(6))
+//!   advisor       redundancy advisor over the fig4–6 curves (§7(3))
+//!   ablation      design-choice ablations on simulated D_Product
 //!   example       the paper's Section 3 running example (Tables 1–2)
 //!   all           everything above
 //!
 //! `--progress` streams one line per finished sweep cell to stderr while
-//! the grid experiments (fig4–6, table6, streaming) run on the async
+//! the fig4–6, table6 and streaming grids run on the async
 //! `SweepRunner` — live completed/failed counts, completion order.
+//!
+//! `advisor` reads the redundancy curves of any fig4–6 run earlier in the
+//! same invocation (so `all` sweeps each dataset once) and sweeps only
+//! the datasets still missing.
 //!
 //! `--metrics` dumps the process-global `crowd-obs` registry (counters,
 //! gauges, latency histograms accumulated across every experiment run)
@@ -38,6 +45,7 @@ use crowd_core::Method;
 use crowd_data::datasets::PaperDataset;
 use crowd_experiments::report::{num, pct, secs, series, table};
 use crowd_experiments::runner::{CancelToken, SweepProgress, SweepRunner};
+use crowd_experiments::sweep::SweepResult;
 use crowd_experiments::{
     full_eval, hidden, qualification, stats_tables, streaming, sweep, ExpConfig,
 };
@@ -123,13 +131,16 @@ fn main() {
         config.scale, config.repeats, config.seed, config.threads
     );
 
+    // Redundancy sweeps computed so far in this invocation: the advisor
+    // reads fig4–6's curves instead of sweeping the same grids again.
+    let mut sweeps: Vec<SweepResult> = Vec::new();
     for exp in &experiments {
         if exp == "all" {
             for e in EXPERIMENTS {
-                run_one(e, &config, progress);
+                run_one(e, &config, progress, &mut sweeps);
             }
         } else if EXPERIMENTS.contains(&exp.as_str()) {
-            run_one(exp, &config, progress);
+            run_one(exp, &config, progress, &mut sweeps);
         } else {
             eprintln!("unknown experiment {exp}");
             print_usage();
@@ -143,7 +154,7 @@ fn main() {
     }
 }
 
-fn run_one(name: &str, config: &ExpConfig, progress: bool) {
+fn run_one(name: &str, config: &ExpConfig, progress: bool, sweeps: &mut Vec<SweepResult>) {
     match name {
         "table5" => run_table5(config),
         "consistency" => run_consistency(config),
@@ -154,14 +165,22 @@ fn run_one(name: &str, config: &ExpConfig, progress: bool) {
             &[PaperDataset::DProduct, PaperDataset::DPosSent],
             "Figure 4",
             progress,
+            sweeps,
         ),
         "fig5" => run_sweep(
             config,
             &[PaperDataset::SRel, PaperDataset::SAdult],
             "Figure 5",
             progress,
+            sweeps,
         ),
-        "fig6" => run_sweep(config, &[PaperDataset::NEmotion], "Figure 6", progress),
+        "fig6" => run_sweep(
+            config,
+            &[PaperDataset::NEmotion],
+            "Figure 6",
+            progress,
+            sweeps,
+        ),
         "table6" => run_table6(config, progress),
         "table7" => run_table7(config),
         "fig7" => run_hidden(
@@ -178,7 +197,7 @@ fn run_one(name: &str, config: &ExpConfig, progress: bool) {
         "streaming" => run_streaming(config, progress),
         "example" => run_example(),
         "assignment" => run_assignment(config),
-        "advisor" => run_advisor(config),
+        "advisor" => run_advisor(config, sweeps),
         "ablation" => run_ablation(config),
         other => unreachable!("validated experiment name {other}"),
     }
@@ -304,7 +323,13 @@ fn run_fig3(config: &ExpConfig) {
     }
 }
 
-fn run_sweep(config: &ExpConfig, datasets: &[PaperDataset], figure: &str, progress: bool) {
+fn run_sweep(
+    config: &ExpConfig,
+    datasets: &[PaperDataset],
+    figure: &str,
+    progress: bool,
+    sweeps: &mut Vec<SweepResult>,
+) {
     // One runner (and thus one budgeted worker pool) shared by the
     // figure's datasets.
     let runner = SweepRunner::new(config.threads);
@@ -333,6 +358,7 @@ fn run_sweep(config: &ExpConfig, datasets: &[PaperDataset], figure: &str, progre
             let rmse: Vec<Vec<f64>> = res.curves.iter().map(|c| c.rmse.clone()).collect();
             println!("-- RMSE --\n{}", series("r", &xs, &names, &rmse));
         }
+        sweeps.push(res);
     }
 }
 
@@ -556,12 +582,20 @@ fn run_assignment(config: &ExpConfig) {
     println!("{}", table(&header_refs, &body));
 }
 
-fn run_advisor(config: &ExpConfig) {
+fn run_advisor(config: &ExpConfig, sweeps: &mut Vec<SweepResult>) {
     use crowd_experiments::extensions::recommend_redundancy;
     println!("== Extension (§7(3)): redundancy advisor (marginal gain < 1%) ==");
     let mut rows = Vec::new();
     for id in PaperDataset::ALL {
-        let res = sweep::redundancy_sweep(id, None, config);
+        // Sweep only the datasets no earlier fig4–6 run of this
+        // invocation covered; the default axes make the results equal.
+        if !sweeps.iter().any(|r| r.dataset == id) {
+            sweeps.push(sweep::redundancy_sweep(id, None, config));
+        }
+        let res = sweeps
+            .iter()
+            .find(|r| r.dataset == id)
+            .expect("swept above");
         for method in [Method::Mv, Method::Ds, Method::Mean] {
             if !res.curves.iter().any(|c| c.method == method) {
                 continue;
@@ -571,7 +605,7 @@ fn run_advisor(config: &ExpConfig) {
             } else {
                 0.5
             };
-            let r_hat = recommend_redundancy(&res, method, eps)
+            let r_hat = recommend_redundancy(res, method, eps)
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "> max".into());
             rows.push(vec![

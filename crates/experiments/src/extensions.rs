@@ -17,8 +17,9 @@ use crowd_data::assignment::{collect, AssignmentStrategy};
 use crowd_data::datasets::PaperDataset;
 use crowd_metrics::accuracy;
 
+use crate::runner::{CancelToken, SweepCell, SweepRunner};
 use crate::sweep::{cell_seed, SeedPurpose, SweepResult};
-use crate::{parallel_map, ExpConfig};
+use crate::ExpConfig;
 
 /// One row of the assignment comparison: strategy × method → accuracy.
 #[derive(Debug, Clone)]
@@ -47,9 +48,16 @@ fn strategies() -> Vec<(&'static str, AssignmentStrategy)> {
 }
 
 /// Compare assignment strategies at a fixed answer budget on a simulated
-/// decision-making crowd, averaging over `config.repeats` seeds.
+/// decision-making crowd, averaging over `config.repeats` seeds. Every
+/// (strategy, repeat) pair is one [`SweepRunner`] cell at
+/// `config.threads` budgeted concurrency; a strategy with no completed
+/// repeat reports `NaN`, not a fake zero.
 ///
 /// Returns `(methods, rows)` — methods give the column order.
+///
+/// # Panics
+/// Re-raises a cell's panic message: a row has no field to report a
+/// lost cell in.
 pub fn assignment_comparison(config: &ExpConfig) -> (Vec<Method>, Vec<AssignmentRow>) {
     let methods = vec![Method::Mv, Method::Ds, Method::Lfc, Method::Zc];
     // A mid-size decision-making universe with diverse workers: the
@@ -58,52 +66,62 @@ pub fn assignment_comparison(config: &ExpConfig) -> (Vec<Method>, Vec<Assignment
     sim_cfg.spammer_fraction = 0.15; // assignment has something to avoid
     let budget = sim_cfg.num_tasks * 5;
 
+    let mut cells: Vec<SweepCell<(f64, Vec<f64>)>> = Vec::new();
+    for (label, strategy) in strategies() {
+        for rep in 0..config.repeats {
+            let sim_cfg = sim_cfg.clone();
+            let methods = methods.clone();
+            // Purpose-split streams: the collection simulation and the
+            // method init RNGs must not share a sequence.
+            let collect_seed = cell_seed(config.seed, rep, 0, SeedPurpose::Collection);
+            let infer_seed = cell_seed(config.seed, rep, 0, SeedPurpose::Inference);
+            cells.push(SweepCell::new(format!("{label} rep {rep}"), move || {
+                let run = collect(&sim_cfg, strategy, budget, collect_seed)
+                    .expect("decision-making config is categorical");
+                let d = &run.dataset;
+                let mut correct = 0usize;
+                for r in d.records() {
+                    if Some(r.answer) == d.truth(r.task) {
+                        correct += 1;
+                    }
+                }
+                let answer_acc = correct as f64 / d.num_answers().max(1) as f64;
+                let method_acc = methods
+                    .iter()
+                    .map(|m| {
+                        let r = m
+                            .build()
+                            .infer(d, &InferenceOptions::seeded(infer_seed))
+                            .expect("decision-making supported");
+                        accuracy(d, &r.truths)
+                    })
+                    .collect();
+                (answer_acc, method_acc)
+            }));
+        }
+    }
+    let results = SweepRunner::new(config.threads)
+        .run(cells, &CancelToken::new(), |_| {})
+        .into_values();
+
+    // Grid order is strategy-major, so each strategy's repeats are one
+    // contiguous run, summed in repeat order.
     let rows = strategies()
         .into_iter()
-        .map(|(label, strategy)| {
-            type Job = Box<dyn FnOnce() -> (f64, Vec<f64>) + Send>;
-            let jobs: Vec<Job> = (0..config.repeats)
-                .map(|rep| {
-                    let sim_cfg = sim_cfg.clone();
-                    let methods = methods.clone();
-                    // Purpose-split streams: the collection simulation
-                    // and the method init RNGs must not share a sequence.
-                    let collect_seed = cell_seed(config.seed, rep, 0, SeedPurpose::Collection);
-                    let infer_seed = cell_seed(config.seed, rep, 0, SeedPurpose::Inference);
-                    Box::new(move || {
-                        let run = collect(&sim_cfg, strategy, budget, collect_seed)
-                            .expect("decision-making config is categorical");
-                        let d = &run.dataset;
-                        let mut correct = 0usize;
-                        for r in d.records() {
-                            if Some(r.answer) == d.truth(r.task) {
-                                correct += 1;
-                            }
-                        }
-                        let answer_acc = correct as f64 / d.num_answers().max(1) as f64;
-                        let method_acc = methods
-                            .iter()
-                            .map(|m| {
-                                let r = m
-                                    .build()
-                                    .infer(d, &InferenceOptions::seeded(infer_seed))
-                                    .expect("decision-making supported");
-                                accuracy(d, &r.truths)
-                            })
-                            .collect();
-                        (answer_acc, method_acc)
-                    }) as _
+        .enumerate()
+        .map(|(s_idx, (label, _))| {
+            let reps = &results[s_idx * config.repeats..(s_idx + 1) * config.repeats];
+            let k = reps.len() as f64;
+            // 0/0: no completed repeat is NaN.
+            let answer_accuracy = reps.iter().map(|(a, _)| a).sum::<f64>() / k;
+            let method_accuracy = (0..methods.len())
+                .map(|i| {
+                    if reps.is_empty() {
+                        return f64::NAN;
+                    }
+                    reps.iter().fold(0.0, |sum, (_, accs)| sum + accs[i] / k)
                 })
                 .collect();
-            let results = parallel_map(config.threads, jobs);
-            let k = results.len().max(1) as f64;
-            let answer_accuracy = results.iter().map(|(a, _)| a).sum::<f64>() / k;
-            let mut method_accuracy = vec![0.0; methods.len()];
-            for (_, accs) in &results {
-                for (i, a) in accs.iter().enumerate() {
-                    method_accuracy[i] += a / k;
-                }
-            }
             AssignmentRow {
                 strategy: label,
                 answer_accuracy,
@@ -289,6 +307,31 @@ mod tests {
             quality.answer_accuracy,
             uniform.answer_accuracy
         );
+    }
+
+    #[test]
+    fn assignment_without_repeats_reports_nan_not_zero() {
+        // With no completed repeat there is nothing to average: every
+        // accuracy must read NaN (as Table 7 and the sweep points do),
+        // not a fake 0.00%.
+        let cfg = ExpConfig {
+            scale: 0.03,
+            repeats: 0,
+            seed: 5,
+            threads: 2,
+        };
+        let (methods, rows) = assignment_comparison(&cfg);
+        assert_eq!(rows.len(), 3);
+        for row in &rows {
+            assert!(row.answer_accuracy.is_nan(), "{}", row.strategy);
+            assert_eq!(row.method_accuracy.len(), methods.len());
+            assert!(
+                row.method_accuracy.iter().all(|a| a.is_nan()),
+                "{}: {:?}",
+                row.strategy,
+                row.method_accuracy
+            );
+        }
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! Reveal the truth of a random `p%` of tasks to the method (golden
 //! tasks) and evaluate on the rest, sweeping `p ∈ {0, 10, …, 50}` and
 //! averaging over repeated random splits (the paper repeats 100 times).
+//! The (repeat × fraction) grid runs on the [`SweepRunner`].
+
+use std::sync::Arc;
 
 use crowd_core::{InferenceOptions, Method};
 use crowd_data::datasets::PaperDataset;
 use crowd_data::GoldenSplit;
 
+use crate::runner::{CancelToken, CellOutcome, SweepCell, SweepRunner};
 use crate::sweep::{cell_seed, SeedPurpose};
-use crate::{parallel_map, run::evaluate, ExpConfig};
+use crate::{run::evaluate, ExpConfig};
 
 /// One method's curve over golden-task fractions.
 ///
@@ -48,36 +52,40 @@ pub fn golden_methods() -> Vec<Method> {
         .collect()
 }
 
-/// Run the hidden-test sweep on one dataset. `fractions` defaults to the
-/// paper's `0%..50%` in steps of 10.
+/// Run the hidden-test sweep on one dataset, one [`SweepRunner`] cell per
+/// (repeat, fraction) at `config.threads` budgeted concurrency.
+/// `fractions` defaults to the paper's `0%..50%` in steps of 10. A lost
+/// cell (a panic) counts in its point's `failures`.
 pub fn hidden_sweep(
     dataset_id: PaperDataset,
     fractions: Option<Vec<f64>>,
     config: &ExpConfig,
 ) -> HiddenResult {
-    let dataset = dataset_id.generate(config.scale, config.seed);
+    let dataset = Arc::new(dataset_id.generate(config.scale, config.seed));
     let fractions = fractions.unwrap_or_else(|| vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
-    let methods: Vec<Method> = golden_methods()
-        .into_iter()
-        .filter(|m| m.supports(dataset.task_type()))
-        .collect();
+    let methods: Arc<Vec<Method>> = Arc::new(
+        golden_methods()
+            .into_iter()
+            .filter(|m| m.supports(dataset.task_type()))
+            .collect(),
+    );
 
     struct Slot {
         f_idx: usize,
         outcomes: Vec<Option<crate::EvalOutcome>>,
     }
-    let mut jobs: Vec<Box<dyn FnOnce() -> Slot + Send>> = Vec::new();
+    let mut cells: Vec<SweepCell<Slot>> = Vec::new();
     for rep in 0..config.repeats {
         for (f_idx, &p) in fractions.iter().enumerate() {
-            let dataset = &dataset;
-            let methods = &methods;
+            let dataset = Arc::clone(&dataset);
+            let methods = Arc::clone(&methods);
             // Purpose-split streams: the golden-split RNG and the method
             // init RNG must never be the same sequence (they were, before
             // the sweep-path seed fix).
             let split_seed = cell_seed(config.seed, rep, f_idx, SeedPurpose::GoldenSplit);
             let infer_seed = cell_seed(config.seed, rep, f_idx, SeedPurpose::Inference);
-            jobs.push(Box::new(move || {
-                let split = GoldenSplit::sample(dataset, p, split_seed);
+            cells.push(SweepCell::new(format!("rep {rep} p={p}"), move || {
+                let split = GoldenSplit::sample(&dataset, p, split_seed);
                 let opts = InferenceOptions {
                     golden: if p > 0.0 {
                         Some(split.revealed.clone())
@@ -88,13 +96,15 @@ pub fn hidden_sweep(
                 };
                 let outcomes = methods
                     .iter()
-                    .map(|&m| evaluate(m, dataset, &opts, Some(&split.eval)))
+                    .map(|&m| evaluate(m, &dataset, &opts, Some(&split.eval)))
                     .collect();
                 Slot { f_idx, outcomes }
             }));
         }
     }
-    let slots = parallel_map(config.threads, jobs);
+    let runner = SweepRunner::new(config.threads);
+    let outcome = runner.run(cells, &CancelToken::new(), |_| {});
+    let slots = outcome.cells.into_iter().filter_map(CellOutcome::ok);
 
     let categorical = dataset.task_type().is_categorical();
     let nf = fractions.len();

@@ -12,6 +12,7 @@
 //! | [`full_eval::table6`] | Table 6 — quality & running time, complete data |
 //! | [`qualification::table7`] | Table 7 — qualification-test benefit |
 //! | [`hidden::hidden_sweep`] | Figures 7–9 — quality vs golden fraction `p%` |
+//! | [`extensions::assignment_comparison`] | §7(6) extension — assignment strategies at equal answer budget |
 //! | [`streaming::streaming_curve`] | §7(6) extension — accuracy vs answers seen, warm vs cold |
 //! | [`multi_tenant::multi_tenant_replay`] | service extension — every categorical dataset as one tenant of a shared `crowd-serve` |
 //!
@@ -19,12 +20,13 @@
 //! count, base seed) and return plain data structures; the `crowd-repro`
 //! binary renders them as the same tables/series the paper prints.
 //!
-//! The heavyweight grids (Figures 4–6, Table 6, streaming/multi-tenant
-//! setup) execute on the async **sweep runner** ([`runner::SweepRunner`]):
-//! budgeted concurrency on the shared worker-pool substrate, streaming
+//! Every grid — Figures 4–6, Table 6, Table 7, Figures 7–9, the
+//! streaming and multi-tenant setup and the assignment extension —
+//! executes on the async **sweep runner** ([`runner::SweepRunner`]):
+//! budgeted concurrency on the worker pool's owned-job queue, streaming
 //! per-cell progress, cooperative cancellation, and per-cell panic
-//! isolation — with outputs bit-identical to the sequential blocking
-//! reference (pinned in `tests/sweep_runner.rs`).
+//! isolation — with outputs bit-identical to a sequential reference and
+//! across thread counts (pinned in `tests/sweep_runner.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +53,13 @@ pub struct ExpConfig {
     /// Repeats per configuration (the paper: 30 for redundancy sweeps,
     /// 100 for qualification/hidden tests).
     pub repeats: usize,
-    /// Base seed; repeat `k` of any experiment uses `seed + k`.
+    /// Base seed. The datasets are generated from it and Table 6's
+    /// repeat `k` runs with `seed + k`; the redundancy, hidden-test,
+    /// qualification and assignment grids derive one stream per cell and
+    /// purpose from it with [`sweep::cell_seed`].
     pub seed: u64,
-    /// Worker threads for repeat-level parallelism.
+    /// Concurrency budget of the sweep runner: at most this many grid
+    /// cells run at once. Outputs do not depend on it.
     pub threads: usize,
 }
 
@@ -93,30 +99,9 @@ fn default_threads() -> usize {
     crowd_core::exec::default_threads()
 }
 
-/// Repeat/sweep-level fan-out, delegated to the workspace-wide execution
-/// backend in [`crowd_core::exec`] so the method hot loops, the harness,
-/// and the bench crate all share one parallel substrate.
-pub(crate) use crowd_core::exec::parallel_map;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..32usize).map(|i| Box::new(move || i * i) as _).collect();
-        let out = parallel_map(4, jobs);
-        assert_eq!(out, (0..32usize).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![];
-        assert!(parallel_map(4, empty).is_empty());
-        let one: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![Box::new(|| 42)];
-        assert_eq!(parallel_map(8, one), vec![42]);
-    }
 
     #[test]
     fn configs_are_ordered_by_cost() {

@@ -4,13 +4,17 @@
 //! once without initialisation (`c`) and `repeats` times with a
 //! bootstrap-simulated qualification test (`c̃`, 20 sampled answers per
 //! worker as in the paper), and report both and the benefit `Δ = c̃ − c`.
+//! Each method is one [`SweepRunner`] cell.
+
+use std::sync::Arc;
 
 use crowd_core::{InferenceOptions, Method, QualityInit};
 use crowd_data::bootstrap_qualification;
 use crowd_data::datasets::PaperDataset;
 
+use crate::runner::{CancelToken, SweepCell, SweepRunner};
 use crate::sweep::{cell_seed, SeedPurpose};
-use crate::{parallel_map, run::evaluate, ExpConfig};
+use crate::{run::evaluate, ExpConfig};
 
 /// Number of golden tasks in the simulated qualification test (paper: 20).
 pub const QUALIFICATION_TEST_SIZE: usize = 20;
@@ -46,21 +50,27 @@ pub fn qualification_methods() -> Vec<Method> {
         .collect()
 }
 
-/// Run the Table 7 experiment on one dataset.
+/// Run the Table 7 experiment on one dataset, one [`SweepRunner`] cell
+/// per method at `config.threads` budgeted concurrency.
+///
+/// # Panics
+/// Re-raises a cell's panic message: a row has no field to report a
+/// lost cell in.
 pub fn table7(dataset_id: PaperDataset, config: &ExpConfig) -> Vec<QualRow> {
-    let dataset = dataset_id.generate(config.scale, config.seed);
+    let dataset = Arc::new(dataset_id.generate(config.scale, config.seed));
     let methods: Vec<Method> = qualification_methods()
         .into_iter()
         .filter(|m| m.supports(dataset.task_type()))
         .collect();
 
     let rows: Vec<Option<QualRow>> = {
-        let mut jobs: Vec<Box<dyn FnOnce() -> Option<QualRow> + Send>> = Vec::new();
+        let mut cells: Vec<SweepCell<Option<QualRow>>> = Vec::new();
         for &method in &methods {
-            let dataset = &dataset;
+            let dataset = Arc::clone(&dataset);
             let repeats = config.repeats;
             let base_seed = config.seed;
-            jobs.push(Box::new(move || {
+            cells.push(SweepCell::new(method.name(), move || {
+                let dataset = &*dataset;
                 let baseline =
                     evaluate(method, dataset, &InferenceOptions::seeded(base_seed), None)?;
                 let mut q1 = 0.0;
@@ -100,7 +110,9 @@ pub fn table7(dataset_id: PaperDataset, config: &ExpConfig) -> Vec<QualRow> {
                 })
             }));
         }
-        parallel_map(config.threads, jobs)
+        SweepRunner::new(config.threads)
+            .run(cells, &CancelToken::new(), |_| {})
+            .into_values()
     };
     rows.into_iter().flatten().collect()
 }

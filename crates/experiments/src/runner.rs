@@ -1,14 +1,14 @@
 //! The async sweep runner — budgeted, observable, cancellable execution
 //! of experiment cell grids.
 //!
-//! The paper's headline experiments are **grids**: (dataset × repeat ×
+//! The paper's evaluation is mostly **grids**: (dataset × repeat ×
 //! redundancy) cells for Figures 4–6, (method × dataset) cells for
-//! Table 6. Until this module they fanned out through the blocking
-//! [`crowd_core::exec::parallel_map`] barrier: submit everything, go
-//! dark, get every result at once. [`SweepRunner`] replaces that with
-//! the serve layer's ingest/drain shape on the same substrate —
-//! [`crowd_core::exec::WorkerPool::submit_with_result`] /
-//! [`crowd_core::exec::TypedTicket`]:
+//! Table 6, one cell per method for Table 7, (repeat × golden fraction)
+//! cells for Figures 7–9 and (strategy × repeat) cells for the
+//! assignment extension. [`SweepRunner`] runs every one of them with the
+//! serve layer's ingest/drain shape, on the worker pool's owned-job
+//! queue ([`crowd_core::exec::WorkerPool::submit`] →
+//! [`crowd_core::exec::JobTicket`]):
 //!
 //! - **Budgeted concurrency** — the runner owns a [`WorkerPool`] capped
 //!   at its concurrency budget; all cells are queued up front and at
@@ -23,19 +23,21 @@
 //! - **Cell panic isolation** — a panic inside one cell is delivered as
 //!   [`CellOutcome::Failed`] with the payload message; sibling cells
 //!   and the submitting thread are untouched (the same isolation the
-//!   multi-session serve layer is built on).
+//!   multi-session serve layer is built on). Grids with no field to
+//!   report a lost cell in re-raise its message on the caller
+//!   ([`SweepOutcome::into_values`]).
 //!
 //! Determinism: cells are pure functions of their inputs and results
 //! are collected **in grid order**, so aggregation over a
 //! [`SweepOutcome`] is bit-identical to running the same cells in a
-//! sequential loop — pinned by `tests/sweep_runner.rs` against the
-//! blocking reference sweeps.
+//! sequential loop at any budget — pinned by `tests/sweep_runner.rs`
+//! against a sequential reference sweep and across thread counts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 
-use crowd_core::exec::{JobError, TypedTicket, WorkerPool};
+use crowd_core::exec::{JobOutcome, JobTicket, WorkerPool};
 
 fn obs_cell_seconds() -> &'static crowd_obs::Histogram {
     static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
@@ -177,6 +179,36 @@ pub struct SweepOutcome<T> {
     pub cancelled: usize,
 }
 
+impl<T> SweepOutcome<T> {
+    /// Every cell's value in grid order, for grids whose result has no
+    /// field to report a lost cell in.
+    ///
+    /// # Panics
+    /// At the first lost cell in grid order, so a lost cell never
+    /// vanishes silently: a failed cell's panic message is re-raised on
+    /// the caller, and a cancelled cell panics too.
+    pub fn into_values(self) -> Vec<T> {
+        self.cells
+            .into_iter()
+            .map(|cell| match cell {
+                CellOutcome::Completed(value) => value,
+                CellOutcome::Failed(msg) => panic!("{msg}"),
+                CellOutcome::Cancelled => panic!("sweep cell cancelled"),
+            })
+            .collect()
+    }
+}
+
+/// Best-effort human-readable panic message. Panic payloads are `&str`
+/// or `String` in practice; anything else renders as a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// What a cell reports over the progress channel. Kept apart from
 /// [`CellStatus`] only to document that the panic *message* travels via
 /// the ticket, not the channel.
@@ -249,7 +281,7 @@ impl SweepRunner {
 
         // Queue every cell; the pool spawns at most `budget` workers, so
         // the queue itself is the scheduler.
-        let tickets: Vec<TypedTicket<Option<T>>> = cells
+        let tickets: Vec<JobTicket<Option<T>>> = cells
             .into_iter()
             .enumerate()
             .map(|(index, cell)| {
@@ -257,7 +289,7 @@ impl SweepRunner {
                 let job = cell.job;
                 let token = token.clone();
                 let tx = tx.clone();
-                self.pool.submit_with_result(move || {
+                self.pool.submit(move || {
                     // Default note Failed: only a panic skips the explicit
                     // status assignments below, and the note is sent from
                     // this guard's Drop even then.
@@ -313,14 +345,13 @@ impl SweepRunner {
         }
 
         // Collect outcomes in grid order; panic payloads arrive through
-        // the typed tickets.
+        // the tickets.
         let cells = tickets
             .into_iter()
             .map(|t| match t.join() {
-                Ok(Some(value)) => CellOutcome::Completed(value),
-                Ok(None) => CellOutcome::Cancelled,
-                Err(e @ JobError::Panicked(_)) => CellOutcome::Failed(e.message()),
-                Err(JobError::Cancelled) => CellOutcome::Cancelled,
+                JobOutcome::Completed(Some(value)) => CellOutcome::Completed(value),
+                JobOutcome::Completed(None) | JobOutcome::Cancelled => CellOutcome::Cancelled,
+                JobOutcome::Panicked(payload) => CellOutcome::Failed(panic_message(&*payload)),
             })
             .collect();
         SweepOutcome {
@@ -398,6 +429,47 @@ mod tests {
             let out = runner.run(cells, &CancelToken::new(), |_| {});
             assert_eq!(out.completed, 8);
         }
+    }
+
+    #[test]
+    fn failed_cells_carry_str_and_string_panic_messages() {
+        let runner = SweepRunner::new(1);
+        let cells: Vec<SweepCell<()>> = vec![
+            SweepCell::new("str", || panic!("str payload")),
+            SweepCell::new("string", || panic!("{}-{}", "fmt", 1)),
+        ];
+        let messages: Vec<String> = runner
+            .run(cells, &CancelToken::new(), |_| {})
+            .cells
+            .into_iter()
+            .map(|cell| match cell {
+                CellOutcome::Failed(msg) => msg,
+                other => panic!("expected a failed cell, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(messages, ["str payload", "fmt-1"]);
+    }
+
+    #[test]
+    fn into_values_reraises_a_lost_cells_message() {
+        let runner = SweepRunner::new(2);
+        let cells = |bad: Option<usize>| -> Vec<SweepCell<usize>> {
+            (0..6usize)
+                .map(|i| {
+                    SweepCell::new(format!("{i}"), move || {
+                        if Some(i) == bad {
+                            panic!("cell {i} lost");
+                        }
+                        i + 1
+                    })
+                })
+                .collect()
+        };
+        let clean = runner.run(cells(None), &CancelToken::new(), |_| {});
+        assert_eq!(clean.into_values(), vec![1, 2, 3, 4, 5, 6]);
+        let lost = runner.run(cells(Some(3)), &CancelToken::new(), |_| {});
+        let payload = std::panic::catch_unwind(|| lost.into_values()).unwrap_err();
+        assert_eq!(panic_message(&*payload), "cell 3 lost");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! The grid runs on the async [`SweepRunner`] (budgeted concurrency,
 //! streaming progress, cooperative cancellation); aggregation happens in
-//! grid order, so the result is bit-identical to the sequential blocking
-//! reference [`redundancy_sweep_blocking`] — pinned by
-//! `tests/sweep_runner.rs`.
+//! grid order, so the result is bit-identical to running the cells one
+//! after another — pinned by `tests/sweep_runner.rs` against a
+//! sequential reference.
 
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ pub struct SweepResult {
 /// RNG (sub-sample / golden split / bootstrap / collection) and every
 /// method's init RNG were *identical streams*.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum SeedPurpose {
+pub enum SeedPurpose {
     /// Which `r` answers per task survive sub-sampling (Figures 4–6).
     Subsample = 1,
     /// Method initialisation (`InferenceOptions::seeded`).
@@ -83,7 +83,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Derive the seed for one `(base, rep, r_idx, purpose)` cell stream by
 /// chaining SplitMix64 over the coordinates. Distinct purposes (and
 /// distinct cells) get decorrelated streams; same inputs reproduce.
-pub(crate) fn cell_seed(base: u64, rep: usize, r_idx: usize, purpose: SeedPurpose) -> u64 {
+pub fn cell_seed(base: u64, rep: usize, r_idx: usize, purpose: SeedPurpose) -> u64 {
     let mut h = splitmix64(base);
     h = splitmix64(h ^ rep as u64);
     h = splitmix64(h ^ r_idx as u64);
@@ -96,8 +96,7 @@ struct Cell {
     outcomes: Vec<Option<EvalOutcome>>,
 }
 
-/// The cell computation, shared verbatim by the async and blocking paths
-/// (that sharing is what makes bit-identity a structural property).
+/// One grid cell's computation: sub-sample, then every method on it.
 fn run_cell(
     dataset: &Dataset,
     methods: &[Method],
@@ -175,22 +174,6 @@ fn aggregate(
     }
 }
 
-/// Shared sweep setup: generated dataset, resolved x-axis, method list.
-fn sweep_inputs(
-    dataset_id: PaperDataset,
-    redundancies: Option<Vec<usize>>,
-    config: &ExpConfig,
-) -> (Dataset, Vec<usize>, Vec<Method>) {
-    let dataset = dataset_id.generate(config.scale, config.seed);
-    // Clip the x-axis by the true per-task maximum, not the rounded mean
-    // redundancy — on ragged logs the mean rounds below the largest
-    // answer count and silently truncated the axis.
-    let max_r = dataset.max_task_degree();
-    let redundancies = redundancies.unwrap_or_else(|| default_redundancies(dataset_id, max_r));
-    let methods = Method::for_task_type(dataset.task_type());
-    (dataset, redundancies, methods)
-}
-
 /// Run the redundancy sweep of Figures 4–6 on one dataset, on the async
 /// [`SweepRunner`] at `config.threads` budgeted concurrency.
 ///
@@ -226,9 +209,14 @@ pub fn redundancy_sweep_observed(
     token: &CancelToken,
     on_progress: impl FnMut(&SweepProgress),
 ) -> SweepResult {
-    let (dataset, redundancies, methods) = sweep_inputs(dataset_id, redundancies, config);
+    let dataset = dataset_id.generate(config.scale, config.seed);
+    // Clip the x-axis by the true per-task maximum, not the rounded mean
+    // redundancy — on ragged logs the mean rounds below the largest
+    // answer count and silently truncated the axis.
+    let max_r = dataset.max_task_degree();
+    let redundancies = redundancies.unwrap_or_else(|| default_redundancies(dataset_id, max_r));
+    let methods = Arc::new(Method::for_task_type(dataset.task_type()));
     let dataset = Arc::new(dataset);
-    let methods = Arc::new(methods);
 
     // One cell per (repeat, redundancy); each runs all methods on the
     // same sub-sample so methods are compared on identical data, exactly
@@ -246,32 +234,6 @@ pub fn redundancy_sweep_observed(
     }
     let outcome = runner.run(cells, token, on_progress);
     let cells: Vec<Option<Cell>> = outcome.cells.into_iter().map(CellOutcome::ok).collect();
-    aggregate(dataset_id, redundancies, &methods, config.repeats, &cells)
-}
-
-/// The sequential blocking reference: the same cells, one after another
-/// on the calling thread, aggregated in the same grid order. The async
-/// path must reproduce this **bit-identically** (`tests/sweep_runner.rs`
-/// pins it for the full Figures 4–6 grids).
-pub fn redundancy_sweep_blocking(
-    dataset_id: PaperDataset,
-    redundancies: Option<Vec<usize>>,
-    config: &ExpConfig,
-) -> SweepResult {
-    let (dataset, redundancies, methods) = sweep_inputs(dataset_id, redundancies, config);
-    let mut cells: Vec<Option<Cell>> = Vec::new();
-    for rep in 0..config.repeats {
-        for (r_idx, &r) in redundancies.iter().enumerate() {
-            cells.push(Some(run_cell(
-                &dataset,
-                &methods,
-                config.seed,
-                rep,
-                r_idx,
-                r,
-            )));
-        }
-    }
     aggregate(dataset_id, redundancies, &methods, config.repeats, &cells)
 }
 

@@ -3,19 +3,90 @@
 //!
 //! 1. **Bit-identical replay** — the async `SweepRunner` reproduction of
 //!    the full Figures 4–6 grids (every Table-6 dataset, default x-axes)
-//!    is bit-for-bit equal to the sequential blocking sweep, with one
-//!    progress event observed per grid cell.
+//!    is bit-for-bit equal to a sequential blocking sweep, with one
+//!    progress event observed per grid cell; Table 7, the hidden tests
+//!    and the assignment extension are bit-for-bit equal at one and at
+//!    three threads.
 //! 2. **Cancellation mid-grid** — cancelling between cells stops the
 //!    remaining cells, which surface as cancelled outcomes / NaN curve
 //!    points rather than hanging or poisoning the run.
 //! 3. **Cell-panic isolation** — one panicking cell is reported in its
 //!    own outcome; sibling cells complete with unchanged values.
 
+use crowd_core::{InferenceOptions, Method};
 use crowd_data::datasets::PaperDataset;
+use crowd_data::subsample_redundancy;
+use crowd_experiments::extensions::assignment_comparison;
+use crowd_experiments::hidden::{hidden_sweep, HiddenResult};
+use crowd_experiments::qualification::table7;
 use crowd_experiments::runner::{CancelToken, CellOutcome, CellStatus, SweepCell, SweepRunner};
-use crowd_experiments::sweep::{redundancy_sweep_blocking, redundancy_sweep_observed, SweepResult};
-use crowd_experiments::ExpConfig;
+use crowd_experiments::sweep::{
+    cell_seed, default_redundancies, redundancy_sweep_observed, SeedPurpose, SweepCurve,
+    SweepResult,
+};
+use crowd_experiments::{evaluate, ExpConfig};
 use proptest::prelude::*;
+
+/// The sequential reference for the Figures 4–6 grid: the same cells
+/// (sub-sample `r` answers per task, then every method on it) one after
+/// another on the calling thread, each point's sum taken in repeat
+/// order. The runner path must reproduce it bit-identically.
+fn redundancy_sweep_blocking(
+    id: PaperDataset,
+    redundancies: Option<Vec<usize>>,
+    config: &ExpConfig,
+) -> SweepResult {
+    let dataset = id.generate(config.scale, config.seed);
+    let redundancies =
+        redundancies.unwrap_or_else(|| default_redundancies(id, dataset.max_task_degree()));
+    let methods = Method::for_task_type(dataset.task_type());
+    // sums[m][r] = [accuracy, f1, mae, rmse]
+    let mut sums = vec![vec![[0.0f64; 4]; redundancies.len()]; methods.len()];
+    let mut counts = vec![vec![0usize; redundancies.len()]; methods.len()];
+    for rep in 0..config.repeats {
+        for (r_idx, &r) in redundancies.iter().enumerate() {
+            let seed = |purpose| cell_seed(config.seed, rep, r_idx, purpose);
+            let sub = subsample_redundancy(&dataset, r, seed(SeedPurpose::Subsample));
+            let opts = InferenceOptions::seeded(seed(SeedPurpose::Inference));
+            for (m_idx, &method) in methods.iter().enumerate() {
+                if let Some(o) = evaluate(method, &sub, &opts, None) {
+                    let s = &mut sums[m_idx][r_idx];
+                    s[0] += o.accuracy;
+                    s[1] += o.f1;
+                    s[2] += o.mae;
+                    s[3] += o.rmse;
+                    counts[m_idx][r_idx] += 1;
+                }
+            }
+        }
+    }
+    let curves = methods
+        .iter()
+        .enumerate()
+        .map(|(m_idx, &method)| {
+            let mean = |k: usize| -> Vec<f64> {
+                sums[m_idx]
+                    .iter()
+                    .zip(&counts[m_idx])
+                    .map(|(s, &c)| if c > 0 { s[k] / c as f64 } else { f64::NAN })
+                    .collect()
+            };
+            SweepCurve {
+                method,
+                accuracy: mean(0),
+                f1: mean(1),
+                mae: mean(2),
+                rmse: mean(3),
+                failures: counts[m_idx].iter().map(|&c| config.repeats - c).collect(),
+            }
+        })
+        .collect();
+    SweepResult {
+        dataset: id,
+        redundancies,
+        curves,
+    }
+}
 
 /// Every float of a sweep result as raw bits (NaNs compare equal by
 /// pattern), plus the exact failure counts.
@@ -73,6 +144,77 @@ fn full_figure_grids_bit_identical_to_blocking_path() {
         seen.sort_unstable();
         assert_eq!(seen, (0..events.len()).collect::<Vec<_>>());
     }
+}
+
+/// Every float of a hidden-test result as raw bits, plus the failures.
+fn hidden_bits(res: &HiddenResult) -> Vec<(u8, Vec<u64>, Vec<usize>)> {
+    res.curves
+        .iter()
+        .map(|c| {
+            let bits = c.quality.iter().chain(&c.quality2).map(|x| x.to_bits());
+            (c.method as u8, bits.collect(), c.failures.clone())
+        })
+        .collect()
+}
+
+fn config_at(scale: f64, threads: usize) -> ExpConfig {
+    ExpConfig {
+        scale,
+        repeats: 2,
+        seed: 7,
+        threads,
+    }
+}
+
+#[test]
+fn table7_bit_identical_across_thread_counts() {
+    let bits = |threads| -> Vec<(u8, [u64; 4])> {
+        table7(PaperDataset::DProduct, &config_at(0.03, threads))
+            .iter()
+            .map(|r| {
+                let row = [r.baseline, r.with_qual, r.baseline2, r.with_qual2];
+                (r.method as u8, row.map(f64::to_bits))
+            })
+            .collect()
+    };
+    let one = bits(1);
+    assert_eq!(one.len(), 7, "7 qualification methods apply to D_Product");
+    assert_eq!(one, bits(3), "Table 7 depends on the thread count");
+}
+
+#[test]
+fn hidden_sweeps_bit_identical_across_thread_counts() {
+    for (id, scale) in [
+        (PaperDataset::DProduct, 0.03),
+        (PaperDataset::NEmotion, 0.1),
+    ] {
+        let run = |threads| hidden_sweep(id, Some(vec![0.0, 0.3]), &config_at(scale, threads));
+        let one = run(1);
+        assert!(!one.curves.is_empty(), "{}", id.name());
+        assert!(one.curves.iter().all(|c| c.failures == [0, 0]));
+        assert_eq!(
+            hidden_bits(&one),
+            hidden_bits(&run(3)),
+            "{}: hidden sweep depends on the thread count",
+            id.name()
+        );
+    }
+}
+
+#[test]
+fn assignment_bit_identical_across_thread_counts() {
+    let bits = |threads| -> Vec<(&'static str, u64, Vec<u64>)> {
+        let (_, rows) = assignment_comparison(&config_at(0.03, threads));
+        rows.iter()
+            .map(|r| {
+                let methods = r.method_accuracy.iter().map(|a| a.to_bits());
+                (r.strategy, r.answer_accuracy.to_bits(), methods.collect())
+            })
+            .collect()
+    };
+    let one = bits(1);
+    assert_eq!(one.len(), 3, "three assignment strategies");
+    assert_eq!(one, bits(3), "assignment depends on the thread count");
 }
 
 proptest! {

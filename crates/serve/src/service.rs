@@ -707,28 +707,22 @@ impl CrowdServe {
             // One shard: drain inline, no dispatch latency.
             report.merge(self.shards[0].drain(budget, deadline, &ctx));
         } else {
-            // Each job reports through its own slot (not shared shard
-            // state), so concurrent drain_tick callers cannot steal or
-            // clobber each other's statistics.
+            // Each job returns its statistics through its own ticket (not
+            // shared shard state), so concurrent drain_tick callers cannot
+            // steal or clobber each other's statistics.
             let tickets: Vec<_> = self
                 .shards
                 .iter()
                 .map(|shard| {
                     let shard = Arc::clone(shard);
                     let ctx = ctx.clone();
-                    let out = Arc::new(Mutex::new(None::<ShardTickStats>));
-                    let out_job = Arc::clone(&out);
-                    let ticket = self.pool.submit(move || {
-                        *lock(&out_job) = Some(shard.drain(budget, deadline, &ctx));
-                    });
-                    (ticket, out)
+                    self.pool
+                        .submit(move || shard.drain(budget, deadline, &ctx))
                 })
                 .collect();
-            for (ticket, out) in tickets {
+            for ticket in tickets {
                 match ticket.join() {
-                    JobOutcome::Completed => {
-                        report.merge(lock(&out).take().unwrap_or_default());
-                    }
+                    JobOutcome::Completed(stats) => report.merge(stats),
                     JobOutcome::Panicked(_) | JobOutcome::Cancelled => {
                         report.shard_failures += 1;
                     }
