@@ -31,8 +31,9 @@
 //! `SweepRunner` — live completed/failed counts, completion order.
 //!
 //! `advisor` reads the redundancy curves of any fig4–6 run earlier in the
-//! same invocation (so `all` sweeps each dataset once) and sweeps only
-//! the datasets still missing.
+//! same invocation (so `all` sweeps each dataset once). For the datasets
+//! still missing it sweeps only MV, D&S and Mean, the methods it advises
+//! on.
 //!
 //! `--metrics` dumps the process-global `crowd-obs` registry (counters,
 //! gauges, latency histograms accumulated across every experiment run)
@@ -584,19 +585,21 @@ fn run_assignment(config: &ExpConfig) {
 
 fn run_advisor(config: &ExpConfig, sweeps: &mut Vec<SweepResult>) {
     use crowd_experiments::extensions::recommend_redundancy;
+    const ADVISED: [Method; 3] = [Method::Mv, Method::Ds, Method::Mean];
     println!("== Extension (§7(3)): redundancy advisor (marginal gain < 1%) ==");
     let mut rows = Vec::new();
     for id in PaperDataset::ALL {
         // Sweep only the datasets no earlier fig4–6 run of this
-        // invocation covered; the default axes make the results equal.
+        // invocation covered, and only the advised methods; the default
+        // axes make the curves equal.
         if !sweeps.iter().any(|r| r.dataset == id) {
-            sweeps.push(sweep::redundancy_sweep(id, None, config));
+            sweeps.push(sweep::redundancy_sweep_of(id, &ADVISED, config));
         }
         let res = sweeps
             .iter()
             .find(|r| r.dataset == id)
             .expect("swept above");
-        for method in [Method::Mv, Method::Ds, Method::Mean] {
+        for method in ADVISED {
             if !res.curves.iter().any(|c| c.method == method) {
                 continue;
             }

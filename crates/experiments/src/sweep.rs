@@ -209,13 +209,59 @@ pub fn redundancy_sweep_observed(
     token: &CancelToken,
     on_progress: impl FnMut(&SweepProgress),
 ) -> SweepResult {
+    let methods = Method::for_task_type(dataset_id.task_type());
+    sweep_methods(
+        dataset_id,
+        redundancies,
+        methods,
+        config,
+        runner,
+        token,
+        on_progress,
+    )
+}
+
+/// [`redundancy_sweep`] on the default axis over only `methods` (those
+/// that apply to the dataset, in Table 4 order). Each cell runs every
+/// method on the same sub-sample with the same options, whichever others
+/// are listed, so each curve is bit-equal to that method's curve in the
+/// full sweep.
+pub fn redundancy_sweep_of(
+    dataset_id: PaperDataset,
+    methods: &[Method],
+    config: &ExpConfig,
+) -> SweepResult {
+    let mut swept = Method::for_task_type(dataset_id.task_type());
+    swept.retain(|m| methods.contains(m));
+    let runner = SweepRunner::new(config.threads);
+    sweep_methods(
+        dataset_id,
+        None,
+        swept,
+        config,
+        &runner,
+        &CancelToken::new(),
+        |_| {},
+    )
+}
+
+/// The sweep body, over `methods` (each applicable to the dataset).
+fn sweep_methods(
+    dataset_id: PaperDataset,
+    redundancies: Option<Vec<usize>>,
+    methods: Vec<Method>,
+    config: &ExpConfig,
+    runner: &SweepRunner,
+    token: &CancelToken,
+    on_progress: impl FnMut(&SweepProgress),
+) -> SweepResult {
     let dataset = dataset_id.generate(config.scale, config.seed);
     // Clip the x-axis by the true per-task maximum, not the rounded mean
     // redundancy — on ragged logs the mean rounds below the largest
     // answer count and silently truncated the axis.
     let max_r = dataset.max_task_degree();
     let redundancies = redundancies.unwrap_or_else(|| default_redundancies(dataset_id, max_r));
-    let methods = Arc::new(Method::for_task_type(dataset.task_type()));
+    let methods = Arc::new(methods);
     let dataset = Arc::new(dataset);
 
     // One cell per (repeat, redundancy); each runs all methods on the
@@ -272,6 +318,31 @@ mod tests {
             assert_eq!(c.accuracy.len(), 2);
             assert!(c.accuracy.iter().all(|&a| (0.0..=1.0).contains(&a)));
             assert_eq!(c.failures, vec![0, 0], "clean sweep has no failures");
+        }
+    }
+
+    #[test]
+    fn method_restricted_sweep_is_bit_equal_to_the_full_sweep() {
+        let cfg = tiny_config();
+        for (id, methods) in [
+            (PaperDataset::DProduct, &[Method::Mv, Method::Ds][..]),
+            (PaperDataset::NEmotion, &[Method::Mean][..]),
+        ] {
+            let full = redundancy_sweep(id, None, &cfg);
+            let only = redundancy_sweep_of(id, methods, &cfg);
+            assert_eq!(only.redundancies, full.redundancies);
+            let swept: Vec<Method> = only.curves.iter().map(|c| c.method).collect();
+            assert_eq!(swept, methods, "{}", id.name());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for curve in &only.curves {
+                let twin = full.curves.iter().find(|c| c.method == curve.method);
+                let twin = twin.expect("the full sweep has every method");
+                assert_eq!(bits(&curve.accuracy), bits(&twin.accuracy));
+                assert_eq!(bits(&curve.f1), bits(&twin.f1));
+                assert_eq!(bits(&curve.mae), bits(&twin.mae));
+                assert_eq!(bits(&curve.rmse), bits(&twin.rmse));
+                assert_eq!(curve.failures, twin.failures);
+            }
         }
     }
 

@@ -97,7 +97,7 @@ struct PlanInner {
     scheduled: Vec<(FaultSite, FaultKind)>,
 }
 
-/// A deterministic, seeded fault-injection plan (see the module docs).
+/// A deterministic, seeded plan of injected faults (see the module docs).
 /// Cloning is cheap (shared immutable state); [`FaultPlan::none`] is the
 /// no-fault default every production configuration uses.
 #[derive(Debug, Clone, Default)]

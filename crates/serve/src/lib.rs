@@ -103,9 +103,6 @@ pub use service::{
 };
 pub use truth::{SnapshotState, TruthReader, TruthSnapshot};
 
-#[cfg(any(test, feature = "fault-inject"))]
-pub use service::ConvergeGate;
-
 use crowd_stream::StreamError;
 use std::fmt;
 

@@ -2,7 +2,7 @@
 //! ticks, reads, and crash recovery.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crowd_core::exec::{JobOutcome, WorkerPool};
@@ -15,9 +15,8 @@ use crate::durable::{self, DurabilityConfig, RecoveryReport};
 use crate::obs;
 use crate::shard::{
     lock, panic_message, publish_session, DrainCtx, Envelope, SessionSlot, SessionWal, Shard,
-    ShardTickStats,
 };
-use crate::truth::{Published, SnapshotState, TruthReader, TruthSnapshot};
+use crate::truth::{SnapshotState, TruthReader, TruthSnapshot};
 use crate::ServeError;
 
 /// Opaque session identifier, stable for the session's lifetime (and,
@@ -165,14 +164,16 @@ pub struct TickReport {
 }
 
 impl TickReport {
-    fn merge(&mut self, s: ShardTickStats) {
+    /// Add one shard's drain report (which leaves `shard_failures` and
+    /// `elapsed` to the tick).
+    fn merge(&mut self, s: TickReport) {
         self.answers_ingested += s.answers_ingested;
         self.sessions_converged += s.sessions_converged;
         self.sessions_budget_exhausted += s.sessions_budget_exhausted;
         self.sessions_deadline_deferred += s.sessions_deadline_deferred;
         self.sessions_restarted += s.sessions_restarted;
-        self.poisoned.extend(s.newly_poisoned);
-        self.errors.extend(s.ingest_errors);
+        self.poisoned.extend(s.poisoned);
+        self.errors.extend(s.errors);
     }
 }
 
@@ -228,8 +229,10 @@ pub struct EvictedSession {
     /// still-queued answer; for a healthy one, the suffix of any batch
     /// whose ingestion was rejected mid-way (the offending record and
     /// everything after it). Empty in clean evictions — the caller can
-    /// always account for every submitted answer as either
-    /// `answers_seen` or returned here.
+    /// account for every acknowledged submit as either `answers_seen`
+    /// or returned here: a submit racing the eviction is either pulled
+    /// in with the queue or refused with
+    /// [`ServeError::UnknownSession`], never acknowledged and dropped.
     pub undrained: Vec<AnswerRecord>,
 }
 
@@ -240,24 +243,18 @@ pub struct CrowdServe {
     shards: Vec<Arc<Shard>>,
     pool: WorkerPool,
     next_session: AtomicU64,
-    /// Published sorted list of live session ids, swapped on
-    /// create/evict/recover so [`sessions`](Self::sessions) and
-    /// [`stats`](Self::stats) never take a sessions-map lock.
-    registry: Published<Vec<SessionId>>,
 }
 
 /// Test-only rendezvous for pinning a converge "in flight": the drain
 /// worker parks on it (slot lock held) until the test releases it.
-/// Compiled only for this crate's tests and under `fault-inject`.
-#[cfg(any(test, feature = "fault-inject"))]
-#[doc(hidden)]
+#[cfg(test)]
 #[derive(Default)]
-pub struct ConvergeGate {
-    entered: (Mutex<bool>, std::sync::Condvar),
-    release: (Mutex<bool>, std::sync::Condvar),
+pub(crate) struct ConvergeGate {
+    entered: (std::sync::Mutex<bool>, std::sync::Condvar),
+    release: (std::sync::Mutex<bool>, std::sync::Condvar),
 }
 
-#[cfg(any(test, feature = "fault-inject"))]
+#[cfg(test)]
 impl ConvergeGate {
     /// Drain side: announce entry, then park until released.
     pub(crate) fn park(&self) {
@@ -274,7 +271,7 @@ impl ConvergeGate {
     }
 
     /// Test side: block until the converge is parked on the gate.
-    pub fn wait_entered(&self) {
+    pub(crate) fn wait_entered(&self) {
         let mut entered = lock(&self.entered.0);
         while !*entered {
             entered = self
@@ -286,7 +283,7 @@ impl ConvergeGate {
     }
 
     /// Test side: let the parked converge proceed.
-    pub fn release(&self) {
+    pub(crate) fn release(&self) {
         *lock(&self.release.0) = true;
         self.release.1.notify_all();
     }
@@ -325,7 +322,6 @@ impl CrowdServe {
             pool: WorkerPool::new(config.shards),
             shards,
             next_session: AtomicU64::new(0),
-            registry: Published::new(0, |_| Vec::new()),
             config,
         })
     }
@@ -365,7 +361,6 @@ impl CrowdServe {
         })?;
         report.timings.scan = t_scan.elapsed();
         let mut max_id = None;
-        let mut recovered_ids: Vec<SessionId> = Vec::new();
         for raw in ids {
             max_id = Some(raw);
             let sid = SessionId::from_raw(raw);
@@ -407,18 +402,7 @@ impl CrowdServe {
                     continue;
                 }
             };
-            let shard = &serve.shards[(raw % serve.shards.len() as u64) as usize];
-            lock(&shard.wals).insert(
-                raw,
-                Arc::new(Mutex::new(SessionWal {
-                    writer,
-                    batches_appended: r.cum_batches + r.tail_batches.len() as u64,
-                    batches_ingested: r.cum_batches,
-                    converges_logged: r.cum_converges,
-                    converges_since_snapshot: 0,
-                    snapshots_written: 0,
-                })),
-            );
+            let shard = &serve.shards[serve.shard_of(sid)];
             let mut slot = SessionSlot::new(r.engine);
             slot.last_report = r.last_report.map(Arc::new);
             slot.batches_ingested = r.cum_batches;
@@ -427,26 +411,26 @@ impl CrowdServe {
             // keep increasing across the crash (ARCHITECTURE.md § read
             // path) — a reader that outlives the process restart never
             // sees its epoch go backwards.
-            let cell = Arc::new(Published::new(r.cum_batches + r.cum_converges, |epoch| {
-                crate::shard::snapshot_from_slot(&slot, sid, shard.index, epoch, None)
-            }));
-            obs::truth_publishes().inc();
-            lock(&shard.truths).insert(raw, cell);
-            lock(&shard.sessions).insert(raw, Arc::new(Mutex::new(slot)));
+            shard.open(
+                raw,
+                slot,
+                Some(SessionWal::new(writer, r.cum_converges)),
+                r.cum_batches + r.cum_converges,
+            );
             let t_requeue = Instant::now();
             let mut requeued = 0usize;
             let mut q = lock(&shard.ingest);
             for records in r.tail_batches {
                 requeued += records.len();
-                q.queued_answers += records.len();
-                obs::ingest_queued().add(records.len() as i64);
-                q.queue.push_back(Envelope {
-                    session: raw,
-                    records,
-                });
+                shard.enqueue(
+                    &mut q,
+                    Envelope {
+                        session: raw,
+                        records,
+                    },
+                );
             }
             drop(q);
-            shard.queued_answers.fetch_add(requeued, Ordering::SeqCst);
             report.timings.requeue += t_requeue.elapsed();
             report.answers_requeued += requeued;
             report.per_session.push(durable::RecoveredSessionCounts {
@@ -460,11 +444,8 @@ impl CrowdServe {
             obs::recovery_answers_requeued().add(requeued as u64);
             obs::recovery_wal_frames().add(r.valid_frames);
             obs::recovery_wal_bytes().add(r.valid_len);
-            recovered_ids.push(sid);
             report.sessions_recovered += 1;
         }
-        recovered_ids.sort_unstable();
-        serve.registry.publish_with(move |_, _| recovered_ids);
         obs::recovery_sessions_recovered().add(report.sessions_recovered as u64);
         obs::recovery_sessions_skipped().add(report.sessions_skipped as u64);
         let t = &report.timings;
@@ -501,10 +482,16 @@ impl CrowdServe {
 
     /// Ids of every live session, ascending — the way to re-address
     /// sessions after [`CrowdServe::recover`] (ids are stable across
-    /// recovery). Served from a published registry snapshot: polling
-    /// this never takes a sessions-map lock.
+    /// recovery). Collected from the shards' session tables, each map
+    /// lock held only to copy its keys, so polling this never waits on
+    /// ingest or converge work.
     pub fn sessions(&self) -> Vec<SessionId> {
-        self.registry.read().as_ref().clone()
+        let mut ids = Vec::new();
+        for shard in &self.shards {
+            ids.extend(lock(&shard.sessions).keys().map(|&raw| SessionId(raw)));
+        }
+        ids.sort_unstable();
+        ids
     }
 
     /// Open a streaming session. The engine validates the config (task
@@ -515,48 +502,25 @@ impl CrowdServe {
     /// that cannot log is never opened.
     pub fn create_session(&self, config: StreamConfig) -> Result<SessionId, ServeError> {
         let engine = StreamEngine::new(config.clone())?;
-        let raw = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[(raw % self.shards.len() as u64) as usize];
-        if let Some(dur) = &self.config.durability {
-            let writer = WalWriter::create(
-                &durable::wal_path(&dur.dir, raw),
-                raw,
-                dur.fsync,
-                self.config.fault.clone(),
-                &config,
-            )
-            .map_err(|e| ServeError::Durability {
-                session: Some(SessionId::from_raw(raw)),
-                detail: format!("wal create failed: {e}"),
-            })?;
-            lock(&shard.wals).insert(
-                raw,
-                Arc::new(Mutex::new(SessionWal {
-                    writer,
-                    batches_appended: 0,
-                    batches_ingested: 0,
-                    converges_logged: 0,
-                    converges_since_snapshot: 0,
-                    snapshots_written: 0,
-                })),
-            );
-        }
-        let sid = SessionId::from_raw(raw);
-        let slot = SessionSlot::new(engine);
-        // Publish the session's first truth snapshot (epoch 1) before it
-        // is registered: a reader can never observe an empty cell.
-        let cell = Arc::new(Published::new(0, |epoch| {
-            crate::shard::snapshot_from_slot(&slot, sid, shard.index, epoch, None)
-        }));
-        obs::truth_publishes().inc();
-        lock(&shard.truths).insert(raw, cell);
-        lock(&shard.sessions).insert(raw, Arc::new(Mutex::new(slot)));
-        self.registry.publish_with(|prior, _| {
-            let mut ids = prior.clone();
-            let at = ids.partition_point(|&s| s < sid);
-            ids.insert(at, sid);
-            ids
-        });
+        let sid = SessionId::from_raw(self.next_session.fetch_add(1, Ordering::Relaxed));
+        let wal = match &self.config.durability {
+            Some(dur) => {
+                let writer = WalWriter::create(
+                    &durable::wal_path(&dur.dir, sid.raw()),
+                    sid.raw(),
+                    dur.fsync,
+                    self.config.fault.clone(),
+                    &config,
+                )
+                .map_err(|e| ServeError::Durability {
+                    session: Some(sid),
+                    detail: format!("wal create failed: {e}"),
+                })?;
+                Some(SessionWal::new(writer, 0))
+            }
+            None => None,
+        };
+        self.shards[self.shard_of(sid)].open(sid.raw(), SessionSlot::new(engine), wal, 0);
         Ok(sid)
     }
 
@@ -573,74 +537,67 @@ impl CrowdServe {
     /// with respect to failure: on any error (including
     /// [`ServeError::Durability`]) the batch is neither logged nor
     /// queued — a frame on disk and a batch in the queue always
-    /// correspond one-to-one.
+    /// correspond one-to-one. A submit that races an
+    /// [`evict`](Self::evict) of the same session is either pulled in by
+    /// the eviction or refused with [`ServeError::UnknownSession`].
     pub fn submit(&self, session: SessionId, records: Vec<AnswerRecord>) -> Result<(), ServeError> {
         if records.is_empty() {
             return Ok(());
         }
         let shard_idx = self.shard_of(session);
         let shard = &self.shards[shard_idx];
-        {
-            let Some(slot) = shard.slot(session.raw()) else {
-                return Err(ServeError::UnknownSession(session));
-            };
-            if lock(&slot).poisoned.is_some() {
-                return Err(ServeError::SessionPoisoned(session));
-            }
+        let record = shard
+            .session(session.raw())
+            .ok_or(ServeError::UnknownSession(session))?;
+        if lock(&record.slot).poisoned.is_some() {
+            return Err(ServeError::SessionPoisoned(session));
         }
         // Lock order: wal → ingest. Both are held across the append so
         // the capacity check, the WAL frame, and the enqueue are one
         // atomic step (a backpressure rejection must not leave a frame
         // behind for recovery to resurrect).
-        let wal = if self.config.durability.is_some() {
-            Some(
-                shard
-                    .wal(session.raw())
-                    .ok_or(ServeError::UnknownSession(session))?,
-            )
-        } else {
-            None
-        };
-        let mut wal_guard = wal.as_ref().map(|w| lock(w));
-        if let Some(w) = wal_guard.as_deref() {
-            if let Some(why) = w.writer.broken() {
-                return Err(ServeError::Durability {
-                    session: Some(session),
-                    detail: format!("wal is wedged ({why}); restart or evict the session"),
-                });
-            }
+        let mut wal = record.wal.as_ref().map(lock);
+        if let Some(why) = wal.as_ref().and_then(|w| w.writer.broken()) {
+            return Err(ServeError::Durability {
+                session: Some(session),
+                detail: format!("wal is wedged ({why}); restart or evict the session"),
+            });
         }
         let mut q = lock(&shard.ingest);
-        if q.queued_answers > 0 && q.queued_answers + records.len() > self.config.queue_capacity {
+        // Eviction retires the record in the ingest-lock hold that pulls
+        // its envelopes: past that hold, a batch would be acknowledged
+        // into a queue no one drains for this session.
+        if record.retired.load(Ordering::SeqCst) {
+            return Err(ServeError::UnknownSession(session));
+        }
+        let queued = shard.queued_answers.load(Ordering::SeqCst);
+        if queued > 0 && queued + records.len() > self.config.queue_capacity {
             obs::ingest_backpressure().inc();
             crowd_obs::journal::record(crowd_obs::SpanKind::BackpressureReject, session.raw(), 0.0);
             return Err(ServeError::Backpressure {
                 session,
                 shard: shard_idx,
-                queued_answers: q.queued_answers,
+                queued_answers: queued,
                 capacity: self.config.queue_capacity,
             });
         }
-        if let Some(w) = wal_guard.as_deref_mut() {
+        if let Some(w) = wal.as_deref_mut() {
             w.writer
                 .append_batch(&records)
                 .map_err(|e| ServeError::Durability {
                     session: Some(session),
                     detail: format!("wal append failed: {e}"),
                 })?;
-            w.batches_appended += 1;
         }
         obs::ingest_batches().inc();
         obs::ingest_answers().add(records.len() as u64);
-        obs::ingest_queued().add(records.len() as i64);
-        shard
-            .queued_answers
-            .fetch_add(records.len(), Ordering::SeqCst);
-        q.queued_answers += records.len();
-        q.queue.push_back(Envelope {
-            session: session.raw(),
-            records,
-        });
+        shard.enqueue(
+            &mut q,
+            Envelope {
+                session: session.raw(),
+                records,
+            },
+        );
         Ok(())
     }
 
@@ -747,10 +704,10 @@ impl CrowdServe {
     /// flight (`tests/read_path.rs`, and measured by
     /// `crowd-serve-bench --mode mixed`).
     pub fn reader(&self, session: SessionId) -> Result<TruthReader, ServeError> {
-        let cell = self.shards[self.shard_of(session)]
-            .truth(session.raw())
+        let record = self.shards[self.shard_of(session)]
+            .session(session.raw())
             .ok_or(ServeError::UnknownSession(session))?;
-        Ok(TruthReader::new(session, cell))
+        Ok(TruthReader::new(session, Arc::clone(&record.truth)))
     }
 
     /// The current published [`TruthSnapshot`] for `session` — one
@@ -758,32 +715,35 @@ impl CrowdServe {
     /// stats: every field comes from the same publish epoch, so they can
     /// never disagree about which tick they describe.
     ///
-    /// This entry point does one brief cell lookup (a map lock, never a
-    /// session slot lock) and then clones the cell's current `Arc`
-    /// under its leaf lock; it never waits for ingest or converge work.
-    /// For a polling loop, take a [`reader`](Self::reader) handle
-    /// instead and skip the lookup too.
-    /// Returns [`ServeError::UnknownSession`] once the session has been
-    /// evicted (a [`TruthReader`] held across the eviction keeps
-    /// serving the terminal [`SnapshotState::SessionGone`] snapshot).
+    /// This entry point does one brief lookup of the session's record
+    /// (its shard's session-table lock, never the session slot lock) and
+    /// then clones the truth cell's current `Arc` under its leaf lock;
+    /// it never waits for ingest or converge work. For a polling loop,
+    /// take a [`reader`](Self::reader) handle instead and skip the
+    /// lookup too.
+    /// Returns [`ServeError::UnknownSession`] once eviction has taken the
+    /// session out of its table (a [`TruthReader`] held across the
+    /// eviction keeps serving the terminal
+    /// [`SnapshotState::SessionGone`] snapshot).
     pub fn truth(&self, session: SessionId) -> Result<Arc<TruthSnapshot>, ServeError> {
-        let cell = self.shards[self.shard_of(session)]
-            .truth(session.raw())
+        let record = self.shards[self.shard_of(session)]
+            .session(session.raw())
             .ok_or(ServeError::UnknownSession(session))?;
         let timer = obs::truth_read_seconds().start_timer();
-        let snap = cell.read();
+        let snap = record.truth.read();
         timer.stop();
         obs::truth_reads().inc();
         Ok(snap)
     }
 
-    /// Service-wide counters, served from the published session
-    /// registry and per-shard atomic mirrors — polling this takes no
-    /// sessions-map, slot, or queue lock.
+    /// Service-wide counters: the session count sums the shards'
+    /// session-table lengths (each map lock held for one `len`), the
+    /// rest are per-shard atomics. Polling this takes no slot, WAL or
+    /// queue lock, so it never waits on ingest or converge work.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
             shards: self.shards.len(),
-            sessions: self.registry.read().len(),
+            sessions: self.shards.iter().map(|s| lock(&s.sessions).len()).sum(),
             poisoned_sessions: self
                 .shards
                 .iter()
@@ -799,13 +759,15 @@ impl CrowdServe {
 
     /// Gracefully retire a session: its still-queued batches are pulled
     /// out of the shard's ingest queue and applied, a final unbudgeted
-    /// converge runs (if the session is dirty and healthy), and the slot
-    /// is removed. Poisoned sessions are evicted without touching the
-    /// engine — their last good report and poison message come back in
-    /// the [`EvictedSession`], and every answer the engine never
-    /// absorbed (queued batches for a poisoned session, rejected-batch
-    /// suffixes for a healthy one) is surfaced in
-    /// [`EvictedSession::undrained`] rather than dropped.
+    /// converge runs (if the session is dirty and healthy), and the
+    /// session's record leaves its shard's table. Poisoned sessions are
+    /// evicted without touching the engine — their last good report and
+    /// poison message come back in the [`EvictedSession`], and every
+    /// answer the engine never absorbed (queued batches for a poisoned
+    /// session, rejected-batch suffixes for a healthy one) is surfaced
+    /// in [`EvictedSession::undrained`] rather than dropped. A submit
+    /// racing the eviction is either pulled in with the queue or
+    /// refused with [`ServeError::UnknownSession`].
     ///
     /// With durability on, the session's WAL and snapshot files are
     /// deleted — the caller received the final state, and a later
@@ -819,27 +781,24 @@ impl CrowdServe {
         // drop the session's submitted batches from its final state.
         let _gate = lock(&shard.drain_gate);
 
-        // Pull this session's pending envelopes (preserving their order)
-        // out of the ingest queue.
-        let pending: Vec<Envelope> = {
+        // In one ingest-lock hold: take the record out of the table,
+        // retire it (a submit that has not enqueued yet is refused from
+        // here on), and pull its pending envelopes, in order.
+        let (record, pending) = {
             let mut q = lock(&shard.ingest);
-            let (mine, rest): (Vec<Envelope>, Vec<Envelope>) = q
-                .queue
-                .drain(..)
-                .partition(|env| env.session == session.raw());
-            q.queue = rest.into();
-            q.queued_answers = q.queue.iter().map(|e| e.records.len()).sum();
-            mine
+            let record = lock(&shard.sessions)
+                .remove(&session.raw())
+                .ok_or(ServeError::UnknownSession(session))?;
+            record.retired.store(true, Ordering::SeqCst);
+            let (mine, rest): (Vec<Envelope>, Vec<Envelope>) =
+                q.drain(..).partition(|env| env.session == session.raw());
+            *q = rest.into();
+            let pulled: usize = mine.iter().map(|e| e.records.len()).sum();
+            shard.queued_answers.fetch_sub(pulled, Ordering::SeqCst);
+            obs::ingest_queued().add(-(pulled as i64));
+            (record, mine)
         };
-        let pulled: usize = pending.iter().map(|e| e.records.len()).sum();
-        obs::ingest_queued().add(-(pulled as i64));
-        shard.queued_answers.fetch_sub(pulled, Ordering::SeqCst);
-
-        let slot = lock(&shard.sessions)
-            .remove(&session.raw())
-            .ok_or(ServeError::UnknownSession(session))?;
-        let wal = lock(&shard.wals).remove(&session.raw());
-        let mut slot = lock(&slot);
+        let mut slot = lock(&record.slot);
         if slot.poisoned.is_some() {
             shard.poisoned_sessions.fetch_sub(1, Ordering::SeqCst);
         }
@@ -871,33 +830,18 @@ impl CrowdServe {
             }
         }
 
-        if let Some(dur) = &self.config.durability {
-            // Close the file handle before unlinking.
-            drop(wal);
-            let _ = std::fs::remove_file(durable::wal_path(&dur.dir, session.raw()));
-            let _ = std::fs::remove_file(durable::snapshot_path(&dur.dir, session.raw()));
-        }
-
         // Publish the terminal snapshot (carrying the session's final
-        // state) before the cell leaves the truths map: readers holding
-        // a TruthReader across the eviction land on `SessionGone` with
-        // the last truths intact, never on a torn or vanished cell.
-        if let Some(cell) = lock(&shard.truths).remove(&session.raw()) {
-            publish_session(
-                &cell,
-                &slot,
-                session,
-                shard.index,
-                Some(SnapshotState::SessionGone),
-            );
-        }
-        self.registry.publish_with(move |prior, _| {
-            let mut next = prior.clone();
-            next.retain(|&s| s != session);
-            next
-        });
-
-        Ok(EvictedSession {
+        // state): readers holding a TruthReader across the eviction land
+        // on `SessionGone` with the last truths intact, never on a torn
+        // or vanished cell.
+        publish_session(
+            &record.truth,
+            &slot,
+            session,
+            shard.index,
+            Some(SnapshotState::SessionGone),
+        );
+        let evicted = EvictedSession {
             session,
             answers_seen: slot.engine.answers_seen(),
             converges: slot.engine.converges(),
@@ -906,22 +850,16 @@ impl CrowdServe {
             final_report: slot.last_report.take().map(Arc::unwrap_or_clone),
             poisoned: slot.poisoned.take(),
             undrained,
-        })
-    }
-
-    /// Test-only fault injection: make the next converge on `session`
-    /// panic inside the drain tick. Compiled only for this crate's own
-    /// tests and under the `fault-inject` feature — the production API
-    /// surface cannot poison sessions; chaos tests configure a seeded
-    /// [`FaultPlan`] on [`ServeConfig`] instead.
-    #[cfg(any(test, feature = "fault-inject"))]
-    #[doc(hidden)]
-    pub fn debug_panic_next_converge(&self, session: SessionId) -> Result<(), ServeError> {
-        let slot = self.shards[self.shard_of(session)]
-            .slot(session.raw())
-            .ok_or(ServeError::UnknownSession(session))?;
-        lock(&slot).debug_panic_next_converge = true;
-        Ok(())
+        };
+        // Close the WAL file handle before unlinking (a refused submit
+        // may still hold the record for a moment).
+        drop(slot);
+        drop(record);
+        if let Some(dur) = &self.config.durability {
+            let _ = std::fs::remove_file(durable::wal_path(&dur.dir, session.raw()));
+            let _ = std::fs::remove_file(durable::snapshot_path(&dur.dir, session.raw()));
+        }
+        Ok(evicted)
     }
 
     /// Test-only fault injection: make the next converge on `session`
@@ -929,17 +867,16 @@ impl CrowdServe {
     /// lock until the test calls [`ConvergeGate::release`]. This is how
     /// the read path is tested: with a converge deliberately wedged
     /// mid-tick, reader snapshots must still complete instantly.
-    #[cfg(any(test, feature = "fault-inject"))]
-    #[doc(hidden)]
-    pub fn debug_block_next_converge(
+    #[cfg(test)]
+    pub(crate) fn debug_block_next_converge(
         &self,
         session: SessionId,
         gate: Arc<ConvergeGate>,
     ) -> Result<(), ServeError> {
-        let slot = self.shards[self.shard_of(session)]
-            .slot(session.raw())
+        let record = self.shards[self.shard_of(session)]
+            .session(session.raw())
             .ok_or(ServeError::UnknownSession(session))?;
-        lock(&slot).debug_block_next_converge = Some(gate);
+        lock(&record.slot).debug_block_next_converge = Some(gate);
         Ok(())
     }
 }
@@ -947,6 +884,7 @@ impl CrowdServe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultKind, FaultSite, FsyncPolicy};
     use crowd_core::Method;
     use crowd_data::{Answer, TaskType};
 
@@ -1243,15 +1181,24 @@ mod tests {
 
     #[test]
     fn poisoned_eviction_surfaces_undrained_answers() {
+        // The session's second converge attempt (index 1) panics.
         let serve = CrowdServe::new(ServeConfig {
             shards: 1,
+            fault: FaultPlan::seeded(0)
+                .schedule(
+                    FaultSite::Converge {
+                        session: 0,
+                        index: 1,
+                    },
+                    FaultKind::Panic,
+                )
+                .build(),
             ..ServeConfig::default()
         })
         .unwrap();
         let sid = serve.create_session(decision_session(4, 4)).unwrap();
         serve.submit(sid, vec![rec(0, 0, 1)]).unwrap();
         serve.drain_tick();
-        serve.debug_panic_next_converge(sid).unwrap();
         serve.submit(sid, vec![rec(1, 1, 1)]).unwrap();
         let tick = serve.drain_tick();
         assert_eq!(tick.poisoned, vec![sid]);
@@ -1268,6 +1215,52 @@ mod tests {
         assert_eq!(evicted.answers_seen, 2);
         assert!(evicted.poisoned.is_some());
         assert!(evicted.undrained.is_empty());
+    }
+
+    #[test]
+    fn submit_racing_eviction_is_refused_or_accounted_for() {
+        // A submit that passed its slot check before an eviction but
+        // reaches the ingest queue after it must not be acknowledged and
+        // then lost: it is refused, or the evicted session accounts for
+        // its answer.
+        let dir =
+            std::env::temp_dir().join(format!("crowd-serve-evict-race-{}", std::process::id()));
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.fsync = FsyncPolicy::Never;
+        let serve = CrowdServe::new(ServeConfig {
+            shards: 1,
+            durability: Some(durability),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let sid = serve.create_session(decision_session(2, 2)).unwrap();
+        let record = serve.shards[0].session(sid.raw()).unwrap();
+        let wal = lock(record.wal.as_ref().unwrap());
+        let (submitted, evicted) = std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| serve.submit(sid, vec![rec(0, 0, 1)]));
+            // Table, test and submitter: once the submitter holds the
+            // record it has passed its slot check and waits on the WAL.
+            while Arc::strong_count(&record) < 3 {
+                std::thread::yield_now();
+            }
+            let evicted = serve.evict(sid).unwrap();
+            drop(wal);
+            (submitter.join().unwrap(), evicted)
+        });
+        match submitted {
+            Err(ServeError::UnknownSession(s)) => assert_eq!(s, sid),
+            Ok(()) => assert_eq!(
+                evicted.answers_seen + evicted.undrained.len(),
+                1,
+                "an acknowledged answer is neither seen nor undrained"
+            ),
+            Err(other) => panic!("unexpected submit error: {other}"),
+        }
+        let tick = serve.drain_tick();
+        assert!(tick.errors.is_empty(), "{:?}", tick.errors);
+        assert_eq!(serve.stats().queued_answers, 0);
+        drop(serve);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

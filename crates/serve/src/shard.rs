@@ -1,16 +1,18 @@
-//! Shard internals: the bounded ingest queue, the session table, the
-//! per-session WAL handles, and the drain-tick executor body that runs
-//! on a pool worker.
+//! Shard internals: the bounded ingest queue, the session table (one
+//! record per session: slot, WAL handle and published truth cell), and
+//! the drain-tick executor body that runs on a pool worker.
 //!
 //! Lock ordering (deadlock freedom): `slot → wal → ingest`, with the
-//! session-table and WAL-table map locks held only for lookups. The
-//! submit path takes `wal → ingest` (after a brief, released slot
-//! check); the drain takes `ingest` alone to steal the queue, then
-//! `slot → wal` per session. No path takes them in a conflicting order.
+//! session-table map lock a leaf held only for a lookup, insert or
+//! remove. The submit path takes `wal → ingest` (after a brief, released
+//! slot check); the drain takes `ingest` alone to steal the queue, then
+//! `slot → wal` per session; eviction takes `ingest` (retiring the
+//! record and pulling its envelopes), then `slot`. No path takes them in
+//! a conflicting order.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -22,7 +24,7 @@ use crate::durable::snapshot::{write_snapshot, SnapshotData};
 use crate::durable::wal::WalWriter;
 use crate::durable::{self, DurabilityConfig};
 use crate::obs;
-use crate::service::SessionStats;
+use crate::service::{SessionStats, TickReport};
 use crate::truth::{Published, SnapshotState, TruthSnapshot};
 use crate::SessionId;
 
@@ -32,9 +34,25 @@ pub(crate) struct Envelope {
     pub records: Vec<AnswerRecord>,
 }
 
-/// A session slot on a shard. Each slot has its **own** lock (the table
-/// maps ids to `Arc<Mutex<SessionSlot>>`), so a long converge on one
-/// session never blocks reads or converges of its shard-mates.
+/// Everything one session owns, reached through one table entry. Each
+/// part has its own lock: a converge holds only its session's slot, a
+/// WAL append only the wal, and reads take neither.
+pub(crate) struct Session {
+    pub slot: Mutex<SessionSlot>,
+    /// The WAL handle (present only when durability is on). Outside the
+    /// slot, so a submit's append (possibly an fsync) never holds the
+    /// slot lock.
+    pub wal: Option<Mutex<SessionWal>>,
+    /// The published truth cell — the read path. Reads and publishes go
+    /// through the cell, never the table lock.
+    pub truth: Arc<Published<TruthSnapshot>>,
+    /// Set by eviction in the same ingest-lock hold that pulls the
+    /// session's envelopes; a submit checks it in its own ingest-lock
+    /// hold, so a batch is either pulled by the eviction or refused.
+    pub retired: AtomicBool,
+}
+
+/// A session's engine and counters, behind the record's slot lock.
 pub(crate) struct SessionSlot {
     pub engine: StreamEngine,
     /// The most recent drain-tick output — the freshest model state,
@@ -53,16 +71,14 @@ pub(crate) struct SessionSlot {
     /// Checkpoint auto-restarts consumed (bounded by
     /// [`DurabilityConfig::max_session_restarts`]).
     pub restarts: u32,
-    /// Answer batches the engine has absorbed (the in-memory twin of the
-    /// WAL's ingest cursor) — published as
-    /// [`TruthSnapshot::cum_batches`].
+    /// Answer batches the engine has absorbed — published as
+    /// [`TruthSnapshot::cum_batches`], and with durability on the WAL's
+    /// ingest cursor: the `cum_batches` the next converge frame records.
     pub batches_ingested: u64,
-    /// Test-only fault injection: the next converge on this slot panics.
-    pub debug_panic_next_converge: bool,
     /// Test-only: the next converge on this slot parks on this gate
     /// (with the slot lock held) until released — how the read-path
     /// tests pin a converge "in flight".
-    #[cfg(any(test, feature = "fault-inject"))]
+    #[cfg(test)]
     pub debug_block_next_converge: Option<Arc<crate::service::ConvergeGate>>,
 }
 
@@ -75,24 +91,16 @@ impl SessionSlot {
             converge_attempts: 0,
             restarts: 0,
             batches_ingested: 0,
-            debug_panic_next_converge: false,
-            #[cfg(any(test, feature = "fault-inject"))]
+            #[cfg(test)]
             debug_block_next_converge: None,
         }
     }
 }
 
-/// A session's durability state: the WAL writer plus the frame counters
-/// that tie the log to the engine. Lives outside [`SessionSlot`] so a
-/// submit's WAL append (possibly an fsync) never holds the slot lock
-/// and never blocks reads.
+/// A session's durability state: the WAL writer plus the converge and
+/// snapshot counters that tie the log to the engine.
 pub(crate) struct SessionWal {
     pub writer: WalWriter,
-    /// Batch frames appended (submit side).
-    pub batches_appended: u64,
-    /// Batch frames ingested into the engine (drain side) — the
-    /// `cum_batches` recorded by the next converge frame.
-    pub batches_ingested: u64,
     /// Converge frames appended.
     pub converges_logged: u64,
     /// Successful converges since the last snapshot.
@@ -101,23 +109,17 @@ pub(crate) struct SessionWal {
     pub snapshots_written: u64,
 }
 
-/// The ingest queue, bounded in **answers** (not envelopes) so queue
-/// memory is proportional to actual load.
-pub(crate) struct IngestQueue {
-    pub queue: VecDeque<Envelope>,
-    pub queued_answers: usize,
-}
-
-/// What one shard did during one drain tick.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ShardTickStats {
-    pub answers_ingested: usize,
-    pub sessions_converged: usize,
-    pub sessions_budget_exhausted: usize,
-    pub sessions_deadline_deferred: usize,
-    pub sessions_restarted: usize,
-    pub newly_poisoned: Vec<SessionId>,
-    pub ingest_errors: Vec<(SessionId, String)>,
+impl SessionWal {
+    /// A handle on `writer`, whose log already holds `converges_logged`
+    /// converge frames.
+    pub fn new(writer: WalWriter, converges_logged: u64) -> Self {
+        Self {
+            writer,
+            converges_logged,
+            converges_since_snapshot: 0,
+            snapshots_written: 0,
+        }
+    }
 }
 
 /// Per-tick context a drain needs beyond the budget: the durability
@@ -133,25 +135,20 @@ pub(crate) struct Shard {
     /// This shard's index in the service's shard vector (recorded in
     /// published [`SessionStats`]).
     pub index: usize,
-    pub ingest: Mutex<IngestQueue>,
+    /// The ingest queue, bounded in **answers** (not envelopes) so queue
+    /// memory is proportional to actual load.
+    pub ingest: Mutex<VecDeque<Envelope>>,
     /// The session table. The map lock is held only for lookups and
-    /// insert/remove — never across a converge.
-    pub sessions: Mutex<BTreeMap<u64, Arc<Mutex<SessionSlot>>>>,
-    /// Per-session WAL handles (present only when durability is on).
-    /// Same discipline as the session table: map lock for lookups only.
-    pub wals: Mutex<BTreeMap<u64, Arc<Mutex<SessionWal>>>>,
-    /// Per-session published truth cells — the read path. The
-    /// map lock is for lookups and insert/remove only; reads and
-    /// publishes go through the cell, never this lock.
-    pub truths: Mutex<BTreeMap<u64, Arc<Published<TruthSnapshot>>>>,
+    /// insert/remove — never across a converge, an append or a read.
+    pub sessions: Mutex<BTreeMap<u64, Arc<Session>>>,
     /// Serialises whole drains against evictions: an eviction must
     /// observe either the pre-drain queue (and pull its envelopes out
     /// itself) or the post-drain engines (envelopes applied) — never a
     /// drain that has stolen the queue but not yet applied it.
     pub drain_gate: Mutex<()>,
-    /// Lock-free mirror of `ingest.queued_answers`, kept in step at
-    /// every queue mutation so [`CrowdServe::stats`](crate::CrowdServe::stats)
-    /// polls without touching the queue lock.
+    /// Answers in the ingest queue. Changed only under the ingest lock,
+    /// where the capacity check reads it; [`CrowdServe::stats`](crate::CrowdServe::stats)
+    /// polls it without touching the queue lock.
     pub queued_answers: AtomicUsize,
     /// Lock-free count of currently-poisoned sessions on this shard
     /// (same purpose).
@@ -169,32 +166,51 @@ impl Shard {
     pub fn new(index: usize) -> Self {
         Self {
             index,
-            ingest: Mutex::new(IngestQueue {
-                queue: VecDeque::new(),
-                queued_answers: 0,
-            }),
+            ingest: Mutex::new(VecDeque::new()),
             sessions: Mutex::new(BTreeMap::new()),
-            wals: Mutex::new(BTreeMap::new()),
-            truths: Mutex::new(BTreeMap::new()),
             drain_gate: Mutex::new(()),
             queued_answers: AtomicUsize::new(0),
             poisoned_sessions: AtomicUsize::new(0),
         }
     }
 
-    /// Fetch one session's slot handle (brief map lock).
-    pub fn slot(&self, raw: u64) -> Option<Arc<Mutex<SessionSlot>>> {
+    /// Fetch one session's record (brief map lock).
+    pub fn session(&self, raw: u64) -> Option<Arc<Session>> {
         lock(&self.sessions).get(&raw).cloned()
     }
 
-    /// Fetch one session's WAL handle (brief map lock).
-    pub fn wal(&self, raw: u64) -> Option<Arc<Mutex<SessionWal>>> {
-        lock(&self.wals).get(&raw).cloned()
+    /// Every session's record, ascending id (brief map lock).
+    fn records(&self) -> Vec<(u64, Arc<Session>)> {
+        lock(&self.sessions)
+            .iter()
+            .map(|(&raw, record)| (raw, Arc::clone(record)))
+            .collect()
     }
 
-    /// Fetch one session's published truth cell (brief map lock).
-    pub fn truth(&self, raw: u64) -> Option<Arc<Published<TruthSnapshot>>> {
-        lock(&self.truths).get(&raw).cloned()
+    /// Register a session: publish its first truth snapshot (epoch
+    /// `epoch_base + 1`) and only then insert its record, so a reader
+    /// can never observe an empty cell.
+    pub fn open(&self, raw: u64, slot: SessionSlot, wal: Option<SessionWal>, epoch_base: u64) {
+        let session = SessionId::from_raw(raw);
+        let truth = Arc::new(Published::new(epoch_base, |epoch| {
+            snapshot_from_slot(&slot, session, self.index, epoch, None)
+        }));
+        obs::truth_publishes().inc();
+        let record = Session {
+            slot: Mutex::new(slot),
+            wal: wal.map(Mutex::new),
+            truth,
+            retired: AtomicBool::new(false),
+        };
+        lock(&self.sessions).insert(raw, Arc::new(record));
+    }
+
+    /// Append a batch to the ingest queue. Called with the queue locked.
+    pub fn enqueue(&self, q: &mut VecDeque<Envelope>, env: Envelope) {
+        let n = env.records.len();
+        self.queued_answers.fetch_add(n, Ordering::SeqCst);
+        obs::ingest_queued().add(n as i64);
+        q.push_back(env);
     }
 
     /// The drain-tick body, run on a pool worker thread (or inline).
@@ -219,51 +235,49 @@ impl Shard {
     /// Each session is locked individually for its own ingest/converge,
     /// so reads of other sessions proceed throughout the tick. A panic
     /// inside one session's converge is caught, poisons only that
-    /// session, and the drain moves on to the next one.
+    /// session, and the drain moves on to the next one. The returned
+    /// report leaves `shard_failures` and `elapsed` to the caller.
     pub fn drain(
         &self,
         budget: ConvergeBudget,
         deadline: Option<Duration>,
         ctx: &DrainCtx,
-    ) -> ShardTickStats {
+    ) -> TickReport {
         let _gate = lock(&self.drain_gate);
         let started = Instant::now();
         let tick_timer = obs::shard_tick_seconds().start_timer();
-        let mut stats = ShardTickStats::default();
+        let mut report = TickReport::default();
         // Sessions whose published snapshot must be refreshed at the end
         // of this tick (ingested, converged, poisoned, or restarted).
         let mut touched: BTreeSet<u64> = BTreeSet::new();
 
         // Phase 0: checkpoint auto-restarts.
-        if ctx.durability.is_some() {
-            self.restart_poisoned(ctx, &mut stats, &mut touched);
+        if let Some(dur) = &ctx.durability {
+            self.restart_poisoned(dur, ctx, &mut report, &mut touched);
         }
 
         // Take the whole queue in one lock hold; submitters regain the
         // full capacity immediately.
         let envelopes: Vec<Envelope> = {
             let mut q = lock(&self.ingest);
-            obs::ingest_queued().add(-(q.queued_answers as i64));
-            self.queued_answers
-                .fetch_sub(q.queued_answers, Ordering::SeqCst);
-            q.queued_answers = 0;
-            q.queue.drain(..).collect()
+            let queued = self.queued_answers.swap(0, Ordering::SeqCst);
+            obs::ingest_queued().add(-(queued as i64));
+            q.drain(..).collect()
         };
 
         // Phase 1: ingest.
         for env in envelopes {
             let sid = SessionId::from_raw(env.session);
-            let Some(slot) = self.slot(env.session) else {
-                // The session was evicted between the submit and this
-                // drain (the evict path pulls its own envelopes first, so
-                // this is a submit that raced the eviction). Report, don't
-                // crash the tick.
-                stats
-                    .ingest_errors
+            let Some(record) = self.session(env.session) else {
+                // Eviction pulls a session's envelopes and retires it in
+                // one ingest-lock hold, so no envelope should outlive its
+                // session. Report, don't crash the tick.
+                report
+                    .errors
                     .push((sid, "session evicted before ingest".to_string()));
                 continue;
             };
-            let mut slot = lock(&slot);
+            let mut slot = lock(&record.slot);
             if slot.poisoned.is_some() {
                 // Keep the batch (it raced the poisoning panic into the
                 // queue, and with durability it is already acknowledged in
@@ -274,57 +288,40 @@ impl Shard {
                 // session are refused, so no younger envelope of this
                 // session can already be ahead of it.
                 drop(slot);
-                let mut q = lock(&self.ingest);
-                q.queued_answers += env.records.len();
-                self.queued_answers
-                    .fetch_add(env.records.len(), Ordering::SeqCst);
-                obs::ingest_queued().add(env.records.len() as i64);
-                q.queue.push_back(env);
+                self.enqueue(&mut lock(&self.ingest), env);
                 continue;
             }
             match slot.engine.push_batch(&env.records) {
-                Ok(n) => stats.answers_ingested += n,
+                Ok(n) => report.answers_ingested += n,
                 Err((accepted, e)) => {
-                    stats.answers_ingested += accepted;
-                    stats
-                        .ingest_errors
+                    report.answers_ingested += accepted;
+                    report
+                        .errors
                         .push((sid, format!("record {accepted} rejected: {e}")));
                 }
             }
-            slot.batches_ingested += 1;
-            touched.insert(env.session);
             // The batch left the queue and entered the engine (even a
             // partially-rejected one: the rejection is deterministic and
-            // replays identically) — advance the WAL's ingest cursor so
-            // the next converge frame covers it.
-            if ctx.durability.is_some() {
-                if let Some(wal) = self.wal(env.session) {
-                    lock(&wal).batches_ingested += 1;
-                }
-            }
+            // replays identically), so the next converge frame covers it.
+            slot.batches_ingested += 1;
+            touched.insert(env.session);
         }
 
-        // Phase 2: budgeted converges, ascending session id. Snapshot the
-        // id → slot handles first; the map lock is not held while any
-        // session converges.
-        let snapshot: Vec<(u64, Arc<Mutex<SessionSlot>>)> = lock(&self.sessions)
-            .iter()
-            .map(|(&raw, slot)| (raw, Arc::clone(slot)))
-            .collect();
-        for (raw, slot) in snapshot {
-            let mut slot = lock(&slot);
+        // Phase 2: budgeted converges, ascending session id. The map
+        // lock is not held while any session converges.
+        for (raw, record) in self.records() {
+            let mut slot = lock(&record.slot);
             if slot.poisoned.is_some() || !slot.engine.needs_converge() {
                 continue;
             }
             if let Some(limit) = deadline {
                 if started.elapsed() >= limit {
-                    stats.sessions_deadline_deferred += 1;
+                    report.sessions_deadline_deferred += 1;
                     obs::shard_deadline_deferred().inc();
                     continue;
                 }
             }
-            let inject_debug = std::mem::take(&mut slot.debug_panic_next_converge);
-            #[cfg(any(test, feature = "fault-inject"))]
+            #[cfg(test)]
             let inject_block = std::mem::take(&mut slot.debug_block_next_converge);
             let attempt = slot.converge_attempts;
             slot.converge_attempts += 1;
@@ -337,45 +334,42 @@ impl Shard {
                 .is_some();
             let engine = &mut slot.engine;
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                if inject_debug {
-                    panic!("injected converge panic");
-                }
                 if inject_fault {
                     panic!("injected converge panic (fault plan)");
                 }
-                #[cfg(any(test, feature = "fault-inject"))]
+                #[cfg(test)]
                 if let Some(gate) = inject_block {
                     gate.park(); // holds the slot lock until released
                 }
                 engine.converge_budgeted(budget)
             }));
             match outcome {
-                Ok(Ok(report)) => {
-                    if report.result.converged {
-                        stats.sessions_converged += 1;
+                Ok(Ok(stream_report)) => {
+                    if stream_report.result.converged {
+                        report.sessions_converged += 1;
                         obs::shard_sessions_converged().inc();
                     } else {
-                        stats.sessions_budget_exhausted += 1;
+                        report.sessions_budget_exhausted += 1;
                         obs::shard_budget_exhausted().inc();
                     }
-                    slot.last_report = Some(Arc::new(report));
+                    slot.last_report = Some(Arc::new(stream_report));
                     touched.insert(raw);
-                    if let Some(dur) = &ctx.durability {
-                        self.log_converge(raw, &slot, budget, dur, ctx, &mut stats);
+                    if let (Some(dur), Some(wal)) = (&ctx.durability, &record.wal) {
+                        log_converge(raw, &slot, &mut lock(wal), budget, dur, ctx, &mut report);
                     }
                 }
                 Ok(Err(e)) => {
                     // A typed engine error (not a panic): the engine is
                     // still consistent, so the session stays usable; the
                     // error is surfaced in the tick report.
-                    stats
-                        .ingest_errors
+                    report
+                        .errors
                         .push((SessionId::from_raw(raw), format!("converge failed: {e}")));
                 }
                 Err(payload) => {
                     let msg = panic_message(payload.as_ref());
                     slot.poisoned = Some(msg);
-                    stats.newly_poisoned.push(SessionId::from_raw(raw));
+                    report.poisoned.push(SessionId::from_raw(raw));
                     touched.insert(raw);
                     self.poisoned_sessions.fetch_add(1, Ordering::SeqCst);
                     obs::shard_poisoned().inc();
@@ -388,88 +382,26 @@ impl Shard {
         // Each slot is re-locked briefly; the drain gate keeps the state
         // it captured from moving under us.
         for &raw in &touched {
-            let Some(cell) = self.truth(raw) else {
+            let Some(record) = self.session(raw) else {
                 continue;
             };
-            let Some(slot) = self.slot(raw) else { continue };
-            let slot = lock(&slot);
-            publish_session(&cell, &slot, SessionId::from_raw(raw), self.index, None);
+            let slot = lock(&record.slot);
+            publish_session(
+                &record.truth,
+                &slot,
+                SessionId::from_raw(raw),
+                self.index,
+                None,
+            );
         }
-        obs::shard_answers_ingested().add(stats.answers_ingested as u64);
+        obs::shard_answers_ingested().add(report.answers_ingested as u64);
         let dt = tick_timer.stop();
         crowd_obs::journal::record(
             crowd_obs::SpanKind::DrainTick,
-            stats.answers_ingested as u64,
+            report.answers_ingested as u64,
             dt,
         );
-        stats
-    }
-
-    /// Append a converge frame for a just-completed converge and, on
-    /// cadence, write a snapshot of the warm state. Called with the slot
-    /// lock held (slot → wal is the sanctioned order).
-    ///
-    /// A converge-frame append failure **wedges** the WAL: the engine
-    /// has converged but the log no longer records it, so any later
-    /// replay would diverge from the live trajectory. Wedging makes the
-    /// degradation explicit — reads keep serving, but further submits
-    /// fail typed until the session is restarted or evicted. A snapshot
-    /// failure, by contrast, is only logged: snapshots are an
-    /// optimisation and recovery falls back to full-WAL replay.
-    fn log_converge(
-        &self,
-        raw: u64,
-        slot: &SessionSlot,
-        budget: ConvergeBudget,
-        dur: &DurabilityConfig,
-        ctx: &DrainCtx,
-        stats: &mut ShardTickStats,
-    ) {
-        let Some(wal) = self.wal(raw) else { return };
-        let mut wal = lock(&wal);
-        if wal.writer.broken().is_some() {
-            return;
-        }
-        let cum = wal.batches_ingested;
-        let logged_budget = u64::try_from(budget.max_iterations).unwrap_or(u64::MAX);
-        if let Err(e) = wal.writer.append_converge(cum, logged_budget) {
-            wal.writer
-                .wedge(format!("converge frame append failed: {e}"));
-            stats.ingest_errors.push((
-                SessionId::from_raw(raw),
-                format!("wal wedged (converge frame append failed: {e}); submits will fail until restart/evict"),
-            ));
-            return;
-        }
-        wal.converges_logged += 1;
-        wal.converges_since_snapshot += 1;
-        if dur.snapshot_every_converges > 0
-            && wal.converges_since_snapshot >= dur.snapshot_every_converges
-        {
-            wal.converges_since_snapshot = 0;
-            let index = wal.snapshots_written;
-            wal.snapshots_written += 1;
-            let data = SnapshotData {
-                cum_batches: cum,
-                cum_converges: wal.converges_logged,
-                checkpoint: slot.engine.checkpoint(),
-            };
-            let path = durable::snapshot_path(&dur.dir, raw);
-            let sync = dur.fsync != durable::FsyncPolicy::Never;
-            let timer = obs::snapshot_write_seconds().start_timer();
-            let result = write_snapshot(&path, raw, index, &ctx.fault, &data, sync);
-            let dt = timer.stop();
-            crowd_obs::journal::record(crowd_obs::SpanKind::SnapshotWrite, raw, dt);
-            if let Err(e) = result {
-                obs::snapshot_failures().inc();
-                stats.ingest_errors.push((
-                    SessionId::from_raw(raw),
-                    format!("snapshot write failed (recovery will replay the full wal): {e}"),
-                ));
-            } else {
-                obs::snapshot_writes().inc();
-            }
-        }
+        report
     }
 
     /// Phase 0: rebuild poisoned sessions from snapshot + WAL replay.
@@ -483,30 +415,24 @@ impl Shard {
     /// remainder of each batch).
     fn restart_poisoned(
         &self,
+        dur: &DurabilityConfig,
         ctx: &DrainCtx,
-        stats: &mut ShardTickStats,
+        report: &mut TickReport,
         touched: &mut BTreeSet<u64>,
     ) {
-        let Some(dur) = &ctx.durability else { return };
-        let snapshot: Vec<(u64, Arc<Mutex<SessionSlot>>)> = lock(&self.sessions)
-            .iter()
-            .map(|(&raw, slot)| (raw, Arc::clone(slot)))
-            .collect();
-        for (raw, slot_arc) in snapshot {
-            let mut slot = lock(&slot_arc);
+        for (raw, record) in self.records() {
+            let mut slot = lock(&record.slot);
             if slot.poisoned.is_none() || slot.restarts >= dur.max_session_restarts {
                 continue;
             }
             let sid = SessionId::from_raw(raw);
-            let Some(wal_arc) = self.wal(raw) else {
-                continue;
-            };
-            let mut wal = lock(&wal_arc);
+            let Some(wal) = &record.wal else { continue };
+            let mut wal = lock(wal);
             match durable::recover_session(&dur.dir, raw) {
                 Ok(mut r) => {
                     // Advance to the live ingest cursor (see above).
                     let ingested_past_converge =
-                        usize::try_from(wal.batches_ingested.saturating_sub(r.cum_batches))
+                        usize::try_from(slot.batches_ingested.saturating_sub(r.cum_batches))
                             .unwrap_or(usize::MAX)
                             .min(r.tail_batches.len());
                     for batch in &r.tail_batches[..ingested_past_converge] {
@@ -526,13 +452,12 @@ impl Shard {
                         ) {
                             Ok(writer) => {
                                 wal.writer = writer;
-                                wal.batches_appended = r.cum_batches + r.tail_batches.len() as u64;
-                                wal.batches_ingested =
-                                    r.cum_batches + ingested_past_converge as u64;
                                 wal.converges_logged = r.cum_converges;
+                                slot.batches_ingested =
+                                    r.cum_batches + ingested_past_converge as u64;
                             }
                             Err(e) => {
-                                stats.ingest_errors.push((
+                                report.errors.push((
                                     sid,
                                     format!("restart aborted: wal reopen failed: {e}"),
                                 ));
@@ -544,10 +469,9 @@ impl Shard {
                     slot.last_report = r.last_report.map(Arc::new);
                     slot.poisoned = None;
                     slot.restarts += 1;
-                    slot.batches_ingested = wal.batches_ingested;
                     self.poisoned_sessions.fetch_sub(1, Ordering::SeqCst);
                     touched.insert(raw);
-                    stats.sessions_restarted += 1;
+                    report.sessions_restarted += 1;
                     obs::shard_restarts().inc();
                     crowd_obs::journal::record(
                         crowd_obs::SpanKind::SessionRestart,
@@ -559,11 +483,74 @@ impl Shard {
                     obs::recovery_replay_seconds().record(r.timings.replay.as_secs_f64());
                 }
                 Err(e) => {
-                    stats
-                        .ingest_errors
-                        .push((sid, format!("restart failed: {e}")));
+                    report.errors.push((sid, format!("restart failed: {e}")));
                 }
             }
+        }
+    }
+}
+
+/// Append a converge frame for a just-completed converge and, on
+/// cadence, write a snapshot of the warm state. Called with the slot
+/// lock held (slot → wal is the sanctioned order).
+///
+/// A converge-frame append failure **wedges** the WAL: the engine
+/// has converged but the log no longer records it, so any later
+/// replay would diverge from the live trajectory. Wedging makes the
+/// degradation explicit — reads keep serving, but further submits
+/// fail typed until the session is restarted or evicted. A snapshot
+/// failure, by contrast, is only logged: snapshots are an
+/// optimisation and recovery falls back to full-WAL replay.
+fn log_converge(
+    raw: u64,
+    slot: &SessionSlot,
+    wal: &mut SessionWal,
+    budget: ConvergeBudget,
+    dur: &DurabilityConfig,
+    ctx: &DrainCtx,
+    report: &mut TickReport,
+) {
+    if wal.writer.broken().is_some() {
+        return;
+    }
+    let cum = slot.batches_ingested;
+    let logged_budget = u64::try_from(budget.max_iterations).unwrap_or(u64::MAX);
+    if let Err(e) = wal.writer.append_converge(cum, logged_budget) {
+        wal.writer
+            .wedge(format!("converge frame append failed: {e}"));
+        report.errors.push((
+            SessionId::from_raw(raw),
+            format!("wal wedged (converge frame append failed: {e}); submits will fail until restart/evict"),
+        ));
+        return;
+    }
+    wal.converges_logged += 1;
+    wal.converges_since_snapshot += 1;
+    if dur.snapshot_every_converges > 0
+        && wal.converges_since_snapshot >= dur.snapshot_every_converges
+    {
+        wal.converges_since_snapshot = 0;
+        let index = wal.snapshots_written;
+        wal.snapshots_written += 1;
+        let data = SnapshotData {
+            cum_batches: cum,
+            cum_converges: wal.converges_logged,
+            checkpoint: slot.engine.checkpoint(),
+        };
+        let path = durable::snapshot_path(&dur.dir, raw);
+        let sync = dur.fsync != durable::FsyncPolicy::Never;
+        let timer = obs::snapshot_write_seconds().start_timer();
+        let result = write_snapshot(&path, raw, index, &ctx.fault, &data, sync);
+        let dt = timer.stop();
+        crowd_obs::journal::record(crowd_obs::SpanKind::SnapshotWrite, raw, dt);
+        if let Err(e) = result {
+            obs::snapshot_failures().inc();
+            report.errors.push((
+                SessionId::from_raw(raw),
+                format!("snapshot write failed (recovery will replay the full wal): {e}"),
+            ));
+        } else {
+            obs::snapshot_writes().inc();
         }
     }
 }
@@ -661,33 +648,31 @@ mod tests {
         let config = StreamConfig::new(Method::Mv, TaskType::DecisionMaking, 2, 2);
         let mut slot = SessionSlot::new(StreamEngine::new(config).unwrap());
         slot.poisoned = Some("injected".to_string());
-        lock(&shard.sessions).insert(7, Arc::new(Mutex::new(slot)));
+        shard.open(7, slot, None, 0);
         let records = vec![AnswerRecord {
             task: 0,
             worker: 0,
             answer: Answer::Label(1),
         }];
-        {
-            let mut q = lock(&shard.ingest);
-            q.queued_answers = records.len();
-            shard.queued_answers.store(records.len(), Ordering::SeqCst);
-            q.queue.push_back(Envelope {
+        shard.enqueue(
+            &mut lock(&shard.ingest),
+            Envelope {
                 session: 7,
                 records: records.clone(),
-            });
-        }
+            },
+        );
         for _ in 0..3 {
-            let stats = shard.drain(
+            let report = shard.drain(
                 ConvergeBudget::iterations(usize::MAX),
                 None,
                 &DrainCtx::default(),
             );
-            assert_eq!(stats.answers_ingested, 0);
-            assert!(stats.ingest_errors.is_empty());
+            assert_eq!(report.answers_ingested, 0);
+            assert!(report.errors.is_empty());
         }
         let q = lock(&shard.ingest);
-        assert_eq!(q.queued_answers, 1);
-        assert_eq!(q.queue.len(), 1);
-        assert_eq!(q.queue[0].records, records);
+        assert_eq!(shard.queued_answers.load(Ordering::SeqCst), 1);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].records, records);
     }
 }
