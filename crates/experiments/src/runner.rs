@@ -311,9 +311,8 @@ impl SweepRunner {
                     let panic_guard = CountPanicOnDrop;
                     let value = job();
                     std::mem::forget(panic_guard);
-                    let dt = timer.stop();
+                    timer.stop();
                     obs_cells().inc();
-                    crowd_obs::journal::record(crowd_obs::SpanKind::SweepCell, index as u64, dt);
                     note.status = CellStatus::Completed;
                     Some(value)
                 })

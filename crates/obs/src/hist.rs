@@ -156,7 +156,7 @@ impl Drop for Timer {
     }
 }
 
-/// A point-in-time, mergeable copy of one histogram's state.
+/// A point-in-time copy of one histogram's state.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// The registered metric name.
@@ -203,25 +203,6 @@ impl HistogramSnapshot {
             }
         }
         self.layout.quantile_edge(bucket).min(self.max)
-    }
-
-    /// Fold another snapshot of the **same layout** into this one
-    /// (bucket-wise add, sums added, max of maxes).
-    ///
-    /// # Panics
-    /// Panics if the layouts differ — merging incompatible buckets would
-    /// silently misreport latencies.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.layout, other.layout,
-            "cannot merge histograms with different bucket layouts"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -288,21 +269,6 @@ mod tests {
             assert_eq!(s.quantile(q), s.max, "q {q}");
         }
         assert!((1e-3..=2e-3).contains(&s.quantile(0.1)));
-    }
-
-    #[test]
-    fn merge_adds_and_maxes() {
-        let a = fresh("a");
-        let b = fresh("b");
-        a.record(1e-4);
-        b.record(2e-2);
-        b.record(3e-2);
-        let mut sa = a.0.snapshot("m");
-        let sb = b.0.snapshot("m");
-        sa.merge(&sb);
-        assert_eq!(sa.count, 3);
-        assert_eq!(sa.max, 3e-2);
-        assert!((sa.sum - 0.0501).abs() < 1e-12);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! and auto-restarts poisoned sessions; this crate is the runtime signal
 //! for all of it — a process-global [`MetricsRegistry`] of named
 //! [`Counter`]s, [`Gauge`]s (with built-in high-water marks), and
-//! lock-free log-linear latency [`Histogram`]s, scoped [`Timer`] guards
-//! that feed them, and a bounded, typed, lossy-with-drop-counter
-//! [`journal`] of recent events (drain ticks, converges, WAL appends,
-//! fsyncs, snapshots, recovery phases, restarts, backpressure rejects).
+//! lock-free log-linear latency [`Histogram`]s, plus the scoped
+//! [`Timer`] guards that feed them. Each event is recorded once, as a
+//! metric, and the registry has one output: the JSON snapshot
+//! ([`MetricsSnapshot::to_json`]) that `crowd-repro --metrics` prints
+//! and every bench artifact embeds.
 //!
 //! Design constraints, in order:
 //!
@@ -55,21 +56,18 @@
 #![warn(missing_docs)]
 
 mod hist;
-pub mod journal;
 mod registry;
 mod render;
 
 pub use hist::{Histogram, HistogramSnapshot, Timer};
-pub use journal::{Event, SpanKind};
 pub use registry::{
     counter, gauge, histogram, snapshot, Counter, Gauge, GaugeSnapshot, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use render::{render_json, render_prometheus};
+pub use render::render_json;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// The process-global record switch (see module docs). `OnceLock` holds
 /// the env-derived initial value so tests and the overhead bench can
@@ -118,17 +116,6 @@ pub fn set_enabled(on: bool) {
     enabled_flag().store(on, Ordering::Relaxed);
 }
 
-/// The process-start instant every journal timestamp is measured from.
-pub(crate) fn process_start() -> Instant {
-    static START: OnceLock<Instant> = OnceLock::new();
-    *START.get_or_init(Instant::now)
-}
-
-/// Microseconds since [`process_start`].
-pub(crate) fn now_micros() -> u64 {
-    process_start().elapsed().as_micros() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,12 +127,5 @@ mod tests {
         // process — flipping the process-global flag here would race the
         // sibling unit tests that record concurrently.
         assert!(enabled());
-    }
-
-    #[test]
-    fn timestamps_are_monotone() {
-        let a = now_micros();
-        let b = now_micros();
-        assert!(b >= a);
     }
 }

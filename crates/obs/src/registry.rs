@@ -164,11 +164,7 @@ impl MetricsRegistry {
 
 fn global() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        // Pin the journal epoch alongside the registry.
-        let _ = crate::process_start();
-        MetricsRegistry::new()
-    })
+    REGISTRY.get_or_init(MetricsRegistry::new)
 }
 
 /// The process-global counter registered under `name`.
@@ -202,7 +198,7 @@ pub struct GaugeSnapshot {
     pub high_water: i64,
 }
 
-/// A mergeable point-in-time copy of a registry's metrics.
+/// A point-in-time copy of a registry's metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.
@@ -234,47 +230,10 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Fold `other` into this snapshot: counters and histogram buckets
-    /// add, gauge values take `other`'s (it is the later observation)
-    /// and high-waters take the max. Metrics present in only one side
-    /// are kept.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(k, _)| k == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        for g in &other.gauges {
-            match self.gauges.iter_mut().find(|mine| mine.name == g.name) {
-                Some(mine) => {
-                    mine.value = g.value;
-                    mine.high_water = mine.high_water.max(g.high_water);
-                }
-                None => self.gauges.push(g.clone()),
-            }
-        }
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        for h in &other.histograms {
-            match self.histograms.iter_mut().find(|mine| mine.name == h.name) {
-                Some(mine) => mine.merge(h),
-                None => self.histograms.push(h.clone()),
-            }
-        }
-        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    }
-
     /// Render as a JSON object (schema `crowd-obs/v1`); see
     /// [`crate::render_json`].
     pub fn to_json(&self) -> String {
         crate::render_json(self)
-    }
-
-    /// Render in Prometheus text exposition format; see
-    /// [`crate::render_prometheus`].
-    pub fn to_prometheus(&self) -> String {
-        crate::render_prometheus(self)
     }
 }
 
@@ -306,24 +265,6 @@ mod tests {
         let s = r.snapshot();
         let gs = s.gauge("q.depth").unwrap();
         assert_eq!((gs.value, gs.high_water), (1, 8));
-    }
-
-    #[test]
-    fn snapshot_merge_conserves_totals() {
-        let r1 = MetricsRegistry::new();
-        let r2 = MetricsRegistry::new();
-        r1.counter("c").add(10);
-        r2.counter("c").add(5);
-        r2.counter("only2").add(1);
-        r1.histogram("h").record(1e-3);
-        r2.histogram("h").record(1e-2);
-        let mut s = r1.snapshot();
-        s.merge(&r2.snapshot());
-        assert_eq!(s.counter("c"), 15);
-        assert_eq!(s.counter("only2"), 1);
-        let h = s.histogram("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, 1e-2);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Snapshot rendering: hand-rolled JSON (the `crowd_bench::json` style —
-//! no serde in the offline build) and Prometheus text exposition for the
-//! future network front.
+//! no serde in the offline build).
 
 use std::fmt::Write as _;
 
@@ -121,53 +120,6 @@ pub fn render_json(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// A metric name in Prometheus form: dots become underscores (the only
-/// transformation our `layer.component.metric` names need).
-fn prom_name(name: &str) -> String {
-    name.replace('.', "_")
-}
-
-/// Render a snapshot in the Prometheus text exposition format: counters
-/// as `counter`, gauges as two `gauge` series (`<name>` and
-/// `<name>_high_water`), histograms as cumulative `<name>_bucket{le=…}`
-/// series plus `_sum` and `_count` — the shape a future network front
-/// can serve from `/metrics` unchanged.
-pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
-    }
-    for g in &snap.gauges {
-        let n = prom_name(&g.name);
-        let _ = writeln!(
-            out,
-            "# TYPE {n} gauge\n{n} {}\n# TYPE {n}_high_water gauge\n{n}_high_water {}",
-            g.value, g.high_water
-        );
-    }
-    for h in &snap.histograms {
-        let n = prom_name(&h.name);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        let mut cum = 0u64;
-        for (b, &c) in h.buckets.iter().enumerate() {
-            cum += c;
-            if c == 0 && b + 1 != h.buckets.len() {
-                continue; // keep the exposition small; cum still carries
-            }
-            let (_, hi) = h.layout.bounds(b);
-            let le = if hi.is_finite() {
-                format!("{hi:.9}")
-            } else {
-                "+Inf".to_string()
-            };
-            let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cum}");
-        }
-        let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", num(h.sum), h.count);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::registry::MetricsRegistry;
@@ -193,25 +145,5 @@ mod tests {
             j.matches('}').count(),
             "unbalanced JSON"
         );
-    }
-
-    #[test]
-    fn prometheus_dump_is_cumulative() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("x.y.lat_seconds");
-        h.record(1.5e-6);
-        h.record(2.5e-6);
-        h.record(5.0); // far bucket
-        let p = r.snapshot().to_prometheus();
-        assert!(p.contains("# TYPE x_y_lat_seconds histogram"));
-        assert!(p.contains("le=\"+Inf\"} 3"));
-        assert!(p.contains("x_y_lat_seconds_count 3"));
-        // Cumulative counts never decrease.
-        let counts: Vec<u64> = p
-            .lines()
-            .filter(|l| l.contains("_bucket{"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
     }
 }

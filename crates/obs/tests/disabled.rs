@@ -13,7 +13,6 @@ fn disabling_stops_recording_without_breaking_reads() {
     c.inc();
     g.set(5);
     h.record(1e-3);
-    crowd_obs::journal::record(crowd_obs::SpanKind::DrainTick, 1, 1e-3);
 
     crowd_obs::set_enabled(false);
     assert!(!crowd_obs::enabled());
@@ -26,7 +25,6 @@ fn disabling_stops_recording_without_breaking_reads() {
     {
         let _t = h.start_timer(); // no-op timer: never reads the clock
     }
-    crowd_obs::journal::record(crowd_obs::SpanKind::DrainTick, 2, 1e-3);
 
     // …while registration and reads keep working.
     let s = crowd_obs::snapshot();
@@ -35,9 +33,6 @@ fn disabling_stops_recording_without_breaking_reads() {
     assert_eq!((gs.value, gs.high_water), (5, 5));
     let hs = s.histogram("obs.test.switch_seconds").unwrap();
     assert_eq!(hs.count, 1);
-    let events = crowd_obs::journal::drain();
-    assert!(events.iter().any(|e| e.key == 1));
-    assert!(!events.iter().any(|e| e.key == 2), "recorded while off");
 
     // Re-enable: recording resumes on the same cells.
     crowd_obs::set_enabled(true);

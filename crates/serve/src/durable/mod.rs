@@ -86,9 +86,7 @@ impl DurabilityConfig {
 }
 
 /// Wall-clock cost of each recovery phase, in the order they run.
-/// Mirrored into the `serve.recovery.*_seconds` metrics and the
-/// `recovery_phase` journal spans (key 0=scan, 1=snapshot load,
-/// 2=replay, 3=requeue).
+/// Mirrored into the `serve.recovery.*_seconds` metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryPhaseTimings {
     /// Directory scan plus reading every WAL's valid prefix off disk.

@@ -235,12 +235,10 @@ pub fn write_snapshot(
     match fault.decide(site) {
         Some(FaultKind::Error) | Some(FaultKind::Panic) => {
             crate::obs::snapshot_faults().inc();
-            crowd_obs::journal::record(crowd_obs::SpanKind::FaultInjected, session, 0.0);
             return Err(io::Error::other("injected snapshot write error"));
         }
         Some(FaultKind::Torn) => {
             crate::obs::snapshot_faults().inc();
-            crowd_obs::journal::record(crowd_obs::SpanKind::FaultInjected, session, 0.0);
             // A "torn" snapshot write crashes before the rename: the tmp
             // file may be garbage but the real snapshot never changes.
             let tmp = path.with_extension("snap.tmp");

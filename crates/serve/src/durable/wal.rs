@@ -526,7 +526,6 @@ impl WalWriter {
             Some(FaultKind::Error) | Some(FaultKind::Panic) => {
                 // Clean injected failure: nothing written, retryable.
                 crate::obs::wal_faults().inc();
-                crowd_obs::journal::record(crowd_obs::SpanKind::FaultInjected, self.session, 0.0);
                 return Err(io::Error::other("injected wal append error"));
             }
             Some(FaultKind::Torn) => {
@@ -534,7 +533,6 @@ impl WalWriter {
                 // writer wedges (the in-process repair path is exactly
                 // what a real crash would NOT get to run).
                 crate::obs::wal_faults().inc();
-                crowd_obs::journal::record(crowd_obs::SpanKind::FaultInjected, self.session, 0.0);
                 let keep = self.fault.torn_keep(site, bytes.len());
                 let _ = self.file.write_all(&bytes[..keep]);
                 let _ = self.file.sync_data();
@@ -561,9 +559,8 @@ impl WalWriter {
             }
             return Err(e);
         }
-        let dt = timer.stop();
+        timer.stop();
         crate::obs::wal_appends().inc();
-        crowd_obs::journal::record(crowd_obs::SpanKind::WalAppend, self.session, dt);
         self.len += bytes.len() as u64;
         Ok(())
     }
@@ -588,9 +585,8 @@ impl WalWriter {
         let timer = crate::obs::wal_fsync_seconds().start_timer();
         let result = self.file.sync_data();
         if result.is_ok() {
-            let dt = timer.stop();
+            timer.stop();
             crate::obs::wal_fsyncs().inc();
-            crowd_obs::journal::record(crowd_obs::SpanKind::WalFsync, self.session, dt);
         } else {
             timer.discard();
         }

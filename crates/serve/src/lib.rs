@@ -19,10 +19,10 @@
 //! - **Drain ticks** ([`CrowdServe::drain_tick`]) fan one job per shard
 //!   out onto the worker pool's submit queue. Each shard job drains its
 //!   ingest queue into the engines, then re-converges dirty sessions
-//!   under a **budget** — an EM-iteration cap per session plus an
-//!   optional wall-clock deadline per shard. A session that runs out of
-//!   budget resumes from its [`WarmStart`](crowd_core::WarmStart) on the
-//!   next tick, so one heavy tenant cannot monopolise a shard.
+//!   under a **budget** — an EM-iteration cap per session. A session
+//!   that runs out of budget resumes from its
+//!   [`WarmStart`](crowd_core::WarmStart) on the next tick, so one heavy
+//!   tenant cannot monopolise a shard.
 //! - **Reads never wait on ingest or converge**: every drain tick
 //!   publishes an immutable [`TruthSnapshot`] per touched session by
 //!   swapping one `Arc`, so readers never touch an engine lock — not
@@ -49,9 +49,8 @@
 //!   rebuilds every session bit-identically after a crash — tolerating
 //!   torn WAL tails (truncated to the last valid frame) and corrupt
 //!   snapshots (silent downgrade to full-WAL replay). Poisoned sessions
-//!   auto-restart from their last checkpoint, backpressure gains a
-//!   deterministic-jitter [`RetryPolicy`], and chaos testing threads a
-//!   seeded [`FaultPlan`] through every I/O and converge path. See the
+//!   auto-restart from their last checkpoint, and chaos testing threads
+//!   a seeded [`FaultPlan`] through every I/O and converge path. See the
 //!   [`durable`] module and ARCHITECTURE.md §durability.
 //!
 //! Determinism: a session's batches are applied in submission order and
@@ -98,8 +97,7 @@ pub use durable::{
     DurabilityConfig, FsyncPolicy, RecoveredSessionCounts, RecoveryPhaseTimings, RecoveryReport,
 };
 pub use service::{
-    CrowdServe, EvictedSession, RetryPolicy, ServeConfig, ServeStats, SessionId, SessionStats,
-    TickReport,
+    CrowdServe, EvictedSession, ServeConfig, ServeStats, SessionId, SessionStats, TickReport,
 };
 pub use truth::{SnapshotState, TruthReader, TruthSnapshot};
 
@@ -144,17 +142,6 @@ pub enum ServeError {
         /// What failed.
         detail: String,
     },
-    /// [`CrowdServe::submit_with_retry`] ran out of attempts; the last
-    /// rejection is preserved.
-    RetriesExhausted {
-        /// The session whose batch kept being rejected.
-        session: SessionId,
-        /// How many attempts were made.
-        attempts: u32,
-        /// The final attempt's error (always
-        /// [`ServeError::Backpressure`] today).
-        last_error: Box<ServeError>,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -180,14 +167,6 @@ impl fmt::Display for ServeError {
                 Some(sid) => write!(f, "durability failure on session {sid}: {detail}"),
                 None => write!(f, "durability failure: {detail}"),
             },
-            Self::RetriesExhausted {
-                session,
-                attempts,
-                last_error,
-            } => write!(
-                f,
-                "submit to session {session} failed after {attempts} attempts: {last_error}"
-            ),
         }
     }
 }
@@ -196,7 +175,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Stream(e) => Some(e),
-            Self::RetriesExhausted { last_error, .. } => Some(last_error),
             _ => None,
         }
     }

@@ -53,11 +53,6 @@ handle!(
     "serve.shard.budget_exhausted_total"
 );
 handle!(
-    shard_deadline_deferred,
-    counter,
-    "serve.shard.deadline_deferred_total"
-);
-handle!(
     shard_poisoned,
     counter,
     "serve.shard.sessions_poisoned_total"

@@ -9,7 +9,7 @@ use crowd_core::exec::{JobOutcome, WorkerPool};
 use crowd_data::AnswerRecord;
 use crowd_stream::{ConvergeBudget, StreamConfig, StreamEngine, StreamReport};
 
-use crate::durable::fault::{splitmix64, FaultPlan};
+use crate::durable::fault::FaultPlan;
 use crate::durable::wal::WalWriter;
 use crate::durable::{self, DurabilityConfig, RecoveryReport};
 use crate::obs;
@@ -56,11 +56,6 @@ pub struct ServeConfig {
     /// Per-session EM-iteration budget for one drain tick. Sessions that
     /// exhaust it stay dirty and resume (warm) next tick.
     pub tick_iteration_budget: usize,
-    /// Optional per-shard wall-clock deadline for one drain tick; dirty
-    /// sessions past it are deferred to the next tick. Checked between
-    /// sessions (a single converge is bounded by the iteration budget,
-    /// not pre-empted).
-    pub tick_deadline: Option<Duration>,
     /// Durability: `Some` enables the per-session write-ahead answer
     /// log, periodic warm-state snapshots, crash recovery via
     /// [`CrowdServe::recover`], and checkpoint auto-restart of poisoned
@@ -77,60 +72,9 @@ impl Default for ServeConfig {
             shards: crowd_core::exec::default_threads().clamp(1, 8),
             queue_capacity: 1 << 16,
             tick_iteration_budget: usize::MAX,
-            tick_deadline: None,
             durability: None,
             fault: FaultPlan::none(),
         }
-    }
-}
-
-/// Deterministic-jitter exponential backoff for retrying
-/// [`ServeError::Backpressure`] rejections
-/// (see [`CrowdServe::submit_with_retry`]).
-///
-/// The delay for attempt `k` is `base_delay × 2^k`, capped at
-/// `max_delay`, scaled by a jitter factor in `[1 − jitter, 1 + jitter]`
-/// that is a **pure function of `(seed, k)`** — retry schedules
-/// reproduce exactly under a fixed seed, while different seeds decorrelate
-/// competing submitters (no thundering-herd re-submission).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total submit attempts (the first try included; 0 behaves as 1).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub base_delay: Duration,
-    /// Backoff ceiling.
-    pub max_delay: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a
-    /// deterministic factor in `[1 − jitter, 1 + jitter]`.
-    pub jitter: f64,
-    /// Seed for the deterministic jitter.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 5,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(200),
-            jitter: 0.2,
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before attempt `attempt + 1` (so `delay(0)` follows
-    /// the first failure). Pure — the same policy always produces the
-    /// same schedule.
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let exp = self.base_delay.saturating_mul(1u32 << attempt.min(20));
-        let capped = exp.min(self.max_delay);
-        let h = splitmix64(self.seed ^ 0x6a69_7474 ^ u64::from(attempt));
-        let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64); // [0, 1)
-        let factor = 1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * unit - 1.0);
-        capped.mul_f64(factor.max(0.0))
     }
 }
 
@@ -144,8 +88,6 @@ pub struct TickReport {
     /// Sessions whose converge ran out of iteration budget (they resume
     /// next tick).
     pub sessions_budget_exhausted: usize,
-    /// Dirty sessions skipped because the shard's deadline had passed.
-    pub sessions_deadline_deferred: usize,
     /// Poisoned sessions auto-restarted from their last checkpoint this
     /// tick (durability only).
     pub sessions_restarted: usize,
@@ -170,7 +112,6 @@ impl TickReport {
         self.answers_ingested += s.answers_ingested;
         self.sessions_converged += s.sessions_converged;
         self.sessions_budget_exhausted += s.sessions_budget_exhausted;
-        self.sessions_deadline_deferred += s.sessions_deadline_deferred;
         self.sessions_restarted += s.sessions_restarted;
         self.poisoned.extend(s.poisoned);
         self.errors.extend(s.errors);
@@ -207,7 +148,9 @@ pub struct ServeStats {
     pub sessions: usize,
     /// Poisoned sessions awaiting restart or eviction.
     pub poisoned_sessions: usize,
-    /// Answers currently waiting in ingest queues.
+    /// Answers currently waiting in ingest queues. Batches a drain has
+    /// parked on a poisoned session are not counted: they hold no queue
+    /// capacity, and come back from its restart or eviction.
     pub queued_answers: usize,
 }
 
@@ -226,12 +169,12 @@ pub struct EvictedSession {
     /// The poison message, for sessions that died to a converge panic.
     pub poisoned: Option<String>,
     /// Answers the engine never absorbed: for a poisoned session, every
-    /// still-queued answer; for a healthy one, the suffix of any batch
-    /// whose ingestion was rejected mid-way (the offending record and
-    /// everything after it). Empty in clean evictions — the caller can
-    /// account for every acknowledged submit as either `answers_seen`
-    /// or returned here: a submit racing the eviction is either pulled
-    /// in with the queue or refused with
+    /// answer parked on it or still queued, in submission order; for a
+    /// healthy one, the suffix of any batch whose ingestion was rejected
+    /// mid-way (the offending record and everything after it). Empty in
+    /// clean evictions — the caller can account for every acknowledged
+    /// submit as either `answers_seen` or returned here: a submit racing
+    /// the eviction is either pulled in with the queue or refused with
     /// [`ServeError::UnknownSession`], never acknowledged and dropped.
     pub undrained: Vec<AnswerRecord>,
 }
@@ -449,15 +392,13 @@ impl CrowdServe {
         obs::recovery_sessions_recovered().add(report.sessions_recovered as u64);
         obs::recovery_sessions_skipped().add(report.sessions_skipped as u64);
         let t = &report.timings;
-        for (hist, phase, dt) in [
-            (obs::recovery_scan_seconds(), 0u64, t.scan),
-            (obs::recovery_snapshot_load_seconds(), 1, t.snapshot_load),
-            (obs::recovery_replay_seconds(), 2, t.replay),
-            (obs::recovery_requeue_seconds(), 3, t.requeue),
+        for (hist, dt) in [
+            (obs::recovery_scan_seconds(), t.scan),
+            (obs::recovery_snapshot_load_seconds(), t.snapshot_load),
+            (obs::recovery_replay_seconds(), t.replay),
+            (obs::recovery_requeue_seconds(), t.requeue),
         ] {
-            let secs = dt.as_secs_f64();
-            hist.record(secs);
-            crowd_obs::journal::record(crowd_obs::SpanKind::RecoveryPhase, phase, secs);
+            hist.record(dt.as_secs_f64());
         }
         serve
             .next_session
@@ -573,7 +514,6 @@ impl CrowdServe {
         let queued = shard.queued_answers.load(Ordering::SeqCst);
         if queued > 0 && queued + records.len() > self.config.queue_capacity {
             obs::ingest_backpressure().inc();
-            crowd_obs::journal::record(crowd_obs::SpanKind::BackpressureReject, session.raw(), 0.0);
             return Err(ServeError::Backpressure {
                 session,
                 shard: shard_idx,
@@ -601,48 +541,6 @@ impl CrowdServe {
         Ok(())
     }
 
-    /// [`submit`](Self::submit) with deterministic-jitter exponential
-    /// backoff on [`ServeError::Backpressure`]: the batch is retried up
-    /// to `policy.max_attempts` times, sleeping `policy.delay(k)`
-    /// between attempts (some other thread must be running drain ticks
-    /// for the queue to empty). Every other error — unknown session,
-    /// poisoned, durability — is returned immediately; when the
-    /// attempts run out the last backpressure error comes back wrapped
-    /// in [`ServeError::RetriesExhausted`]. The batch is never
-    /// partially submitted.
-    pub fn submit_with_retry(
-        &self,
-        session: SessionId,
-        records: Vec<AnswerRecord>,
-        policy: &RetryPolicy,
-    ) -> Result<(), ServeError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut records = records;
-        for attempt in 0..attempts {
-            let last = attempt + 1 == attempts;
-            let batch = if last {
-                std::mem::take(&mut records)
-            } else {
-                records.clone()
-            };
-            match self.submit(session, batch) {
-                Ok(()) => return Ok(()),
-                Err(e @ ServeError::Backpressure { .. }) => {
-                    if last {
-                        return Err(ServeError::RetriesExhausted {
-                            session,
-                            attempts,
-                            last_error: Box::new(e),
-                        });
-                    }
-                    std::thread::sleep(policy.delay(attempt));
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        unreachable!("loop returns on the last attempt")
-    }
-
     /// Run one drain tick: one job per shard is submitted to the worker
     /// pool's from-any-thread queue, each shard ingests its queued
     /// batches and re-converges its dirty sessions under the configured
@@ -653,7 +551,6 @@ impl CrowdServe {
     pub fn drain_tick(&self) -> TickReport {
         let started = Instant::now();
         let budget = ConvergeBudget::iterations(self.config.tick_iteration_budget);
-        let deadline = self.config.tick_deadline;
         let ctx = DrainCtx {
             durability: self.config.durability.clone(),
             fault: self.config.fault.clone(),
@@ -662,7 +559,7 @@ impl CrowdServe {
 
         if self.shards.len() == 1 {
             // One shard: drain inline, no dispatch latency.
-            report.merge(self.shards[0].drain(budget, deadline, &ctx));
+            report.merge(self.shards[0].drain(budget, &ctx));
         } else {
             // Each job returns its statistics through its own ticket (not
             // shared shard state), so concurrent drain_tick callers cannot
@@ -673,8 +570,7 @@ impl CrowdServe {
                 .map(|shard| {
                     let shard = Arc::clone(shard);
                     let ctx = ctx.clone();
-                    self.pool
-                        .submit(move || shard.drain(budget, deadline, &ctx))
+                    self.pool.submit(move || shard.drain(budget, &ctx))
                 })
                 .collect();
             for ticket in tickets {
@@ -763,9 +659,9 @@ impl CrowdServe {
     /// session's record leaves its shard's table. Poisoned sessions are
     /// evicted without touching the engine — their last good report and
     /// poison message come back in the [`EvictedSession`], and every
-    /// answer the engine never absorbed (queued batches for a poisoned
-    /// session, rejected-batch suffixes for a healthy one) is surfaced
-    /// in [`EvictedSession::undrained`] rather than dropped. A submit
+    /// answer the engine never absorbed (parked and queued batches for a
+    /// poisoned session, rejected-batch suffixes for a healthy one) is
+    /// surfaced in [`EvictedSession::undrained`] rather than dropped. A submit
     /// racing the eviction is either pulled in with the queue or
     /// refused with [`ServeError::UnknownSession`].
     ///
@@ -804,14 +700,19 @@ impl CrowdServe {
         }
 
         let mut undrained = Vec::new();
+        // Batches parked on a poisoned session are older than any of its
+        // still-queued ones.
+        let batches = std::mem::take(&mut slot.parked)
+            .into_iter()
+            .chain(pending.into_iter().map(|env| env.records));
         if slot.poisoned.is_none() {
-            for env in pending {
-                match slot.engine.push_batch(&env.records) {
+            for records in batches {
+                match slot.engine.push_batch(&records) {
                     Ok(_) => {}
                     // The partial-apply contract: 0..accepted applied,
                     // the rest (offending record included) untouched —
                     // surface it instead of dropping it.
-                    Err((accepted, _)) => undrained.extend_from_slice(&env.records[accepted..]),
+                    Err((accepted, _)) => undrained.extend_from_slice(&records[accepted..]),
                 }
             }
             if slot.engine.needs_converge() {
@@ -825,9 +726,7 @@ impl CrowdServe {
                 }
             }
         } else {
-            for env in pending {
-                undrained.extend(env.records);
-            }
+            undrained.extend(batches.flatten());
         }
 
         // Publish the terminal snapshot (carrying the session's final
@@ -1055,79 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_delays_are_deterministic_and_bounded() {
-        let policy = RetryPolicy {
-            max_attempts: 6,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(50),
-            jitter: 0.25,
-            seed: 42,
-        };
-        let a: Vec<Duration> = (0..6).map(|k| policy.delay(k)).collect();
-        let b: Vec<Duration> = (0..6).map(|k| policy.delay(k)).collect();
-        assert_eq!(a, b, "same policy, same schedule");
-        for (k, d) in a.iter().enumerate() {
-            let nominal = Duration::from_millis(2u64 << k).min(Duration::from_millis(50));
-            let lo = nominal.mul_f64(0.75);
-            let hi = nominal.mul_f64(1.25);
-            assert!(
-                (lo..=hi).contains(d),
-                "delay({k}) = {d:?} outside [{lo:?}, {hi:?}]"
-            );
-        }
-        let other = RetryPolicy { seed: 43, ..policy };
-        assert_ne!(
-            (0..6).map(|k| other.delay(k)).collect::<Vec<_>>(),
-            a,
-            "different seeds should jitter differently"
-        );
-    }
-
-    #[test]
-    fn submit_with_retry_exhausts_on_persistent_backpressure() {
-        let serve = CrowdServe::new(ServeConfig {
-            shards: 1,
-            queue_capacity: 2,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let sid = serve.create_session(decision_session(8, 8)).unwrap();
-        serve.submit(sid, vec![rec(0, 0, 1), rec(1, 0, 1)]).unwrap();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            jitter: 0.0,
-            seed: 0,
-        };
-        // Nobody drains: every retry hits backpressure.
-        let err = serve
-            .submit_with_retry(sid, vec![rec(2, 0, 1), rec(3, 0, 1)], &policy)
-            .unwrap_err();
-        match err {
-            ServeError::RetriesExhausted {
-                session,
-                attempts,
-                last_error,
-            } => {
-                assert_eq!(session, sid);
-                assert_eq!(attempts, 3);
-                assert!(matches!(*last_error, ServeError::Backpressure { .. }));
-            }
-            other => panic!("expected RetriesExhausted, got {other}"),
-        }
-        // The failed batch was never partially enqueued.
-        assert_eq!(serve.stats().queued_answers, 2);
-        // After a drain, the same submit succeeds on the first retry.
-        serve.drain_tick();
-        serve
-            .submit_with_retry(sid, vec![rec(2, 0, 1), rec(3, 0, 1)], &policy)
-            .unwrap();
-        let tick = serve.drain_tick();
-        assert_eq!(tick.answers_ingested, 2);
-    }
-
-    #[test]
     fn invalid_records_surface_in_tick_report_without_killing_session() {
         let serve = CrowdServe::new(ServeConfig {
             shards: 1,
@@ -1215,6 +1041,127 @@ mod tests {
         assert_eq!(evicted.answers_seen, 2);
         assert!(evicted.poisoned.is_some());
         assert!(evicted.undrained.is_empty());
+    }
+
+    /// A plan that makes session 1's first converge panic.
+    fn doomed_first_converge() -> FaultPlan {
+        FaultPlan::seeded(0)
+            .schedule(
+                FaultSite::Converge {
+                    session: 1,
+                    index: 0,
+                },
+                FaultKind::Panic,
+            )
+            .build()
+    }
+
+    /// Opens a healthy session 0 and a doomed session 1 (see
+    /// [`doomed_first_converge`]) with one answer each, then runs one
+    /// tick that takes the queue, parks the healthy converge on a gate
+    /// while `backlog` is submitted for the doomed session, and lets the
+    /// doomed converge panic: the backlog is acknowledged and queued.
+    fn poison_behind_queued_backlog(
+        serve: &CrowdServe,
+        backlog: &[AnswerRecord],
+    ) -> (SessionId, SessionId) {
+        let healthy = serve.create_session(decision_session(4, 4)).unwrap();
+        let doomed = serve.create_session(decision_session(4, 4)).unwrap();
+        serve.submit(healthy, vec![rec(0, 0, 1)]).unwrap();
+        serve.submit(doomed, vec![rec(0, 0, 1)]).unwrap();
+        let gate = Arc::new(ConvergeGate::default());
+        serve
+            .debug_block_next_converge(healthy, Arc::clone(&gate))
+            .unwrap();
+        let tick = std::thread::scope(|scope| {
+            let tick = scope.spawn(|| serve.drain_tick());
+            gate.wait_entered();
+            serve.submit(doomed, backlog.to_vec()).unwrap();
+            gate.release();
+            tick.join().unwrap()
+        });
+        assert_eq!(tick.poisoned, vec![doomed]);
+        assert_eq!(tick.sessions_converged, 1);
+        (healthy, doomed)
+    }
+
+    #[test]
+    fn poisoned_backlog_never_blocks_healthy_shard_mates() {
+        // A poisoned session's acknowledged backlog is kept for its
+        // eviction, but must not hold the shard's queue capacity: the
+        // healthy session on the same shard keeps being admitted.
+        let serve = CrowdServe::new(ServeConfig {
+            shards: 1,
+            queue_capacity: 2,
+            fault: doomed_first_converge(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        // Over capacity: admitted only because the tick emptied the queue.
+        let backlog = vec![rec(1, 1, 1), rec(2, 2, 0), rec(3, 3, 1)];
+        let (healthy, doomed) = poison_behind_queued_backlog(&serve, &backlog);
+        for _ in 0..3 {
+            let tick = serve.drain_tick();
+            assert!(tick.errors.is_empty(), "{:?}", tick.errors);
+        }
+        let submitted = serve.submit(healthy, vec![rec(1, 1, 0)]);
+        assert!(submitted.is_ok(), "healthy session refused: {submitted:?}");
+        assert_eq!(serve.drain_tick().answers_ingested, 1);
+        let evicted = serve.evict(doomed).unwrap();
+        assert_eq!(evicted.answers_seen, 1);
+        assert!(evicted.poisoned.is_some());
+        assert_eq!(evicted.undrained, backlog);
+    }
+
+    #[test]
+    fn parked_batches_are_ingested_by_a_later_restart_and_logged() {
+        // Without restart budget the doomed session's backlog stays
+        // parked. Once a restart succeeds it ingests the backlog after the
+        // rebuild, and the converge frame that follows covers it, so
+        // recovery rebuilds the same session with nothing to requeue.
+        let dir = std::env::temp_dir().join(format!("crowd-serve-parked-{}", std::process::id()));
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.fsync = FsyncPolicy::Never;
+        durability.max_session_restarts = 0;
+        let serve = CrowdServe::new(ServeConfig {
+            shards: 1,
+            durability: Some(durability.clone()),
+            fault: doomed_first_converge(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let backlog = vec![rec(1, 1, 1), rec(2, 2, 0), rec(3, 3, 1)];
+        let (_, doomed) = poison_behind_queued_backlog(&serve, &backlog);
+        assert_eq!(serve.drain_tick().sessions_restarted, 0);
+        assert_eq!(serve.stats().queued_answers, 0);
+
+        durability.max_session_restarts = 1;
+        let ctx = DrainCtx {
+            durability: Some(durability.clone()),
+            fault: FaultPlan::none(),
+        };
+        let tick = serve.shards[0].drain(ConvergeBudget::iterations(usize::MAX), &ctx);
+        assert!(tick.errors.is_empty(), "{:?}", tick.errors);
+        assert_eq!(tick.sessions_restarted, 1);
+        assert_eq!(tick.answers_ingested, backlog.len());
+        assert_eq!(tick.sessions_converged, 1);
+        let live = serve.truth(doomed).unwrap();
+        assert_eq!(live.stats.answers_seen, 4);
+        assert_eq!(live.cum_batches, 2);
+        drop(serve);
+
+        let (recovered, report) = CrowdServe::recover(ServeConfig {
+            shards: 1,
+            durability: Some(durability),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        assert_eq!(report.answers_requeued, 0);
+        let snap = recovered.truth(doomed).unwrap();
+        assert_eq!(snap.stats.answers_seen, 4);
+        assert_eq!(snap.plurality, live.plurality);
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1312,28 +1259,6 @@ mod tests {
         for &sid in &sids {
             assert_eq!(serve.truth(sid).unwrap().stats.answers_seen, 8);
         }
-    }
-
-    #[test]
-    fn deadline_defers_sessions_to_the_next_tick() {
-        let serve = CrowdServe::new(ServeConfig {
-            shards: 1,
-            tick_deadline: Some(Duration::ZERO),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let a = serve.create_session(decision_session(2, 2)).unwrap();
-        let b = serve.create_session(decision_session(2, 2)).unwrap();
-        serve.submit(a, vec![rec(0, 0, 1)]).unwrap();
-        serve.submit(b, vec![rec(0, 1, 1)]).unwrap();
-        // Deadline ZERO: ingest happens, but every converge is deferred.
-        let tick = serve.drain_tick();
-        assert_eq!(tick.answers_ingested, 2);
-        assert_eq!(tick.sessions_converged, 0);
-        assert_eq!(tick.sessions_deadline_deferred, 2);
-        let snap = serve.truth(a).unwrap();
-        assert!(snap.stats.needs_converge);
-        assert!(snap.report.is_none());
     }
 
     #[test]

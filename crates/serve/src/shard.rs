@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 use crowd_data::AnswerRecord;
 use crowd_stream::{ConvergeBudget, StreamEngine, StreamReport};
@@ -75,6 +74,12 @@ pub(crate) struct SessionSlot {
     /// [`TruthSnapshot::cum_batches`], and with durability on the WAL's
     /// ingest cursor: the `cum_batches` the next converge frame records.
     pub batches_ingested: u64,
+    /// Batches a drain took off the queue after a converge panic had
+    /// poisoned the session, oldest first. They are acknowledged (with
+    /// durability, already in the WAL), so they wait here — off the
+    /// shard's queue and its capacity — until a checkpoint restart
+    /// ingests them or eviction returns them as `undrained`.
+    pub parked: Vec<Vec<AnswerRecord>>,
     /// Test-only: the next converge on this slot parks on this gate
     /// (with the slot lock held) until released — how the read-path
     /// tests pin a converge "in flight".
@@ -91,9 +96,26 @@ impl SessionSlot {
             converge_attempts: 0,
             restarts: 0,
             batches_ingested: 0,
+            parked: Vec::new(),
             #[cfg(test)]
             debug_block_next_converge: None,
         }
+    }
+
+    /// Push one batch into the engine. Even a partially rejected batch
+    /// counts as ingested (the rejection is deterministic and replays
+    /// identically), so the next converge frame covers it.
+    fn ingest(&mut self, session: SessionId, records: &[AnswerRecord], report: &mut TickReport) {
+        match self.engine.push_batch(records) {
+            Ok(n) => report.answers_ingested += n,
+            Err((accepted, e)) => {
+                report.answers_ingested += accepted;
+                report
+                    .errors
+                    .push((session, format!("record {accepted} rejected: {e}")));
+            }
+        }
+        self.batches_ingested += 1;
     }
 }
 
@@ -223,11 +245,11 @@ impl Shard {
     ///    dying).
     /// 1. **Ingest** — move every queued envelope into its engine, in
     ///    FIFO submission order (per-session order is what the
-    ///    bit-identical replay property rests on).
+    ///    bit-identical replay property rests on). A poisoned session's
+    ///    envelopes are parked on its slot instead.
     /// 2. **Converge** — for each dirty session (new answers, or a
     ///    previous tick's budget ran out), run one budgeted converge.
-    ///    Sessions are visited in ascending id order; once `deadline`
-    ///    passes, remaining dirty sessions are deferred to the next tick.
+    ///    Sessions are visited in ascending id order.
     ///    With durability on, each successful converge appends a WAL
     ///    converge frame (pinning the replay schedule) and, on cadence,
     ///    an atomic snapshot of the warm state.
@@ -237,14 +259,8 @@ impl Shard {
     /// inside one session's converge is caught, poisons only that
     /// session, and the drain moves on to the next one. The returned
     /// report leaves `shard_failures` and `elapsed` to the caller.
-    pub fn drain(
-        &self,
-        budget: ConvergeBudget,
-        deadline: Option<Duration>,
-        ctx: &DrainCtx,
-    ) -> TickReport {
+    pub fn drain(&self, budget: ConvergeBudget, ctx: &DrainCtx) -> TickReport {
         let _gate = lock(&self.drain_gate);
-        let started = Instant::now();
         let tick_timer = obs::shard_tick_seconds().start_timer();
         let mut report = TickReport::default();
         // Sessions whose published snapshot must be refreshed at the end
@@ -281,29 +297,14 @@ impl Shard {
             if slot.poisoned.is_some() {
                 // Keep the batch (it raced the poisoning panic into the
                 // queue, and with durability it is already acknowledged in
-                // the WAL): a restartable session ingests it after its
-                // next-tick checkpoint restart, and an evicted one
-                // surfaces it in `EvictedSession::undrained`. Requeueing
-                // at the back is order-safe — submits to a poisoned
-                // session are refused, so no younger envelope of this
-                // session can already be ahead of it.
-                drop(slot);
-                self.enqueue(&mut lock(&self.ingest), env);
+                // the WAL), but not in the queue, where it would hold the
+                // shard's capacity against healthy sessions. Submits to a
+                // poisoned session are refused, so whatever of this
+                // session is still queued is younger than what is parked.
+                slot.parked.push(env.records);
                 continue;
             }
-            match slot.engine.push_batch(&env.records) {
-                Ok(n) => report.answers_ingested += n,
-                Err((accepted, e)) => {
-                    report.answers_ingested += accepted;
-                    report
-                        .errors
-                        .push((sid, format!("record {accepted} rejected: {e}")));
-                }
-            }
-            // The batch left the queue and entered the engine (even a
-            // partially-rejected one: the rejection is deterministic and
-            // replays identically), so the next converge frame covers it.
-            slot.batches_ingested += 1;
+            slot.ingest(sid, &env.records, &mut report);
             touched.insert(env.session);
         }
 
@@ -313,13 +314,6 @@ impl Shard {
             let mut slot = lock(&record.slot);
             if slot.poisoned.is_some() || !slot.engine.needs_converge() {
                 continue;
-            }
-            if let Some(limit) = deadline {
-                if started.elapsed() >= limit {
-                    report.sessions_deadline_deferred += 1;
-                    obs::shard_deadline_deferred().inc();
-                    continue;
-                }
             }
             #[cfg(test)]
             let inject_block = std::mem::take(&mut slot.debug_block_next_converge);
@@ -395,12 +389,7 @@ impl Shard {
             );
         }
         obs::shard_answers_ingested().add(report.answers_ingested as u64);
-        let dt = tick_timer.stop();
-        crowd_obs::journal::record(
-            crowd_obs::SpanKind::DrainTick,
-            report.answers_ingested as u64,
-            dt,
-        );
+        tick_timer.stop();
         report
     }
 
@@ -408,10 +397,11 @@ impl Shard {
     ///
     /// The recovered engine is advanced to exactly the batches the live
     /// engine had ingested (`batches_ingested`): tail frames beyond the
-    /// last converge marker are pushed only up to that cursor — the rest
-    /// are still sitting in the in-memory ingest queue and will be
-    /// ingested by phase 1 as usual (pushing them here would make phase 1
-    /// re-push duplicates, whose rejection would silently drop the whole
+    /// last converge marker are pushed only up to that cursor. The rest
+    /// are the slot's parked batches, pushed next from memory, and then
+    /// whatever is still in the ingest queue, which phase 1 ingests as
+    /// usual (pushing those from the log here would make phase 1 re-push
+    /// duplicates, whose rejection would silently drop the whole
     /// remainder of each batch).
     fn restart_poisoned(
         &self,
@@ -467,17 +457,15 @@ impl Shard {
                     }
                     slot.engine = r.engine;
                     slot.last_report = r.last_report.map(Arc::new);
+                    for batch in std::mem::take(&mut slot.parked) {
+                        slot.ingest(sid, &batch, report);
+                    }
                     slot.poisoned = None;
                     slot.restarts += 1;
                     self.poisoned_sessions.fetch_sub(1, Ordering::SeqCst);
                     touched.insert(raw);
                     report.sessions_restarted += 1;
                     obs::shard_restarts().inc();
-                    crowd_obs::journal::record(
-                        crowd_obs::SpanKind::SessionRestart,
-                        raw,
-                        (r.timings.scan + r.timings.snapshot_load + r.timings.replay).as_secs_f64(),
-                    );
                     obs::recovery_snapshot_load_seconds()
                         .record(r.timings.snapshot_load.as_secs_f64());
                     obs::recovery_replay_seconds().record(r.timings.replay.as_secs_f64());
@@ -541,8 +529,7 @@ fn log_converge(
         let sync = dur.fsync != durable::FsyncPolicy::Never;
         let timer = obs::snapshot_write_seconds().start_timer();
         let result = write_snapshot(&path, raw, index, &ctx.fault, &data, sync);
-        let dt = timer.stop();
-        crowd_obs::journal::record(crowd_obs::SpanKind::SnapshotWrite, raw, dt);
+        timer.stop();
         if let Err(e) = result {
             obs::snapshot_failures().inc();
             report.errors.push((
@@ -643,7 +630,9 @@ mod tests {
     fn poisoned_session_batches_are_requeued_not_dropped() {
         // A batch that raced the poisoning panic into the queue must
         // survive drains (it is acknowledged; eviction or a restart will
-        // account for it) rather than being silently discarded.
+        // account for it) rather than being silently discarded. It is
+        // held on the session, not in the queue, so it takes no capacity
+        // from the shard's healthy sessions.
         let shard = Shard::new(0);
         let config = StreamConfig::new(Method::Mv, TaskType::DecisionMaking, 2, 2);
         let mut slot = SessionSlot::new(StreamEngine::new(config).unwrap());
@@ -662,17 +651,14 @@ mod tests {
             },
         );
         for _ in 0..3 {
-            let report = shard.drain(
-                ConvergeBudget::iterations(usize::MAX),
-                None,
-                &DrainCtx::default(),
-            );
+            let report = shard.drain(ConvergeBudget::iterations(usize::MAX), &DrainCtx::default());
             assert_eq!(report.answers_ingested, 0);
             assert!(report.errors.is_empty());
         }
-        let q = lock(&shard.ingest);
-        assert_eq!(shard.queued_answers.load(Ordering::SeqCst), 1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q[0].records, records);
+        let record = shard.session(7).unwrap();
+        let slot = lock(&record.slot);
+        assert_eq!(shard.queued_answers.load(Ordering::SeqCst), 0);
+        assert_eq!(slot.parked.len(), 1);
+        assert_eq!(slot.parked[0], records);
     }
 }

@@ -409,10 +409,9 @@ impl StreamEngine {
             }
             Ok(records.len())
         })();
-        let dt = timer.stop();
+        timer.stop();
         obs_batches().inc();
         obs_batch_answers().add(accepted as u64);
-        crowd_obs::journal::record(crowd_obs::SpanKind::BatchPush, accepted as u64, dt);
         out
     }
 
@@ -475,18 +474,13 @@ impl StreamEngine {
             self.warm = warm;
         }
         let report = run?;
-        let dt = timer.stop();
+        timer.stop();
         obs_converge_iterations().record(report.result.iterations as f64);
         if report.warm {
             obs_warm_resumes().inc();
         } else {
             obs_cold_converges().inc();
         }
-        crowd_obs::journal::record(
-            crowd_obs::SpanKind::Converge,
-            report.result.iterations as u64,
-            dt,
-        );
         let mut warm = WarmStart::from_result(&report.result);
         if shrink {
             self.shrink_worker_state(&mut warm);
