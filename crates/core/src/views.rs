@@ -3,8 +3,9 @@
 //!
 //! Methods iterate the answer log thousands of times. These views extract
 //! the labels/values once and store both adjacencies (per task `W_i`, per
-//! worker `T^w`) in **CSR form**: one contiguous entry buffer plus a
-//! `u32` offset array per dimension. A task's (or worker's) answers are a
+//! worker `T^w`) in **CSR form** ([`Csr`], from `crowd-stats`, which the
+//! dataset index uses too): one contiguous entry buffer plus a `u32`
+//! offset array per dimension. A task's (or worker's) answers are a
 //! contiguous slice — no pointer chasing, no per-row allocations — and
 //! posteriors live in a row-major [`DMat`](crate::DMat), so the E/M hot
 //! loops touch only flat memory.
@@ -17,6 +18,7 @@
 //! the numeric view of LFC_N, CATD, PM, Mean and Median.
 
 use crowd_data::{Answer, Dataset};
+pub use crowd_stats::Csr;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -26,105 +28,6 @@ mod sharded;
 
 pub use sharded::ShardedView;
 pub(crate) use sharded::{obs_estep_seconds, obs_reduce_seconds};
-
-/// Compressed sparse rows: `entries` holds each row's items contiguously,
-/// `offsets[i]..offsets[i+1]` delimits row `i`. Entry columns are `u32`
-/// (tasks and workers both fit comfortably), keeping the buffer compact.
-#[derive(Debug, Clone)]
-pub struct Csr<V> {
-    offsets: Vec<u32>,
-    entries: Vec<(u32, V)>,
-}
-
-impl<V: Copy + Default> Csr<V> {
-    /// Build from `(row, col, value)` triples, preserving the triple
-    /// order within each row (a stable counting sort on the row index —
-    /// two passes, no comparison sort).
-    pub fn from_triples(
-        num_rows: usize,
-        triples: impl Iterator<Item = (usize, u32, V)> + Clone,
-    ) -> Self {
-        let mut offsets = vec![0u32; num_rows + 1];
-        // Internal iteration (`for_each`) lets nested sources such as
-        // `flat_map` run as plain loops.
-        triples
-            .clone()
-            .for_each(|(row, _, _)| offsets[row + 1] += 1);
-        for i in 0..num_rows {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut entries = vec![(0, V::default()); offsets[num_rows] as usize];
-        let mut cursor: Vec<u32> = offsets[..num_rows].to_vec();
-        triples.for_each(|(row, col, v)| {
-            let slot = &mut cursor[row];
-            entries[*slot as usize] = (col, v);
-            *slot += 1;
-        });
-        Self { offsets, entries }
-    }
-
-    /// Build from `(row, col, value)` triples in a **single pass**, for
-    /// callers that already know each row's entry count (the sharded
-    /// view derives its worker rows this way from counted task rows).
-    /// Unlike [`Csr::from_triples`] the iterator is consumed once and
-    /// needs no `Clone` bound.
-    ///
-    /// Triple order within each row is preserved (same stable
-    /// counting-sort layout as the two-pass path, so the two
-    /// constructors produce identical buffers for identical input).
-    ///
-    /// # Panics
-    /// Panics if a triple's row is out of range or a row receives more
-    /// or fewer entries than `row_counts` promised — a miscounted CSR
-    /// would mis-slice every downstream hot loop. The check runs once
-    /// per row after the scatter: any miscount leaves some row's cursor
-    /// off its end (an entry past the end of the buffer panics on the
-    /// index instead).
-    pub fn from_triples_counted(
-        row_counts: &[u32],
-        triples: impl Iterator<Item = (usize, u32, V)>,
-    ) -> Self {
-        let num_rows = row_counts.len();
-        let mut offsets = vec![0u32; num_rows + 1];
-        for (i, &c) in row_counts.iter().enumerate() {
-            offsets[i + 1] = offsets[i] + c;
-        }
-        let mut entries = vec![(0, V::default()); offsets[num_rows] as usize];
-        let mut cursor: Vec<u32> = offsets[..num_rows].to_vec();
-        triples.for_each(|(row, col, v)| {
-            let slot = &mut cursor[row];
-            entries[*slot as usize] = (col, v);
-            *slot += 1;
-        });
-        assert!(
-            cursor.iter().zip(&offsets[1..]).all(|(c, end)| c == end),
-            "row counts disagree with the triples"
-        );
-        Self { offsets, entries }
-    }
-
-    /// Row `i` as a contiguous slice of `(col, value)` pairs.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[(u32, V)] {
-        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Number of entries in row `i`.
-    #[inline]
-    pub fn row_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
-    /// Total entries.
-    pub fn num_entries(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
 
 /// The categorical view's former name, kept as an alias of
 /// [`ShardedView`] for callers written against it (perfbench's views
@@ -459,8 +362,7 @@ mod tests {
                 counts[row] += 1;
             }
             let counted = Csr::from_triples_counted(&counts, triples.iter().copied());
-            prop_assert_eq!(&two_pass.offsets, &counted.offsets);
-            prop_assert_eq!(&two_pass.entries, &counted.entries);
+            prop_assert_eq!(&two_pass, &counted);
         }
     }
 

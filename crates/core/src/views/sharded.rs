@@ -22,7 +22,8 @@
 //!
 //! Every constructor funnels through one flat task CSR built by the
 //! two-pass [`Csr::from_triples`] (count, then scatter — no intermediate
-//! copy of the log), split at the shard boundaries; each shard then
+//! copy of the log), split at the shard boundaries
+//! ([`Csr::split_rows`]); each shard then
 //! derives its worker rows from its task rows
 //! ([`Csr::from_triples_counted`]). [`ShardedView::build`] is the
 //! dataset entry point `infer` uses, and [`ShardedView::from_records`]
@@ -100,12 +101,12 @@ impl ShardData {
         // once, on their maximum, to keep the branch out of the loop.
         let mut counts = vec![0u32; m];
         let mut max_label = 0u8;
-        for &(worker, label) in &task_adj.entries {
+        for &(worker, label) in task_adj.entries() {
             counts[worker as usize] += 1;
             max_label = max_label.max(label);
         }
         assert!(
-            task_adj.entries.is_empty() || (max_label as usize) < l,
+            task_adj.num_entries() == 0 || (max_label as usize) < l,
             "record label {max_label} ≥ {l}"
         );
         let worker_adj = Csr::from_triples_counted(
@@ -222,9 +223,8 @@ impl ShardedView {
         Self::from_task_adj(m, l, shard_count, task_adj, golden)
     }
 
-    /// Split a flat task CSR at the shard boundaries and derive each
-    /// shard's worker rows. Shards are peeled off the tail, so every
-    /// entry is copied at most once — and not at all at one shard.
+    /// Split a flat task CSR at the shard boundaries
+    /// ([`Csr::split_rows`]) and derive each shard's worker rows.
     fn from_task_adj(
         m: usize,
         l: usize,
@@ -234,37 +234,12 @@ impl ShardedView {
     ) -> Self {
         let n = task_adj.num_rows();
         let starts = shard_starts(n, shard_count);
-        let mut shards: Vec<ShardData> = Vec::with_capacity(starts.len() - 1);
-        if starts.len() == 2 {
-            shards.push(ShardData::from_task_adj(0, m, l, task_adj));
-        } else {
-            let Csr {
-                offsets,
-                mut entries,
-            } = task_adj;
-            for w in starts.windows(2).rev() {
-                let (start, end) = (w[0], w[1]);
-                let base = offsets[start];
-                let part = if start == 0 {
-                    let mut head = std::mem::take(&mut entries);
-                    head.shrink_to_fit();
-                    head
-                } else {
-                    entries.split_off(base as usize)
-                };
-                let offsets = offsets[start..=end].iter().map(|&o| o - base).collect();
-                shards.push(ShardData::from_task_adj(
-                    start,
-                    m,
-                    l,
-                    Csr {
-                        offsets,
-                        entries: part,
-                    },
-                ));
-            }
-            shards.reverse();
-        }
+        let shards = task_adj
+            .split_rows(&starts)
+            .into_iter()
+            .zip(&starts)
+            .map(|(part, &start)| ShardData::from_task_adj(start, m, l, part))
+            .collect();
         let mut view = Self {
             n,
             m,
@@ -421,9 +396,7 @@ impl ShardedView {
     pub fn max_task_degree(&self) -> usize {
         self.shards
             .iter()
-            .flat_map(|shard| {
-                (0..shard.task_adj.num_rows()).map(|local| shard.task_adj.row_len(local))
-            })
+            .map(|shard| shard.task_adj.max_row_len())
             .max()
             .unwrap_or(0)
     }

@@ -14,25 +14,52 @@ pub struct DatasetBuilder {
     num_tasks: usize,
     num_workers: usize,
     records: Vec<AnswerRecord>,
-    seen: HashSet<(usize, usize)>,
+    /// `(task, worker)` pairs answered so far, keyed `task << 32 | worker`.
+    /// The default (keyed) hasher stays: `read_tsv` feeds file input here.
+    seen: HashSet<u64>,
     truths: Vec<Option<Answer>>,
 }
 
 impl DatasetBuilder {
     /// Start a dataset with a fixed task/worker universe.
+    ///
+    /// # Panics
+    /// Panics if either universe has more than `2^32` members (the
+    /// dataset index names tasks, workers and records by `u32`).
     pub fn new(
         name: impl Into<String>,
         task_type: TaskType,
         num_tasks: usize,
         num_workers: usize,
     ) -> Self {
+        Self::with_capacity(name, task_type, num_tasks, num_workers, 0)
+    }
+
+    /// [`DatasetBuilder::new`] with room for `answers` answers, for
+    /// callers that know the log's size: the record log and the
+    /// duplicate set are then sized once instead of growing by doubling.
+    ///
+    /// # Panics
+    /// As [`DatasetBuilder::new`].
+    pub fn with_capacity(
+        name: impl Into<String>,
+        task_type: TaskType,
+        num_tasks: usize,
+        num_workers: usize,
+        answers: usize,
+    ) -> Self {
+        let fits = |count: usize| count as u64 <= 1 << 32;
+        assert!(
+            fits(num_tasks) && fits(num_workers),
+            "task and worker universes must fit u32 indices"
+        );
         Self {
             name: name.into(),
             task_type,
             num_tasks,
             num_workers,
-            records: Vec::new(),
-            seen: HashSet::new(),
+            records: Vec::with_capacity(answers),
+            seen: HashSet::with_capacity(answers),
             truths: vec![None; num_tasks],
         }
     }
@@ -45,11 +72,9 @@ impl DatasetBuilder {
             });
         }
         if worker >= self.num_workers {
-            // Reuse the task error shape for workers to keep the enum small;
-            // callers mostly care that construction failed loudly.
-            return Err(DataError::TaskOutOfRange {
-                task: worker,
-                num_tasks: self.num_workers,
+            return Err(DataError::WorkerOutOfRange {
+                worker,
+                num_workers: self.num_workers,
             });
         }
         Ok(())
@@ -64,7 +89,7 @@ impl DatasetBuilder {
     ) -> Result<(), DataError> {
         self.check_indices(task, worker)?;
         self.task_type.check_answer(&answer)?;
-        if !self.seen.insert((task, worker)) {
+        if !self.seen.insert((task as u64) << 32 | worker as u64) {
             return Err(DataError::DuplicateAnswer { task, worker });
         }
         self.records.push(AnswerRecord {
@@ -156,6 +181,43 @@ mod tests {
         let mut b = DatasetBuilder::new("d", TaskType::DecisionMaking, 2, 2);
         assert!(b.add_label(2, 0, 0).is_err());
         assert!(b.add_label(0, 5, 0).is_err());
+    }
+
+    #[test]
+    fn out_of_range_worker_has_its_own_error() {
+        let mut b = DatasetBuilder::new("d", TaskType::DecisionMaking, 2, 2);
+        let err = b.add_label(0, 5, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DataError::WorkerOutOfRange {
+                    worker: 5,
+                    num_workers: 2
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "worker index 5 out of range (dataset has 2 workers)"
+        );
+    }
+
+    #[test]
+    fn duplicate_key_separates_task_and_worker_bits() {
+        // Every (task, worker) pair of a 3 × 3 grid is its own key:
+        // `(1, 0)` and `(0, 1)` must not collide once packed.
+        let mut b = DatasetBuilder::with_capacity("d", TaskType::DecisionMaking, 3, 3, 9);
+        for t in 0..3 {
+            for w in 0..3 {
+                b.add_label(t, w, 0).unwrap();
+            }
+        }
+        assert_eq!(b.num_answers(), 9);
+        assert!(matches!(
+            b.add_label(2, 1, 1),
+            Err(DataError::DuplicateAnswer { task: 2, worker: 1 })
+        ));
     }
 
     #[test]

@@ -12,6 +12,13 @@ pub enum DataError {
         /// The number of tasks in the dataset.
         num_tasks: usize,
     },
+    /// An answer referenced a worker index outside `0..num_workers`.
+    WorkerOutOfRange {
+        /// The offending worker index.
+        worker: usize,
+        /// The number of workers in the dataset.
+        num_workers: usize,
+    },
     /// A categorical answer or truth used a label outside `0..num_choices`.
     LabelOutOfRange {
         /// The offending label.
@@ -55,6 +62,15 @@ impl fmt::Display for DataError {
                 write!(
                     f,
                     "task index {task} out of range (dataset has {num_tasks} tasks)"
+                )
+            }
+            Self::WorkerOutOfRange {
+                worker,
+                num_workers,
+            } => {
+                write!(
+                    f,
+                    "worker index {worker} out of range (dataset has {num_workers} workers)"
                 )
             }
             Self::LabelOutOfRange { label, num_choices } => {

@@ -342,15 +342,18 @@ impl CrowdSimulator {
 
         // 2. Assignment: each task gets `redundancy` distinct workers,
         //    drawn by Zipf weight without replacement.
-        let mut builder = DatasetBuilder::new(
+        let redundancy = self.config.redundancy;
+        let mut builder = DatasetBuilder::with_capacity(
             self.config.name.clone(),
             self.config.task_type,
             n,
             self.config.num_workers,
+            n * redundancy,
         );
+        let mut picks = Vec::with_capacity(redundancy);
         for task in 0..n {
-            let chosen = self.pick_workers(self.config.redundancy);
-            for worker in chosen {
+            self.pick_workers(redundancy, &mut picks);
+            for &(worker, _) in &picks {
                 let answer = self.draw_answer(worker, truths[task] + offsets[task], hard[task]);
                 match answer {
                     SimAnswer::Label(l) => builder
@@ -388,16 +391,21 @@ impl CrowdSimulator {
         builder.build()
     }
 
-    /// Weighted sample of `k` distinct workers.
-    fn pick_workers(&mut self, k: usize) -> Vec<usize> {
-        let mut weights = self.zipf_weights.clone();
-        let mut chosen = Vec::with_capacity(k);
+    /// Weighted sample of `k` distinct workers into `picks`, as
+    /// `(worker, Zipf weight)` pairs in draw order. A picked worker's
+    /// weight is zeroed in place for the later draws and restored before
+    /// returning, so the weights every draw sees equal a fresh copy's.
+    fn pick_workers(&mut self, k: usize, picks: &mut Vec<(usize, f64)>) {
+        picks.clear();
         for _ in 0..k {
-            let w = sample_categorical(&mut self.rng, &weights);
-            weights[w] = 0.0;
-            chosen.push(w);
+            let w = sample_categorical(&mut self.rng, &self.zipf_weights);
+            picks.push((w, self.zipf_weights[w]));
+            self.zipf_weights[w] = 0.0;
         }
-        chosen
+        // In reverse, so a worker drawn twice gets its first-saved weight.
+        for &(w, weight) in picks.iter().rev() {
+            self.zipf_weights[w] = weight;
+        }
     }
 
     fn draw_answer(&mut self, worker: usize, truth: f64, hard: bool) -> SimAnswer {
@@ -464,8 +472,7 @@ impl CrowdSimulator {
             WorkerParams::ConfusionMatrix { rows } => {
                 let _ = choices.expect("confusion-matrix worker on categorical task");
                 let truth = truth as u8;
-                let row = rows[truth as usize].clone();
-                SimAnswer::Label(sample_categorical(&mut self.rng, &row) as u8)
+                SimAnswer::Label(sample_categorical(&mut self.rng, &rows[truth as usize]) as u8)
             }
             WorkerParams::Numeric { bias, sigma } => {
                 SimAnswer::Numeric(truth + bias + sample_gaussian(&mut self.rng, 0.0, *sigma))

@@ -22,7 +22,13 @@ use crate::model::{Answer, Dataset, TaskType};
 /// `task_type` decides how the `answer` column is parsed: as a label index
 /// for categorical types, as an `f64` for numeric. Lines are
 /// `task \t worker \t answer`; a single header line is skipped when its
-/// first field is not parseable as data (i.e. always for our files).
+/// last field is not parseable as a number (i.e. always for our files),
+/// and blank lines are skipped.
+///
+/// Every rejected row — unparseable, a label out of range, an answer of
+/// the wrong kind, a worker answering a task twice — is a
+/// [`DataError::Parse`] carrying the row's 1-based line in its file and
+/// naming the file's own task and worker ids.
 pub fn read_tsv(
     answers_path: &Path,
     truths_path: Option<&Path>,
@@ -37,7 +43,7 @@ pub fn read_tsv(
 
     let mut task_ids: HashMap<String, usize> = HashMap::new();
     let mut worker_ids: HashMap<String, usize> = HashMap::new();
-    for row in &answer_rows {
+    for (_, row) in &answer_rows {
         let next = task_ids.len();
         task_ids.entry(row[0].clone()).or_insert(next);
         let next = worker_ids.len();
@@ -45,24 +51,48 @@ pub fn read_tsv(
     }
     // Truth files may mention tasks that received no answers; they still
     // belong to the task universe.
-    for row in &truth_rows {
+    for (_, row) in &truth_rows {
         let next = task_ids.len();
         task_ids.entry(row[0].clone()).or_insert(next);
     }
 
-    let mut builder = DatasetBuilder::new(name, task_type, task_ids.len(), worker_ids.len());
-    for (line, row) in answer_rows.iter().enumerate() {
+    let mut builder = DatasetBuilder::with_capacity(
+        name,
+        task_type,
+        task_ids.len(),
+        worker_ids.len(),
+        answer_rows.len(),
+    );
+    for &(line, ref row) in &answer_rows {
         let task = task_ids[&row[0]];
         let worker = worker_ids[&row[1]];
-        let answer = parse_answer(&row[2], task_type, line + 2)?;
-        builder.add_answer(task, worker, answer)?;
+        let answer = parse_answer(&row[2], task_type, line)?;
+        builder
+            .add_answer(task, worker, answer)
+            .map_err(|e| rejected_row(line, &row[0], Some(&row[1]), e))?;
     }
-    for (line, row) in truth_rows.iter().enumerate() {
+    for &(line, ref row) in &truth_rows {
         let task = task_ids[&row[0]];
-        let truth = parse_answer(&row[1], task_type, line + 2)?;
-        builder.set_truth(task, truth)?;
+        let truth = parse_answer(&row[1], task_type, line)?;
+        builder
+            .set_truth(task, truth)
+            .map_err(|e| rejected_row(line, &row[0], None, e))?;
     }
     Ok(builder.build())
+}
+
+/// Restate a builder error on a file row as a [`DataError::Parse`] at
+/// that row's line, naming the file's task id (and worker id, for an
+/// answer) instead of the builder's dense indices.
+fn rejected_row(line: usize, task: &str, worker: Option<&str>, e: DataError) -> DataError {
+    let detail = match (worker, e) {
+        (Some(worker), DataError::DuplicateAnswer { .. }) => {
+            format!("worker {worker:?} answered task {task:?} more than once")
+        }
+        (Some(worker), e) => format!("answer of worker {worker:?} to task {task:?}: {e}"),
+        (None, e) => format!("truth of task {task:?}: {e}"),
+    };
+    DataError::Parse { line, detail }
 }
 
 /// Write `dataset` as `answers.tsv` (+ `truths.tsv` when any truth is
@@ -114,9 +144,10 @@ fn parse_answer(s: &str, task_type: TaskType, line: usize) -> Result<Answer, Dat
     }
 }
 
-/// Read the rows of a TSV file, skipping the first line if it looks like a
-/// header (non-numeric last field) and validating the column count.
-fn read_rows(path: &Path, cols: usize) -> Result<Vec<Vec<String>>, DataError> {
+/// Read the rows of a TSV file as `(1-based line, fields)`, skipping blank
+/// lines and the first line if it looks like a header (non-numeric last
+/// field), and validating the column count.
+fn read_rows(path: &Path, cols: usize) -> Result<Vec<(usize, Vec<String>)>, DataError> {
     let file = std::fs::File::open(path)?;
     let reader = std::io::BufReader::new(file);
     let mut rows = Vec::new();
@@ -141,7 +172,7 @@ fn read_rows(path: &Path, cols: usize) -> Result<Vec<Vec<String>>, DataError> {
                 detail: format!("expected {cols} tab-separated fields, got {}", fields.len()),
             });
         }
-        rows.push(fields);
+        rows.push((i + 1, fields));
     }
     Ok(rows)
 }
@@ -223,6 +254,67 @@ mod tests {
         let err = read_tsv(&p, None, TaskType::DecisionMaking, "bad");
         assert!(matches!(err, Err(DataError::Parse { .. })));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The `DataError::Parse` line and detail of reading `answers` (and
+    /// `truths`) as a decision-making dataset.
+    fn parse_error(tag: &str, answers: &str, truths: Option<&str>) -> (usize, String) {
+        let dir = tmpdir(tag);
+        let a = dir.join("answers.tsv");
+        std::fs::write(&a, answers).unwrap();
+        let t = dir.join("truths.tsv");
+        if let Some(truths) = truths {
+            std::fs::write(&t, truths).unwrap();
+        }
+        let err = read_tsv(
+            &a,
+            truths.map(|_| t.as_path()),
+            TaskType::DecisionMaking,
+            tag,
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        match err {
+            Err(DataError::Parse { line, detail }) => (line, detail),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_label_line_counts_blank_lines_without_a_header() {
+        // No header: the bad label is on line 2, before a blank line 3.
+        let (line, detail) = parse_error("lines", "t0\tw0\t0\nt1\tw1\tseven\n\nt2\tw0\t1\n", None);
+        assert_eq!(line, 2, "{detail}");
+        // A header, then blank lines 2 and 3: the bad label is on line 4.
+        let (line, detail) = parse_error(
+            "blank",
+            "question\tworker\tanswer\n\n\nt0\tw0\tseven\n",
+            None,
+        );
+        assert_eq!(line, 4, "{detail}");
+        // An out-of-range label is caught by the builder; it gets a line
+        // and the file's ids too.
+        let (line, detail) = parse_error("range", "question\tworker\tanswer\n\nq7\tann\t5\n", None);
+        assert_eq!(line, 3, "{detail}");
+        assert!(
+            detail.contains("\"ann\"") && detail.contains("\"q7\""),
+            "{detail}"
+        );
+        assert!(detail.contains("label 5 out of range"), "{detail}");
+        // So is a truth of the wrong kind, on the truth file's line.
+        let (line, detail) = parse_error("truth", "q1\tann\t0\n", Some("question\ttruth\nq1\t9\n"));
+        assert_eq!(line, 2, "{detail}");
+        assert!(detail.contains("truth of task \"q1\""), "{detail}");
+    }
+
+    #[test]
+    fn duplicate_row_names_its_line_and_file_ids() {
+        let (line, detail) = parse_error(
+            "dup",
+            "question\tworker\tanswer\nq9\tbob\t0\nq3\tann\t1\nq9\tbob\t1\n",
+            None,
+        );
+        assert_eq!(line, 4, "{detail}");
+        assert_eq!(detail, "worker \"bob\" answered task \"q9\" more than once");
     }
 
     #[test]

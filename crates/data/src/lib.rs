@@ -6,7 +6,8 @@
 //! - the **data model** (tasks, workers, answers, ground truth) with the
 //!   adjacency structure the methods iterate over — the paper's `V`,
 //!   `W_i` (workers that answered task `t_i`) and `T^w` (tasks answered
-//!   by worker `w`);
+//!   by worker `w`), indexed by one `crowd_stats::Csr` of record
+//!   indices per axis;
 //! - a configurable **crowd simulator** ([`generator`]) that produces
 //!   answer logs with controlled worker-quality distributions, long-tail
 //!   worker participation (Figure 2) and class-conditional error structure;
@@ -21,6 +22,11 @@
 //! - **TSV IO** ([`io`]) compatible with the authors' published format, so
 //!   the real data drops in when available;
 //! - the paper's **running example** ([`toy`], Tables 1–2).
+//!
+//! Construction allocates per dataset, not per task or per answer: the
+//! builder, the simulator, `Dataset::with_records` and the redundancy
+//! sampler each make a fixed number of heap allocations whatever the
+//! task count (pinned by `tests/alloc_shape.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

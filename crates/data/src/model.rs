@@ -2,8 +2,12 @@
 //!
 //! Notation follows Table 3 of the paper: a dataset holds the answer set
 //! `V = {v_i^w}`, and exposes `W_i` (workers that answered task `t_i`) and
-//! `T^w` (tasks answered by worker `w`) as precomputed adjacency lists so
-//! every method's two-step iteration is a linear scan.
+//! `T^w` (tasks answered by worker `w`) through two record-index
+//! [`Csr`] indexes, one per axis, built once per dataset by a counting
+//! sort: each task's and each worker's answers are a contiguous slice of
+//! record indices in log order, with no heap block per task or worker.
+
+use crowd_stats::Csr;
 
 use crate::error::DataError;
 
@@ -118,8 +122,8 @@ pub struct AnswerRecord {
     pub answer: Answer,
 }
 
-/// An immutable crowdsourcing dataset: the answer log plus adjacency and
-/// (possibly partial) ground truth.
+/// An immutable crowdsourcing dataset: the answer log plus its per-task
+/// and per-worker index and (possibly partial) ground truth.
 ///
 /// Construct via [`crate::DatasetBuilder`], the simulators in
 /// [`crate::datasets`], or [`crate::io::read_tsv`].
@@ -130,10 +134,12 @@ pub struct Dataset {
     num_tasks: usize,
     num_workers: usize,
     records: Vec<AnswerRecord>,
-    /// Indices into `records`, grouped by task (the paper's `W_i`).
-    by_task: Vec<Vec<u32>>,
-    /// Indices into `records`, grouped by worker (the paper's `T^w`).
-    by_worker: Vec<Vec<u32>>,
+    /// Indices into `records`, grouped by task (the paper's `W_i`), in
+    /// log order.
+    by_task: Csr<()>,
+    /// Indices into `records`, grouped by worker (the paper's `T^w`), in
+    /// log order.
+    by_worker: Csr<()>,
     /// Ground truth per task; `None` where unknown (S_Rel and S_Adult
     /// publish truth only for a subset of tasks).
     truths: Vec<Option<Answer>>,
@@ -147,6 +153,10 @@ pub struct Dataset {
 impl Dataset {
     /// Internal constructor used by the builder (which has already
     /// validated everything).
+    ///
+    /// # Panics
+    /// Panics if the log holds more records than a `u32` index can name,
+    /// or a record's task or worker is outside the universe.
     pub(crate) fn from_parts(
         name: String,
         task_type: TaskType,
@@ -155,13 +165,25 @@ impl Dataset {
         records: Vec<AnswerRecord>,
         truths: Vec<Option<Answer>>,
     ) -> Self {
-        let mut by_task: Vec<Vec<u32>> = vec![Vec::new(); num_tasks];
-        let mut by_worker: Vec<Vec<u32>> = vec![Vec::new(); num_workers];
-        for (idx, r) in records.iter().enumerate() {
-            by_task[r.task].push(idx as u32);
-            by_worker[r.worker].push(idx as u32);
-        }
-        let max_task_degree = by_task.iter().map(|t| t.len()).max().unwrap_or(0);
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "answer log exceeds the u32 record index"
+        );
+        let by_task = Csr::from_triples(
+            num_tasks,
+            records
+                .iter()
+                .enumerate()
+                .map(|(idx, r)| (r.task, idx as u32, ())),
+        );
+        let by_worker = Csr::from_triples(
+            num_workers,
+            records
+                .iter()
+                .enumerate()
+                .map(|(idx, r)| (r.worker, idx as u32, ())),
+        );
+        let max_task_degree = by_task.max_row_len();
         let redundancy = if num_tasks == 0 {
             0.0
         } else {
@@ -224,26 +246,28 @@ impl Dataset {
 
     /// Answers for task `i` (the paper's `{v_i^w : w ∈ W_i}`).
     pub fn answers_for_task(&self, task: usize) -> impl Iterator<Item = &AnswerRecord> + '_ {
-        self.by_task[task]
+        self.by_task
+            .row(task)
             .iter()
-            .map(move |&idx| &self.records[idx as usize])
+            .map(move |&(idx, ())| &self.records[idx as usize])
     }
 
     /// Answers by worker `w` (the paper's `{v_i^w : t_i ∈ T^w}`).
     pub fn answers_by_worker(&self, worker: usize) -> impl Iterator<Item = &AnswerRecord> + '_ {
-        self.by_worker[worker]
+        self.by_worker
+            .row(worker)
             .iter()
-            .map(move |&idx| &self.records[idx as usize])
+            .map(move |&(idx, ())| &self.records[idx as usize])
     }
 
     /// Number of workers that answered task `i` (`|W_i|`).
     pub fn task_degree(&self, task: usize) -> usize {
-        self.by_task[task].len()
+        self.by_task.row_len(task)
     }
 
     /// Number of tasks worker `w` answered (`|T^w|`).
     pub fn worker_degree(&self, worker: usize) -> usize {
-        self.by_worker[worker].len()
+        self.by_worker.row_len(worker)
     }
 
     /// The largest `|W_i|` over all tasks — the true upper bound of a

@@ -12,11 +12,18 @@ use crate::model::{AnswerRecord, Dataset};
 /// Construct a copy of `dataset` keeping at most `r` randomly chosen
 /// answers per task. Tasks with fewer than `r` answers keep everything
 /// (matching the paper's protocol on ragged logs).
+///
+/// Allocates per dataset, not per task: the kept log is sized exactly up
+/// front, and every task is shuffled in one reused scratch vector.
 pub fn subsample_redundancy(dataset: &Dataset, r: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut kept: Vec<AnswerRecord> = Vec::with_capacity(dataset.num_tasks() * r);
-    for task in 0..dataset.num_tasks() {
-        let mut answers: Vec<AnswerRecord> = dataset.answers_for_task(task).copied().collect();
+    let n = dataset.num_tasks();
+    let mut kept: Vec<AnswerRecord> =
+        Vec::with_capacity((0..n).map(|t| dataset.task_degree(t).min(r)).sum());
+    let mut answers: Vec<AnswerRecord> = Vec::with_capacity(dataset.max_task_degree());
+    for task in 0..n {
+        answers.clear();
+        answers.extend(dataset.answers_for_task(task).copied());
         if answers.len() > r {
             // Partial Fisher–Yates: the first r slots become a uniform
             // sample without replacement.
@@ -26,7 +33,7 @@ pub fn subsample_redundancy(dataset: &Dataset, r: usize, seed: u64) -> Dataset {
             }
             answers.truncate(r);
         }
-        kept.extend(answers);
+        kept.extend_from_slice(&answers);
     }
     dataset.with_records(kept)
 }

@@ -1,16 +1,19 @@
 //! Property-based tests of the data substrate: builder/dataset adjacency
 //! invariants, redundancy sub-sampling, golden splits, simulator
-//! marginals under arbitrary configurations, and the totality of the TSV
-//! reader on arbitrary and damaged files.
+//! marginals under arbitrary configurations, the totality of the TSV
+//! reader on arbitrary and damaged files, and pinned hashes of the paper
+//! datasets and their sub-samples.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
+use crowd_data::datasets::PaperDataset;
 use crowd_data::io::{read_tsv, write_tsv};
 use crowd_data::{
-    datasets, subsample_redundancy, toy, CrowdSimulator, Dataset, DatasetBuilder, GoldenSplit,
-    HardTaskMode, SimulatorConfig, TaskType, WorkerModel,
+    datasets, subsample_redundancy, toy, Answer, AnswerRecord, CrowdSimulator, Dataset,
+    DatasetBuilder, GoldenSplit, HardTaskMode, SimulatorConfig, TaskType, WorkerModel,
 };
 
 /// Random but valid simulator configurations.
@@ -48,6 +51,40 @@ fn arb_config() -> impl Strategy<Value = SimulatorConfig> {
                 heavy_worker_model: None,
             },
         )
+}
+
+/// The dataset index agrees with the log: each task's and each worker's
+/// answers are `records()` filtered to that task or worker, in log order,
+/// and `max_task_degree` is the largest task degree.
+fn index_matches_log(d: &Dataset) -> Result<(), TestCaseError> {
+    for t in 0..d.num_tasks() {
+        let indexed: Vec<AnswerRecord> = d.answers_for_task(t).copied().collect();
+        let filtered: Vec<AnswerRecord> = d
+            .records()
+            .iter()
+            .filter(|r| r.task == t)
+            .copied()
+            .collect();
+        prop_assert_eq!(&indexed, &filtered, "task {}", t);
+        prop_assert_eq!(d.task_degree(t), filtered.len());
+    }
+    for w in 0..d.num_workers() {
+        let indexed: Vec<AnswerRecord> = d.answers_by_worker(w).copied().collect();
+        let filtered: Vec<AnswerRecord> = d
+            .records()
+            .iter()
+            .filter(|r| r.worker == w)
+            .copied()
+            .collect();
+        prop_assert_eq!(&indexed, &filtered, "worker {}", w);
+        prop_assert_eq!(d.worker_degree(w), filtered.len());
+    }
+    let max = (0..d.num_tasks())
+        .map(|t| d.task_degree(t))
+        .max()
+        .unwrap_or(0);
+    prop_assert_eq!(d.max_task_degree(), max);
+    Ok(())
 }
 
 proptest! {
@@ -112,10 +149,12 @@ proptest! {
     }
 
     /// The builder accepts any permutation of valid inserts and the
-    /// adjacency always matches the record log.
+    /// adjacency always matches the record log — on the built dataset
+    /// and on `with_records` of a shuffled subset of its log.
     #[test]
     fn builder_adjacency_matches_log(
         edges in proptest::collection::vec((0usize..15, 0usize..8, 0u8..3), 0..80),
+        keys in proptest::collection::vec(0u32..1000, 1..80),
     ) {
         let mut b = DatasetBuilder::new("p", TaskType::SingleChoice { choices: 3 }, 15, 8);
         let mut seen = std::collections::HashSet::new();
@@ -134,6 +173,19 @@ proptest! {
         let by_worker: usize = (0..8).map(|w| d.worker_degree(w)).sum();
         prop_assert_eq!(by_task, inserted);
         prop_assert_eq!(by_worker, inserted);
+
+        index_matches_log(&d)?;
+        // Keep about two records in three, in the order of their keys.
+        let mut keyed: Vec<(u32, AnswerRecord)> = keys
+            .iter()
+            .cycle()
+            .copied()
+            .zip(d.records().iter().copied())
+            .filter(|(key, _)| key % 3 != 0)
+            .collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        let sub = d.with_records(keyed.into_iter().map(|(_, r)| r).collect());
+        index_matches_log(&sub)?;
     }
 
     /// Simulators are pure functions of (config, seed).
@@ -292,5 +344,63 @@ proptest! {
         let checked = read_is_total(&dir, &answers, truths.as_deref());
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+/// FNV-1a over a dataset's universe, answer log and truths: task and
+/// worker as little-endian `u64`s, a label as `[0, label]`, a number as
+/// `[1]` and its bits, an unknown truth as `[2]`.
+fn fnv1a(d: &Dataset) -> u64 {
+    fn eat(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn answer(hash: &mut u64, a: &Answer) {
+        match a {
+            Answer::Label(l) => eat(hash, &[0, *l]),
+            Answer::Numeric(v) => {
+                eat(hash, &[1]);
+                eat(hash, &v.to_bits().to_le_bytes());
+            }
+        }
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    eat(&mut hash, &(d.num_tasks() as u64).to_le_bytes());
+    eat(&mut hash, &(d.num_workers() as u64).to_le_bytes());
+    for r in d.records() {
+        eat(&mut hash, &(r.task as u64).to_le_bytes());
+        eat(&mut hash, &(r.worker as u64).to_le_bytes());
+        answer(&mut hash, &r.answer);
+    }
+    for truth in d.truths() {
+        match truth {
+            None => eat(&mut hash, &[2]),
+            Some(a) => answer(&mut hash, a),
+        }
+    }
+    hash
+}
+
+/// Every paper dataset at scale 0.1, seed 7, and its `r = 3` sub-sample
+/// (seed 1) hash to pinned values: a change to how datasets are built
+/// or sub-sampled must keep every generated bit, since every figure and
+/// the equivalence fixtures are computed from the simulators' output.
+#[test]
+fn paper_datasets_and_subsamples_keep_their_bits() {
+    const PINNED: [(&str, u64, u64); 5] = [
+        ("D_Product", 0x8bcd_f928_e778_ce91, 0x8bcd_f928_e778_ce91),
+        ("D_PosSent", 0x5c35_1447_cba0_5e49, 0xa4c5_85a4_7d13_d965),
+        ("S_Rel", 0xcc0c_5617_c6f3_3bba, 0x18d0_ffc7_f432_3e0e),
+        ("S_Adult", 0xe4c9_09ee_dec9_e342, 0x6399_621d_2461_e072),
+        ("N_Emotion", 0xfc1e_0baf_e178_3961, 0x1e4c_29c8_cf4d_013a),
+    ];
+    for (id, (name, full, sub)) in PaperDataset::ALL.into_iter().zip(PINNED) {
+        let d = id.generate(0.1, 7);
+        assert_eq!(d.name(), name);
+        assert_eq!(fnv1a(&d), full, "{name}: {:#018x}", fnv1a(&d));
+        let s = subsample_redundancy(&d, 3, 1);
+        assert_eq!(fnv1a(&s), sub, "{name} at r = 3: {:#018x}", fnv1a(&s));
     }
 }

@@ -7,8 +7,9 @@
 //! (Gaussian, Gamma, Beta, Dirichlet, categorical) built on top of [`rand`],
 //! fixed-bin histograms (Figures 2–3 of the paper), descriptive summaries
 //! (weighted mean/median, quantiles), a row-major dense matrix ([`DMat`])
-//! backing the flat-memory inference substrate, and a convergence tracker
-//! shared by every iterative method (Algorithm 1 of the paper).
+//! and the compressed-sparse-row adjacency ([`Csr`]) backing the
+//! flat-memory dataset index and inference views, and a convergence
+//! tracker shared by every iterative method (Algorithm 1 of the paper).
 //!
 //! Nothing here is crowd-specific; this is the substrate the paper's Python
 //! implementations obtained from NumPy/SciPy, reimplemented in Rust.
@@ -18,6 +19,7 @@
 pub mod buckets;
 pub mod chi2;
 pub mod convergence;
+pub mod csr;
 pub mod dist;
 pub mod dmat;
 pub mod histogram;
@@ -28,6 +30,7 @@ pub mod summary;
 pub use buckets::{LinearBuckets, LogLinearBuckets};
 pub use chi2::{chi2_cdf, chi2_inv_cdf, chi2_quantile_975};
 pub use convergence::ConvergenceTracker;
+pub use csr::Csr;
 pub use dist::{
     log_normalize, log_sum_exp, normalize, sample_beta, sample_categorical, sample_dirichlet,
     sample_gamma, sample_gaussian,

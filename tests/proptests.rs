@@ -22,12 +22,12 @@ fn quality_scalars(q: &WorkerQuality) -> Vec<f64> {
     }
 }
 
-/// A random single-choice answer log: (n, m, ℓ, edges, truths).
+/// A random single-choice answer log with `2 ≤ ℓ ≤ 16` choices.
 fn categorical_dataset(
     max_tasks: usize,
     max_workers: usize,
 ) -> impl Strategy<Value = crowd_truth::data::Dataset> {
-    (2usize..max_tasks, 2usize..max_workers, 2u8..5)
+    (2usize..max_tasks, 2usize..max_workers, 2u8..17)
         .prop_flat_map(|(n, m, l)| answer_log(TaskType::SingleChoice { choices: l }, n, m))
 }
 
@@ -68,8 +68,68 @@ fn answer_log(
     })
 }
 
+/// A random numeric answer log: arbitrary answers (duplicates dropped)
+/// and partial truths over up to `max_tasks` tasks and `max_workers`
+/// workers. Each value is drawn either from a wide range or from a few
+/// integers, so exact agreement — a worker or a task with zero spread —
+/// is common.
+fn numeric_dataset(
+    max_tasks: usize,
+    max_workers: usize,
+) -> impl Strategy<Value = crowd_truth::data::Dataset> {
+    (2usize..max_tasks, 2usize..max_workers).prop_flat_map(|(n, m)| {
+        let value =
+            (0u8..2, -1.0e6f64..1.0e6, -2i32..3)
+                .prop_map(|(wide, x, k)| if wide == 0 { x } else { f64::from(k) });
+        let edges = proptest::collection::vec((0..n, 0..m, value), 1..(n * m).min(200));
+        let truths = proptest::collection::vec(proptest::option::of(-100.0f64..100.0), n);
+        (edges, truths).prop_map(move |(edges, truths)| {
+            let mut b = DatasetBuilder::new("prop", TaskType::Numeric, n, m);
+            let mut seen = std::collections::HashSet::new();
+            for (t, w, v) in edges {
+                if seen.insert((t, w)) {
+                    b.add_numeric(t, w, v).expect("valid by construction");
+                }
+            }
+            for (t, truth) in truths.into_iter().enumerate() {
+                if let Some(tr) = truth {
+                    b.set_truth_numeric(t, tr).expect("valid by construction");
+                }
+            }
+            b.build()
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every numeric method (LFC_N, CATD, PM, Mean, Median) returns
+    /// finite estimates and finite worker qualities of the right lengths
+    /// on arbitrary numeric answer logs — unanswered tasks, one-answer
+    /// workers and zero-spread answers included.
+    #[test]
+    fn methods_are_total_on_arbitrary_numeric_logs(
+        dataset in numeric_dataset(12, 8),
+        seed in 0u64..1000,
+    ) {
+        for method in Method::for_task_type(TaskType::Numeric) {
+            let name = method.name();
+            let result = method.build().infer(&dataset, &InferenceOptions::seeded(seed)).unwrap();
+            prop_assert_eq!(result.truths.len(), dataset.num_tasks());
+            prop_assert_eq!(result.worker_quality.len(), dataset.num_workers());
+            for t in &result.truths {
+                let v = t.numeric().unwrap();
+                prop_assert!(v.is_finite(), "{}: non-finite estimate {}", name, v);
+            }
+            for q in &result.worker_quality {
+                prop_assert!(
+                    quality_scalars(q).iter().all(|x| x.is_finite()),
+                    "{}: non-finite worker quality {:?}", name, q
+                );
+            }
+        }
+    }
 
     /// Every method that accepts the dataset returns structurally valid
     /// results on arbitrary single-choice and decision-making answer
