@@ -46,35 +46,20 @@ use std::time::Instant;
 // map lock is paid once per process, not per dispatch.
 // ---------------------------------------------------------------------------
 
-fn obs_submits() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("core.pool.submits_total"))
-}
-
-fn obs_batches() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("core.pool.batches_total"))
-}
-
-fn obs_inline_batches() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("core.pool.inline_batches_total"))
-}
-
-fn obs_queue_depth() -> &'static crowd_obs::Gauge {
-    static H: OnceLock<crowd_obs::Gauge> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::gauge("core.pool.queue_depth"))
-}
-
-fn obs_jobs_in_flight() -> &'static crowd_obs::Gauge {
-    static H: OnceLock<crowd_obs::Gauge> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::gauge("core.pool.jobs_in_flight"))
-}
-
-fn obs_dispatch_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("core.pool.dispatch_seconds"))
-}
+crowd_obs::handle!(obs_submits, counter, "core.pool.submits_total");
+crowd_obs::handle!(obs_batches, counter, "core.pool.batches_total");
+crowd_obs::handle!(
+    obs_inline_batches,
+    counter,
+    "core.pool.inline_batches_total"
+);
+crowd_obs::handle!(obs_queue_depth, gauge, "core.pool.queue_depth");
+crowd_obs::handle!(obs_jobs_in_flight, gauge, "core.pool.jobs_in_flight");
+crowd_obs::handle!(
+    obs_dispatch_seconds,
+    histogram,
+    "core.pool.dispatch_seconds"
+);
 
 // ---------------------------------------------------------------------------
 // The persistent worker pool.

@@ -1,12 +1,21 @@
 //! The inference trait, options, results, and errors shared by all
 //! seventeen methods.
+//!
+//! [`TruthInference::infer`] is the one dataset entry: it validates once,
+//! builds the view the dataset's task type needs, and dispatches to the
+//! method's view entry — [`TruthInference::infer_sharded`] for
+//! categorical tasks, [`TruthInference::infer_numeric`] for numeric ones.
+//! No method overrides it. Each view entry starts with the checks of
+//! [`validate_view`], the one validation function shared by datasets and
+//! both view kinds, so a prebuilt view gets the typed errors `infer`
+//! would return.
 
 use crowd_data::{Answer, Dataset, TaskType};
 use crowd_stats::DMat;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::views::ShardedView;
+use crate::views::{Num, ShardedView};
 
 /// How a method initialises worker qualities (line 1 of Algorithm 1).
 #[derive(Debug, Clone, Default)]
@@ -253,24 +262,26 @@ pub trait TruthInference {
         false
     }
 
-    /// Run inference over the answer set. The provided body serves every
-    /// categorical method: it validates the dataset and options, builds
-    /// the one-shard view (golden clamps when the method supports golden
-    /// tasks) and runs [`Self::infer_sharded`]. Methods with a numeric
-    /// path override it.
+    /// Run inference over the answer set: validate the dataset and
+    /// options, build the view its task type needs (golden clamps when
+    /// the method supports golden tasks), and run [`Self::infer_sharded`]
+    /// on the one-shard categorical view or [`Self::infer_numeric`] on
+    /// the numeric view.
     fn infer(
         &self,
         dataset: &Dataset,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let view = ShardedView::build(self.name(), dataset, options, self.supports_golden())?;
-        self.infer_sharded(&view, options)
+        validate_view(self, dataset, options)?;
+        validate_golden(dataset, options)?;
+        let golden = self.supports_golden();
+        if dataset.task_type().is_categorical() {
+            let view = ShardedView::build(self.name(), dataset, options, golden)?;
+            self.infer_sharded(&view, options)
+        } else {
+            let view = Num::build(self.name(), dataset, options, golden)?;
+            self.infer_numeric(&view, options)
+        }
     }
 
     /// Run inference on a prebuilt categorical view at any shard count
@@ -289,56 +300,79 @@ pub trait TruthInference {
     ) -> Result<InferenceResult, InferenceError> {
         Err(InferenceError::UnsupportedTaskType {
             method: self.name(),
-            task_type: view_task_type(view),
+            task_type: view.task_type(),
+        })
+    }
+
+    /// Run inference on a prebuilt numeric view. Golden clamps come from
+    /// the view, not `options.golden`. Outputs are bit-identical on every
+    /// arrival order that keeps each task's own answer sequence.
+    ///
+    /// The provided body is for methods without a numeric path: it
+    /// rejects every view.
+    fn infer_numeric(
+        &self,
+        _view: &Num,
+        _options: &InferenceOptions,
+    ) -> Result<InferenceResult, InferenceError> {
+        Err(InferenceError::UnsupportedTaskType {
+            method: self.name(),
+            task_type: TaskType::Numeric,
         })
     }
 }
 
-/// The task type a categorical view stands for: decision-making at
-/// `ℓ = 2`, single-choice otherwise.
-fn view_task_type(view: &ShardedView) -> TaskType {
-    match view.l {
-        2 => TaskType::DecisionMaking,
-        l => TaskType::SingleChoice {
-            choices: u8::try_from(l).unwrap_or(u8::MAX),
-        },
+/// What a method is validated against: a dataset or either prebuilt
+/// view.
+pub(crate) trait AnswerSet {
+    /// The task type the answers stand for.
+    fn task_type(&self) -> TaskType;
+    /// Total answers.
+    fn num_answers(&self) -> usize;
+    /// Number of workers.
+    fn num_workers(&self) -> usize;
+}
+
+impl AnswerSet for Dataset {
+    fn task_type(&self) -> TaskType {
+        Dataset::task_type(self)
+    }
+
+    fn num_answers(&self) -> usize {
+        Dataset::num_answers(self)
+    }
+
+    fn num_workers(&self) -> usize {
+        Dataset::num_workers(self)
     }
 }
 
-/// The typed errors `infer` would return, for a prebuilt view: the task
-/// type the view stands for must be supported, the view must hold
-/// answers, and a qualification vector must match its worker count.
+/// The typed errors every entry returns, in this order: the task type
+/// must be supported, there must be answers, and a qualification vector
+/// must match the worker count (or the per-worker init loops would index
+/// past its end).
 pub(crate) fn validate_view<M: TruthInference + ?Sized>(
     method: &M,
-    view: &ShardedView,
+    answers: &impl AnswerSet,
     options: &InferenceOptions,
 ) -> Result<(), InferenceError> {
-    let task_type = view_task_type(view);
+    let task_type = answers.task_type();
     if !method.supports(task_type) {
         return Err(InferenceError::UnsupportedTaskType {
             method: method.name(),
             task_type,
         });
     }
-    if view.num_answers() == 0 {
+    if answers.num_answers() == 0 {
         return Err(InferenceError::EmptyDataset);
     }
-    validate_qualification(view.m, options)
-}
-
-/// A qualification vector must match the worker count, or the
-/// per-worker init loops would index past its end.
-fn validate_qualification(
-    num_workers: usize,
-    options: &InferenceOptions,
-) -> Result<(), InferenceError> {
     if let QualityInit::Qualification(q) = &options.quality_init {
-        if q.len() != num_workers {
+        if q.len() != answers.num_workers() {
             return Err(InferenceError::BadOptions {
                 detail: format!(
                     "qualification vector has {} entries for {} workers",
                     q.len(),
-                    num_workers
+                    answers.num_workers()
                 ),
             });
         }
@@ -346,26 +380,10 @@ fn validate_qualification(
     Ok(())
 }
 
-/// Validate the parts of [`InferenceOptions`] that are method-independent
-/// (shared by every implementation). Golden truths must be well-formed
-/// answers for the dataset's task type — a label in range, or a finite
-/// number — under the same rule the dataset builder applies to answers.
-pub(crate) fn validate_common(
-    method: &'static str,
-    dataset: &Dataset,
-    options: &InferenceOptions,
-    supports: bool,
-) -> Result<(), InferenceError> {
-    if !supports {
-        return Err(InferenceError::UnsupportedTaskType {
-            method,
-            task_type: dataset.task_type(),
-        });
-    }
-    if dataset.num_answers() == 0 {
-        return Err(InferenceError::EmptyDataset);
-    }
-    validate_qualification(dataset.num_workers(), options)?;
+/// Golden truths must be one per task, each a well-formed answer for the
+/// dataset's task type — a label in range, or a finite number — under
+/// the same rule the dataset builder applies to answers.
+fn validate_golden(dataset: &Dataset, options: &InferenceOptions) -> Result<(), InferenceError> {
     if let Some(g) = &options.golden {
         if g.len() != dataset.num_tasks() {
             return Err(InferenceError::BadOptions {
@@ -462,6 +480,12 @@ mod tests {
         }
     }
 
+    /// A prebuilt view through its entry — `infer_sharded` for a
+    /// categorical view, `infer_numeric` for a numeric one — returns what
+    /// `infer` returns on the dataset: `EmptyDataset`, `BadOptions` for a
+    /// qualification vector of the wrong length, and
+    /// `UnsupportedTaskType` from every method without a path for the
+    /// view's kind.
     #[test]
     fn infer_sharded_returns_the_typed_errors_of_infer() {
         use crowd_data::datasets::PaperDataset;
@@ -470,24 +494,40 @@ mod tests {
             quality_init: QualityInit::Qualification(vec![Some(0.9)]),
             ..InferenceOptions::default()
         };
-        let unanswered = DatasetBuilder::new("unanswered", TaskType::DecisionMaking, 3, 2).build();
+        let default = InferenceOptions::default();
+        let unanswered = |task_type| DatasetBuilder::new("unanswered", task_type, 3, 2).build();
         let cases = [
             (PaperDataset::DProduct.generate(0.02, 3), &bad_qualification),
             (PaperDataset::SRel.generate(0.02, 3), &bad_qualification),
-            (unanswered, &InferenceOptions::default()),
+            (unanswered(TaskType::DecisionMaking), &default),
+            (PaperDataset::NEmotion.generate(0.05, 3), &bad_qualification),
+            (unanswered(TaskType::Numeric), &default),
+            // Well-formed: only the methods without a path for the kind
+            // fail.
+            (PaperDataset::DProduct.generate(0.02, 3), &default),
+            (PaperDataset::NEmotion.generate(0.05, 3), &default),
         ];
         for method in crate::Method::ALL.map(|m| m.build()) {
             for (d, options) in &cases {
-                let view = ShardedView::build("test", d, options, false).expect("categorical");
                 let expected = outcome(method.infer(d, options));
-                assert_ne!(expected, "ok", "{} on {}", method.name(), d.name());
-                assert_eq!(
-                    outcome(method.infer_sharded(&view, options)),
-                    expected,
-                    "{} on {}",
-                    method.name(),
-                    d.name()
-                );
+                let entry = if d.task_type().is_categorical() {
+                    let view = ShardedView::build("test", d, options, false).expect("categorical");
+                    method.infer_sharded(&view, options)
+                } else {
+                    let view = Num::build("test", d, options, false).expect("numeric");
+                    method.infer_numeric(&view, options)
+                };
+                let at = format!("{} on {}", method.name(), d.name());
+                assert_eq!(outcome(entry), expected, "{at}");
+                if matches!(options.quality_init, QualityInit::Uniform) && d.num_answers() > 0 {
+                    let supported = method.supports(d.task_type());
+                    assert_eq!(expected == "ok", supported, "{at}");
+                    if !supported {
+                        assert_eq!(expected, "unsupported task type", "{at}");
+                    }
+                } else {
+                    assert_ne!(expected, "ok", "{at}");
+                }
             }
         }
     }

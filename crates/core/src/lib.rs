@@ -27,8 +27,10 @@
 //! (default `1e-3`) or an iteration cap (default 100) is hit. The 14
 //! categorical methods share one answer view,
 //! [`views::ShardedView`], and one view entry point,
-//! [`TruthInference::infer_sharded`]; `infer` runs it on the dataset's
-//! one-shard view. Methods
+//! [`TruthInference::infer_sharded`]; the five numeric ones share
+//! [`views::Num`] and [`TruthInference::infer_numeric`]. No method
+//! overrides `infer`: it validates once and runs the entry its
+//! dataset's task type needs. Methods
 //! additionally support, where the paper says they do,
 //! **qualification-test initialisation** (Section 6.3.2) via
 //! [`QualityInit::Qualification`] and **hidden-test golden tasks**

@@ -13,18 +13,15 @@
 //! Supports decision-making, single-choice and numeric tasks (Table 4),
 //! qualification initialisation, and golden tasks.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::chi2::chi2_quantile_975;
-use crowd_stats::summary::variance;
 use crowd_stats::ConvergenceTracker;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
+use super::pm::{initial_quality, mistakes, normalised_distance, task_variances, WeightedVote};
 use crate::framework::{
-    validate_common, validate_view, InferenceError, InferenceOptions, InferenceResult,
-    TruthInference, WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
-use crate::views::{initial_accuracy, label_answers, Num, ShardedView};
+use crate::views::{label_answers, Num, ShardedView};
 
 /// CATD: chi-squared-scaled reliability weights.
 #[derive(Debug, Clone, Copy)]
@@ -57,81 +54,24 @@ impl TruthInference for Catd {
         true
     }
 
-    fn infer(
-        &self,
-        dataset: &Dataset,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        validate_common(self.name(), dataset, options, true)?;
-        if dataset.task_type().is_categorical() {
-            let view = ShardedView::build(self.name(), dataset, options, true)?;
-            self.infer_sharded(&view, options)
-        } else {
-            self.infer_numeric(dataset, options)
-        }
-    }
-
     fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
         validate_view(self, view, options)?;
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let chi: Vec<f64> = (0..view.m)
-            .map(|w| chi2_quantile_975(view.worker_len(w)))
-            .collect();
-
-        let mut quality: Vec<f64> = match &options.quality_init {
-            crate::framework::QualityInit::Uniform => vec![1.0; view.m],
-            _ => initial_accuracy(options, view.m, 0.7),
-        };
+        let chi = chi_weights(view.m, |w| view.worker_len(w));
+        let mut quality = initial_quality(options, view.m);
         let mut truths: Vec<u8> = vec![0; view.n];
-        // Pre-allocated scratch: vote scores, tie list, and the
-        // convergence vector — the loop allocates nothing per iteration.
-        let mut scores = vec![0.0f64; view.l];
-        let mut ties: Vec<u8> = Vec::with_capacity(view.l);
+        // Pre-allocated scratch: the vote and the convergence vector —
+        // the loop allocates nothing per iteration.
+        let mut vote = WeightedVote::new(view.l, options.seed);
         let mut params = vec![0.0f64; view.n];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
-        let golden = view.golden();
 
         loop {
-            for task in 0..view.n {
-                if let Some(g) = golden[task] {
-                    truths[task] = g;
-                    continue;
-                }
-                scores.fill(0.0);
-                for &(worker, label) in view.task_row(task) {
-                    scores[label as usize] += quality[worker as usize];
-                }
-                let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                ties.clear();
-                ties.extend(
-                    scores
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &s)| (s - best).abs() < 1e-12)
-                        .map(|(i, _)| i as u8),
-                );
-                truths[task] = if ties.len() == 1 {
-                    ties[0]
-                } else {
-                    ties[rng.gen_range(0..ties.len())]
-                };
-            }
-
-            for w in 0..view.m {
-                let mistakes = view
-                    .worker(w)
-                    .filter(|&(task, label)| truths[task] != label)
-                    .count() as f64;
-                quality[w] = chi[w] / (mistakes + self.epsilon);
-            }
-            // Normalise so the weight scale (and the convergence check)
-            // stays comparable across iterations.
-            let max_q = quality.iter().copied().fold(0.0f64, f64::max).max(1e-12);
-            quality.iter_mut().for_each(|q| *q /= max_q);
+            vote.run(view, &quality, &mut truths);
+            self.chi_quality(&chi, &mut quality, |w| mistakes(view, &truths, w));
 
             for (p, &t) in params.iter_mut().zip(&truths) {
                 *p = t as f64;
@@ -149,31 +89,16 @@ impl TruthInference for Catd {
             posteriors: None,
         })
     }
-}
 
-impl Catd {
     fn infer_numeric(
         &self,
-        dataset: &Dataset,
+        num: &Num,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        let num = Num::build("CATD", dataset, options, true)?;
-        let chi: Vec<f64> = (0..num.m)
-            .map(|w| chi2_quantile_975(num.worker_len(w)))
-            .collect();
-        let mut vs: Vec<f64> = Vec::new();
-        let task_var: Vec<f64> = (0..num.n)
-            .map(|t| {
-                vs.clear();
-                vs.extend(num.task(t).map(|(_, v)| v));
-                variance(&vs).max(1e-6)
-            })
-            .collect();
-
-        let mut quality: Vec<f64> = match &options.quality_init {
-            crate::framework::QualityInit::Uniform => vec![1.0; num.m],
-            _ => initial_accuracy(options, num.m, 0.7),
-        };
+        validate_view(self, num, options)?;
+        let chi = chi_weights(num.m, |w| num.worker_len(w));
+        let task_var = task_variances(num);
+        let mut quality = initial_quality(options, num.m);
         let mut truths = num.mean_estimates();
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
 
@@ -196,16 +121,9 @@ impl Catd {
                     truths[task] = vsum / wsum;
                 }
             }
-
-            for w in 0..num.m {
-                let dist: f64 = num
-                    .worker(w)
-                    .map(|(task, v)| (v - truths[task]).powi(2) / task_var[task])
-                    .sum();
-                quality[w] = chi[w] / (dist + self.epsilon);
-            }
-            let max_q = quality.iter().copied().fold(0.0f64, f64::max).max(1e-12);
-            quality.iter_mut().for_each(|q| *q /= max_q);
+            self.chi_quality(&chi, &mut quality, |w| {
+                normalised_distance(num, &truths, &task_var, w)
+            });
 
             if tracker.step(&truths) {
                 break;
@@ -220,6 +138,24 @@ impl Catd {
             posteriors: None,
         })
     }
+}
+
+impl Catd {
+    /// The quality step, `q^w = X²(0.975, |T^w|) / (d_w + ε)`, normalised
+    /// by the largest weight so the weight scale (and the convergence
+    /// check) stays comparable across iterations.
+    fn chi_quality(&self, chi: &[f64], quality: &mut [f64], dist: impl Fn(usize) -> f64) {
+        for (w, q) in quality.iter_mut().enumerate() {
+            *q = chi[w] / (dist(w) + self.epsilon);
+        }
+        let max_q = quality.iter().copied().fold(0.0f64, f64::max).max(1e-12);
+        quality.iter_mut().for_each(|q| *q /= max_q);
+    }
+}
+
+/// The confidence factor `X²(0.975, |T^w|)` of each of `m` workers.
+fn chi_weights(m: usize, worker_len: impl Fn(usize) -> usize) -> Vec<f64> {
+    (0..m).map(|w| chi2_quantile_975(worker_len(w))).collect()
 }
 
 #[cfg(test)]

@@ -9,12 +9,12 @@
 //! - variance: `σ_w² = mean_i (v_i^w − v*_i)²`, smoothed by an
 //!   inverse-gamma prior so single-answer workers stay finite.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::ConvergenceTracker;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, QualityInit,
-    TruthInference, WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, QualityInit, TruthInference,
+    WorkerQuality,
 };
 use crate::views::Num;
 
@@ -53,18 +53,12 @@ impl TruthInference for LfcN {
         true
     }
 
-    fn infer(
+    fn infer_numeric(
         &self,
-        dataset: &Dataset,
+        num: &Num,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let num = Num::build(self.name(), dataset, options, true)?;
+        validate_view(self, num, options)?;
 
         // Initial variances: uniform, or derived from qualification RMSE
         // (the accuracy proxy a = 1/(1 + rmse/10) inverts to rmse).

@@ -4,11 +4,10 @@
 //! sophisticated numeric methods fail to estimate worker qualities well
 //! enough to beat the flat average.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
 use crate::views::Num;
 
@@ -25,21 +24,14 @@ impl TruthInference for MeanAgg {
         task_type == TaskType::Numeric
     }
 
-    fn infer(
+    fn infer_numeric(
         &self,
-        dataset: &Dataset,
+        num: &Num,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let num = Num::build(self.name(), dataset, options, false)?;
-        let estimates = num.mean_estimates();
+        validate_view(self, num, options)?;
         Ok(InferenceResult {
-            truths: Num::answers(&estimates),
+            truths: Num::answers(&num.mean_estimates()),
             worker_quality: vec![WorkerQuality::Unmodeled; num.m],
             iterations: 1,
             converged: true,

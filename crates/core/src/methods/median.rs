@@ -1,11 +1,10 @@
 //! Median — the robust direct baseline for numeric tasks (Section 5.1).
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::summary::median;
 
 use crate::framework::{
-    validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
-    WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
 };
 use crate::views::Num;
 
@@ -22,18 +21,12 @@ impl TruthInference for MedianAgg {
         task_type == TaskType::Numeric
     }
 
-    fn infer(
+    fn infer_numeric(
         &self,
-        dataset: &Dataset,
+        num: &Num,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        validate_common(
-            self.name(),
-            dataset,
-            options,
-            self.supports(dataset.task_type()),
-        )?;
-        let num = Num::build(self.name(), dataset, options, false)?;
+        validate_view(self, num, options)?;
         let estimates: Vec<f64> = (0..num.n)
             .map(|t| {
                 let values: Vec<f64> = num.task(t).map(|(_, v)| v).collect();

@@ -4,23 +4,23 @@
 //! model, worker model, and inference technique, plus unit tests against
 //! the paper's running example and simulated data.
 
-use std::sync::OnceLock;
+crowd_obs::handle!(
+    /// Posterior rows produced by the fused row kernels
+    /// ([`crowd_stats::fused_posterior_rows`] / `fused_two_term_rows`) — one
+    /// count per task row per E-step sweep, added in bulk per sweep/chunk.
+    pub(crate) obs_fused_rows,
+    counter,
+    "core.kernel.fused_rows_total"
+);
 
-/// Posterior rows produced by the fused row kernels
-/// ([`crowd_stats::fused_posterior_rows`] / `fused_two_term_rows`) — one
-/// count per task row per E-step sweep, added in bulk per sweep/chunk.
-pub(crate) fn obs_fused_rows() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("core.kernel.fused_rows_total"))
-}
-
-/// Wall time of one fused E-step sweep (flat or sharded), timer-sampled
-/// around the whole pass — the kernel-level complement of the per-shard
-/// `core.shard.estep_seconds`.
-pub(crate) fn obs_kernel_estep_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("core.kernel.estep_seconds"))
-}
+crowd_obs::handle!(
+    /// Wall time of one fused E-step sweep (flat or sharded), timer-sampled
+    /// around the whole pass — the kernel-level complement of the per-shard
+    /// `core.shard.estep_seconds`.
+    pub(crate) obs_kernel_estep_seconds,
+    histogram,
+    "core.kernel.estep_seconds"
+);
 
 mod bcc;
 mod catd;

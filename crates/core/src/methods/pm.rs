@@ -12,7 +12,7 @@
 //! Numeric distances are variance-normalised per task (the CRH
 //! normalisation) so quality weights are scale-free.
 
-use crowd_data::{Dataset, TaskType};
+use crowd_data::TaskType;
 use crowd_stats::kernels::safe_ln;
 use crowd_stats::summary::variance;
 use crowd_stats::ConvergenceTracker;
@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::framework::{
-    validate_common, validate_view, InferenceError, InferenceOptions, InferenceResult,
-    TruthInference, WorkerQuality,
+    validate_view, InferenceError, InferenceOptions, InferenceResult, QualityInit, TruthInference,
+    WorkerQuality,
 };
 use crate::views::{initial_accuracy, label_answers, Num, ShardedView};
 
@@ -57,87 +57,30 @@ impl TruthInference for Pm {
         true
     }
 
-    fn infer(
-        &self,
-        dataset: &Dataset,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        validate_common(self.name(), dataset, options, true)?;
-        if dataset.task_type().is_categorical() {
-            let view = ShardedView::build(self.name(), dataset, options, true)?;
-            self.infer_sharded(&view, options)
-        } else {
-            self.infer_numeric(dataset, options)
-        }
-    }
-
     fn infer_sharded(
         &self,
         view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
         validate_view(self, view, options)?;
-        let mut rng = StdRng::seed_from_u64(options.seed);
-
-        // Initial qualities: uniform 1 (paper) or scaled test accuracy.
-        let mut quality: Vec<f64> = match &options.quality_init {
-            crate::framework::QualityInit::Uniform => vec![1.0; view.m],
-            _ => initial_accuracy(options, view.m, 0.7),
-        };
-
+        let mut quality = initial_quality(options, view.m);
         let mut truths: Vec<u8> = vec![0; view.n];
-        // Pre-allocated scratch: vote scores, tie list, per-worker
-        // distances, and the convergence vector — the loop allocates
-        // nothing per iteration.
-        let mut scores = vec![0.0f64; view.l];
-        let mut ties: Vec<u8> = Vec::with_capacity(view.l);
+        // Pre-allocated scratch: the vote, per-worker distances, and the
+        // convergence vector — the loop allocates nothing per iteration.
+        let mut vote = WeightedVote::new(view.l, options.seed);
         let mut dist = vec![0.0f64; view.m];
         let mut params = vec![0.0f64; view.n];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
-        let golden = view.golden();
 
         loop {
             // Step 1: weighted vote.
-            for task in 0..view.n {
-                if let Some(g) = golden[task] {
-                    truths[task] = g;
-                    continue;
-                }
-                scores.fill(0.0);
-                for &(worker, label) in view.task_row(task) {
-                    scores[label as usize] += quality[worker as usize];
-                }
-                let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                ties.clear();
-                ties.extend(
-                    scores
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &s)| (s - best).abs() < 1e-12)
-                        .map(|(i, _)| i as u8),
-                );
-                truths[task] = if ties.len() == 1 {
-                    ties[0]
-                } else {
-                    ties[rng.gen_range(0..ties.len())]
-                };
-            }
+            vote.run(view, &quality, &mut truths);
 
             // Step 2: q^w = −log(Σd / max Σd).
             for (w, d) in dist.iter_mut().enumerate() {
-                *d = view
-                    .worker(w)
-                    .filter(|&(task, label)| truths[task] != label)
-                    .count() as f64;
+                *d = mistakes(view, &truths, w);
             }
-            let max_d = dist
-                .iter()
-                .copied()
-                .fold(0.0f64, f64::max)
-                .max(self.epsilon);
-            for (w, d) in dist.iter().enumerate() {
-                quality[w] = -safe_ln((d + self.epsilon) / (max_d + self.epsilon));
-            }
+            self.log_ratio_quality(&dist, &mut quality);
 
             for (p, &t) in params.iter_mut().zip(&truths) {
                 *p = t as f64;
@@ -155,30 +98,15 @@ impl TruthInference for Pm {
             posteriors: None,
         })
     }
-}
 
-impl Pm {
     fn infer_numeric(
         &self,
-        dataset: &Dataset,
+        num: &Num,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        let num = Num::build("PM", dataset, options, true)?;
-
-        // Per-task answer variance for scale-free distances.
-        let mut vs: Vec<f64> = Vec::new();
-        let task_var: Vec<f64> = (0..num.n)
-            .map(|t| {
-                vs.clear();
-                vs.extend(num.task(t).map(|(_, v)| v));
-                variance(&vs).max(1e-6)
-            })
-            .collect();
-
-        let mut quality: Vec<f64> = match &options.quality_init {
-            crate::framework::QualityInit::Uniform => vec![1.0; num.m],
-            _ => initial_accuracy(options, num.m, 0.7),
-        };
+        validate_view(self, num, options)?;
+        let task_var = task_variances(num);
+        let mut quality = initial_quality(options, num.m);
         let mut truths = num.mean_estimates();
         // Pre-allocated distance scratch: the loop allocates nothing per
         // iteration.
@@ -212,19 +140,9 @@ impl Pm {
 
             // Step 2: normalised squared distances.
             for (w, d) in dist.iter_mut().enumerate() {
-                *d = num
-                    .worker(w)
-                    .map(|(task, v)| (v - truths[task]).powi(2) / task_var[task])
-                    .sum::<f64>();
+                *d = normalised_distance(num, &truths, &task_var, w);
             }
-            let max_d = dist
-                .iter()
-                .copied()
-                .fold(0.0f64, f64::max)
-                .max(self.epsilon);
-            for (w, d) in dist.iter().enumerate() {
-                quality[w] = -safe_ln((d + self.epsilon) / (max_d + self.epsilon));
-            }
+            self.log_ratio_quality(&dist, &mut quality);
 
             if tracker.step(&truths) {
                 break;
@@ -239,6 +157,112 @@ impl Pm {
             posteriors: None,
         })
     }
+}
+
+impl Pm {
+    /// Step 2 on per-worker distances: `q^w = −log(d_w / max d)`, with
+    /// `epsilon` keeping both ends away from 0.
+    fn log_ratio_quality(&self, dist: &[f64], quality: &mut [f64]) {
+        let max_d = dist
+            .iter()
+            .copied()
+            .fold(0.0f64, f64::max)
+            .max(self.epsilon);
+        for (q, d) in quality.iter_mut().zip(dist) {
+            *q = -safe_ln((d + self.epsilon) / (max_d + self.epsilon));
+        }
+    }
+}
+
+/// Initial worker weights of PM and CATD: uniform 1 (the paper), or the
+/// qualification test's accuracy (0.7 for untested workers).
+pub(super) fn initial_quality(options: &InferenceOptions, m: usize) -> Vec<f64> {
+    match &options.quality_init {
+        QualityInit::Uniform => vec![1.0; m],
+        QualityInit::Qualification(_) => initial_accuracy(options, m, 0.7),
+    }
+}
+
+/// The seeded weighted vote of PM and CATD (`v*_i = argmax_v Σ_{w∈W_i}
+/// q^w · 1{v = v_i^w}`): golden tasks keep their clamp, and exact ties
+/// break uniformly at random. Its scratch is allocated once per run.
+pub(super) struct WeightedVote {
+    scores: Vec<f64>,
+    ties: Vec<u8>,
+    rng: StdRng,
+}
+
+impl WeightedVote {
+    /// Scratch for `l` labels, with the run's seed.
+    pub(super) fn new(l: usize, seed: u64) -> Self {
+        Self {
+            scores: vec![0.0; l],
+            ties: Vec::with_capacity(l),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Vote every task of `view` under the worker weights `quality`.
+    pub(super) fn run(&mut self, view: &ShardedView, quality: &[f64], truths: &mut [u8]) {
+        let golden = view.golden();
+        for task in 0..view.n {
+            if let Some(g) = golden[task] {
+                truths[task] = g;
+                continue;
+            }
+            self.scores.fill(0.0);
+            for &(worker, label) in view.task_row(task) {
+                self.scores[label as usize] += quality[worker as usize];
+            }
+            let best = self
+                .scores
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            self.ties.clear();
+            self.ties.extend(
+                self.scores
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &s)| (s - best).abs() < 1e-12)
+                    .map(|(i, _)| i as u8),
+            );
+            truths[task] = if self.ties.len() == 1 {
+                self.ties[0]
+            } else {
+                self.ties[self.rng.gen_range(0..self.ties.len())]
+            };
+        }
+    }
+}
+
+/// Worker `w`'s answers that disagree with the current truths — the 0/1
+/// distance `Σ_{t_i∈T^w} d(v_i^w, v*_i)` on categorical tasks.
+pub(super) fn mistakes(view: &ShardedView, truths: &[u8], w: usize) -> f64 {
+    view.worker(w)
+        .filter(|&(task, label)| truths[task] != label)
+        .count() as f64
+}
+
+/// Per-task answer variance, floored at `1e-6`: the scale that makes
+/// numeric distances scale-free (the CRH normalisation).
+pub(super) fn task_variances(num: &Num) -> Vec<f64> {
+    let mut values: Vec<f64> = Vec::new();
+    (0..num.n)
+        .map(|t| {
+            values.clear();
+            values.extend(num.task(t).map(|(_, v)| v));
+            variance(&values).max(1e-6)
+        })
+        .collect()
+}
+
+/// Worker `w`'s variance-normalised squared distance to the current
+/// truths, `Σ_{t_i∈T^w} (v_i^w − v*_i)² / σ_i²`, summed in task order.
+pub(super) fn normalised_distance(num: &Num, truths: &[f64], task_var: &[f64], w: usize) -> f64 {
+    num.worker(w)
+        .map(|(task, v)| (v - truths[task]).powi(2) / task_var[task])
+        .sum()
 }
 
 #[cfg(test)]

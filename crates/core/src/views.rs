@@ -10,19 +10,21 @@
 //! posteriors live in a row-major [`DMat`](crate::DMat), so the E/M hot
 //! loops touch only flat memory.
 //!
-//! One categorical view exists: [`ShardedView`], which every categorical
-//! method runs on. `infer` builds it with one shard, `crowd-stream`
-//! maintains it incrementally with any number of shards, and its worker
-//! rows are always in the canonical task-ascending order, so every
-//! output depends only on each task's own answer sequence. [`Num`] is
-//! the numeric view of LFC_N, CATD, PM, Mean and Median.
+//! Two views exist, one per task kind: [`ShardedView`], which every
+//! categorical method runs on, and [`Num`], the numeric view of LFC_N,
+//! CATD, PM, Mean and Median. `infer` builds the one its dataset needs
+//! (the categorical one with one shard; `crowd-stream` maintains it
+//! incrementally with any number of shards). Both derive their worker
+//! rows from their task rows through one helper, so a worker's answers
+//! are always in the canonical task-ascending order and every output
+//! depends only on each task's own answer sequence.
 
-use crowd_data::{Answer, Dataset};
+use crowd_data::{Answer, Dataset, TaskType};
 pub use crowd_stats::Csr;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::framework::{InferenceError, InferenceOptions};
+use crate::framework::{AnswerSet, InferenceError, InferenceOptions};
 
 mod sharded;
 
@@ -38,6 +40,30 @@ pub type Cat = ShardedView;
 /// Decoded labels as `Answer`s.
 pub(crate) fn label_answers(labels: &[u8]) -> Vec<Answer> {
     labels.iter().map(|&l| Answer::Label(l)).collect()
+}
+
+/// Worker rows derived from task rows: count each worker's answers, then
+/// scatter the task rows in ascending task order (row `local` of
+/// `task_adj` is global task `start + local`). Both views build their
+/// worker rows here, so this is the one owner of the canonical
+/// task-ascending worker order.
+///
+/// # Panics
+/// Panics on a worker ≥ `m`.
+pub(crate) fn worker_rows<V: Copy + Default>(start: usize, m: usize, task_adj: &Csr<V>) -> Csr<V> {
+    let mut counts = vec![0u32; m];
+    for &(worker, _) in task_adj.entries() {
+        counts[worker as usize] += 1;
+    }
+    Csr::from_triples_counted(
+        &counts,
+        (0..task_adj.num_rows()).flat_map(|local| {
+            task_adj
+                .row(local)
+                .iter()
+                .map(move |&(worker, v)| (worker as usize, (start + local) as u32, v))
+        }),
+    )
 }
 
 /// MAP label of one posterior row with seeded uniform tie-breaking:
@@ -71,8 +97,8 @@ fn decode_row(p: &[f64], rng: &mut StdRng) -> u8 {
     label as u8
 }
 
-/// Dense numeric view: `(worker, value)` task rows and `(task, value)`
-/// worker rows in CSR form, both in record order.
+/// Dense numeric view: `(worker, value)` task rows in record order and
+/// `(task, value)` worker rows in task-ascending order, both in CSR form.
 #[derive(Debug)]
 pub struct Num {
     /// Number of tasks.
@@ -103,10 +129,9 @@ impl Num {
         }
         let n = dataset.num_tasks();
         let m = dataset.num_workers();
-        let records = dataset.records();
         let task_adj = Csr::from_triples(
             n,
-            records.iter().map(|r| {
+            dataset.records().iter().map(|r| {
                 (
                     r.task,
                     r.worker as u32,
@@ -114,16 +139,7 @@ impl Num {
                 )
             }),
         );
-        let worker_adj = Csr::from_triples(
-            m,
-            records.iter().map(|r| {
-                (
-                    r.worker,
-                    r.task as u32,
-                    r.answer.numeric().expect("numeric dataset"),
-                )
-            }),
-        );
+        let worker_adj = worker_rows(0, m, &task_adj);
         let golden = match (&options.golden, use_golden) {
             (Some(g), true) => g
                 .iter()
@@ -157,7 +173,8 @@ impl Num {
         self.task_adj.row_len(t)
     }
 
-    /// Answers by worker `w` as `(task, value)` pairs, in record order.
+    /// Answers by worker `w` as `(task, value)` pairs, in ascending task
+    /// order.
     #[inline]
     pub fn worker(&self, w: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.worker_adj.row(w).iter().map(|&(t, v)| (t as usize, v))
@@ -189,6 +206,20 @@ impl Num {
     /// Convert estimates into `Answer`s.
     pub fn answers(estimates: &[f64]) -> Vec<Answer> {
         estimates.iter().map(|&v| Answer::Numeric(v)).collect()
+    }
+}
+
+impl AnswerSet for Num {
+    fn task_type(&self) -> TaskType {
+        TaskType::Numeric
+    }
+
+    fn num_answers(&self) -> usize {
+        Num::num_answers(self)
+    }
+
+    fn num_workers(&self) -> usize {
+        self.m
     }
 }
 
@@ -319,7 +350,8 @@ mod tests {
             }
         }
 
-        /// The numeric CSR view round-trips `Dataset::records()` too.
+        /// The numeric CSR view round-trips `Dataset::records()` too: task
+        /// rows in record order, worker rows sorted by task.
         #[test]
         fn num_csr_round_trips_records(dataset in arb_numeric()) {
             let num = Num::build("test", &dataset, &InferenceOptions::default(), false).unwrap();
@@ -329,6 +361,9 @@ mod tests {
                 let v = r.answer.numeric().unwrap();
                 by_task[r.task].push((r.worker, v));
                 by_worker[r.worker].push((r.task, v));
+            }
+            for row in &mut by_worker {
+                row.sort_by_key(|&(task, _)| task);
             }
             for t in 0..dataset.num_tasks() {
                 let row: Vec<(usize, f64)> = num.task(t).collect();

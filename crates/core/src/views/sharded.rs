@@ -23,44 +23,46 @@
 //! Every constructor funnels through one flat task CSR built by the
 //! two-pass [`Csr::from_triples`] (count, then scatter — no intermediate
 //! copy of the log), split at the shard boundaries
-//! ([`Csr::split_rows`]); each shard then
-//! derives its worker rows from its task rows
-//! ([`Csr::from_triples_counted`]). [`ShardedView::build`] is the
+//! ([`Csr::split_rows`]); each shard then derives its worker rows from
+//! its task rows through the helper the numeric view uses too (a count
+//! pass, then a scatter in task order). [`ShardedView::build`] is the
 //! dataset entry point `infer` uses, and [`ShardedView::from_records`]
 //! reads a re-iterable `(task, worker, label)` source (a streamed
 //! generator or a stream's arrival log).
 
-use crowd_data::{Answer, Dataset};
+use crowd_data::{Answer, Dataset, TaskType};
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use std::ops::Range;
-use std::sync::OnceLock;
 
-use super::{decode_row, Csr};
+use super::{decode_row, worker_rows, Csr};
 use crate::exec;
-use crate::framework::{InferenceError, InferenceOptions};
+use crate::framework::{AnswerSet, InferenceError, InferenceOptions};
 
-/// Shards-rebuilt counter: incremented once per shard rebuild (the
-/// streaming dirty-shard path calls [`ShardedView::rebuild_shard`] only
-/// for shards that received answers since the last converge, so this
-/// counts shards-dirty-per-converge in aggregate).
-fn obs_dirty_rebuilds() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("core.shard.dirty_rebuilds_total"))
-}
+crowd_obs::handle!(
+    /// Shards-rebuilt counter: incremented once per shard rebuild (the
+    /// streaming dirty-shard path calls [`ShardedView::rebuild_shard`] only
+    /// for shards that received answers since the last converge, so this
+    /// counts shards-dirty-per-converge in aggregate).
+    obs_dirty_rebuilds,
+    counter,
+    "core.shard.dirty_rebuilds_total"
+);
 
-/// E-step wall time per row block (one sample per block per EM
-/// iteration; see [`ShardedView::for_each_row_block`]).
-pub(crate) fn obs_estep_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("core.shard.estep_seconds"))
-}
+crowd_obs::handle!(
+    /// E-step wall time per row block (one sample per block per EM
+    /// iteration; see [`ShardedView::for_each_row_block`]).
+    pub(crate) obs_estep_seconds,
+    histogram,
+    "core.shard.estep_seconds"
+);
 
-/// M-step partial-reduce wall time (one sample per EM iteration).
-pub(crate) fn obs_reduce_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("core.shard.reduce_seconds"))
-}
+crowd_obs::handle!(
+    /// M-step partial-reduce wall time (one sample per EM iteration).
+    pub(crate) obs_reduce_seconds,
+    histogram,
+    "core.shard.reduce_seconds"
+);
 
 /// The shard directory: `shard_count + 1` task boundaries splitting
 /// `0..n` into contiguous ranges as evenly as possible (the first
@@ -90,34 +92,17 @@ struct ShardData {
 }
 
 impl ShardData {
-    /// Derive the canonical worker adjacency from the shard's task rows:
-    /// count per-worker degrees, then scatter the task rows in ascending
-    /// task order. Every constructor and the rebuild path funnel through
-    /// here, so the canonical-order invariant — and the range check on
-    /// every entry (the EM loops index confusion tables by worker and
-    /// label unchecked) — has one owner.
+    /// Derive the canonical worker adjacency from the shard's task rows
+    /// ([`worker_rows`]). Every constructor and the rebuild path funnel
+    /// through here, so the range check on every entry (the EM loops
+    /// index confusion tables by worker and label unchecked) has one
+    /// owner: [`worker_rows`] rejects a worker ≥ `m`, and labels are
+    /// checked once, on their maximum.
     fn from_task_adj(start: usize, m: usize, l: usize, task_adj: Csr<u8>) -> Self {
-        // Indexing `counts` rejects a worker ≥ `m`; labels are checked
-        // once, on their maximum, to keep the branch out of the loop.
-        let mut counts = vec![0u32; m];
-        let mut max_label = 0u8;
-        for &(worker, label) in task_adj.entries() {
-            counts[worker as usize] += 1;
-            max_label = max_label.max(label);
+        if let Some(max_label) = task_adj.entries().iter().map(|&(_, label)| label).max() {
+            assert!((max_label as usize) < l, "record label {max_label} ≥ {l}");
         }
-        assert!(
-            task_adj.num_entries() == 0 || (max_label as usize) < l,
-            "record label {max_label} ≥ {l}"
-        );
-        let worker_adj = Csr::from_triples_counted(
-            &counts,
-            (0..task_adj.num_rows()).flat_map(|local| {
-                task_adj
-                    .row(local)
-                    .iter()
-                    .map(move |&(worker, label)| (worker as usize, (start + local) as u32, label))
-            }),
-        );
+        let worker_adj = worker_rows(start, m, &task_adj);
         Self {
             task_adj,
             worker_adj,
@@ -493,6 +478,26 @@ impl ShardedView {
         (0..self.n)
             .map(|task| decode_row(post.row(task), rng))
             .collect()
+    }
+}
+
+impl AnswerSet for ShardedView {
+    /// Decision-making at `ℓ = 2`, single-choice otherwise.
+    fn task_type(&self) -> TaskType {
+        match self.l {
+            2 => TaskType::DecisionMaking,
+            l => TaskType::SingleChoice {
+                choices: u8::try_from(l).unwrap_or(u8::MAX),
+            },
+        }
+    }
+
+    fn num_answers(&self) -> usize {
+        ShardedView::num_answers(self)
+    }
+
+    fn num_workers(&self) -> usize {
+        self.m
     }
 }
 

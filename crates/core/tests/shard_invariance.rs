@@ -3,21 +3,24 @@
 //! worker quality, iteration count — at every shard count, including the
 //! adversarial directory shapes (more shards than tasks, one task per
 //! shard, empty shards from gap-heavy logs), and on every arrival order
-//! that keeps each task's own answer sequence.
+//! that keeps each task's own answer sequence. The arrival-order test
+//! has a numeric arm too: the five numeric methods, through `infer` and
+//! `infer_numeric`, give the same bits on every such order.
 //!
 //! Why bit equality is the right bar (and achievable): E-steps are
 //! per-task independent, so fanning them out per shard changes nothing;
 //! every per-worker fold walks the *canonical* task-ascending worker
 //! rows (`ShardedView::worker`, or each shard's rows in ascending shard
-//! order), so the non-associative f64 accumulation visits answers in one
-//! order fixed by the per-task answer sequences alone. `infer` runs the
-//! one-shard view, so comparing it with `infer_sharded` pins shard-count
-//! invariance against the `S = 1` baseline.
+//! order, and `Num::worker`), so the non-associative f64 accumulation
+//! visits answers in one order fixed by the per-task answer sequences
+//! alone. `infer` runs the one-shard view, so comparing it with
+//! `infer_sharded` pins shard-count invariance against the `S = 1`
+//! baseline.
 
 use crowd_core::methods::Ds;
-use crowd_core::views::ShardedView;
+use crowd_core::views::{Num, ShardedView};
 use crowd_core::{InferenceOptions, InferenceResult, Method, TruthInference, WorkerQuality};
-use crowd_data::{Dataset, DatasetBuilder, StreamSim, TaskType};
+use crowd_data::{Answer, Dataset, DatasetBuilder, StreamSim, TaskType};
 use proptest::prelude::*;
 
 /// The tested shard counts: the required {1, 2, 7, 16} plus `n` (every
@@ -77,11 +80,24 @@ fn posterior_bits(r: &InferenceResult) -> Vec<u64> {
         .map_or_else(Vec::new, |p| p.data().iter().map(|x| x.to_bits()).collect())
 }
 
+/// The truths as bits: a label's index, a numeric truth's `f64` bits.
+fn truth_bits(r: &InferenceResult) -> Vec<u64> {
+    r.truths
+        .iter()
+        .map(|t| match t {
+            Answer::Label(l) => u64::from(*l),
+            Answer::Numeric(v) => v.to_bits(),
+        })
+        .collect()
+}
+
 fn quality_bits(r: &InferenceResult) -> Vec<u64> {
     r.worker_quality
         .iter()
         .flat_map(|q| match q {
-            WorkerQuality::Probability(p) | WorkerQuality::Weight(p) => vec![p.to_bits()],
+            WorkerQuality::Probability(p)
+            | WorkerQuality::Weight(p)
+            | WorkerQuality::Variance(p) => vec![p.to_bits()],
             WorkerQuality::Confusion(m) => m
                 .iter()
                 .flatten()
@@ -259,24 +275,35 @@ fn interleaved(grouped: &[KeyedAnswer]) -> Vec<KeyedAnswer> {
 }
 
 /// The log as a dataset of `task_type`, labels folded into its range
-/// (a decision-making copy keeps each label's parity).
+/// (a decision-making copy keeps each label's parity). A numeric copy
+/// answers `10·label + key/100`, so values spread within and across
+/// tasks.
 fn dataset(task_type: TaskType, n: usize, m: usize, log: &[KeyedAnswer]) -> Dataset {
-    let l = task_type.num_choices().unwrap();
     let mut b = DatasetBuilder::new("order", task_type, n, m);
-    for &(t, w, label, _) in log {
-        b.add_label(t, w, label % l).expect("unique valid answer");
+    for &(t, w, label, key) in log {
+        match task_type.num_choices() {
+            Some(l) => b.add_label(t, w, label % l),
+            None => b.add_numeric(t, w, f64::from(label) * 10.0 + f64::from(key) * 0.01),
+        }
+        .expect("unique valid answer");
     }
     b.build()
 }
 
-/// `infer` on `d`, then `infer_sharded` on views streamed from `d`'s
-/// records at 1, 2 and 7 shards.
+/// `infer` on `d`, then the view entry on views built from `d`'s
+/// records: `infer_sharded` at 1, 2 and 7 shards, or `infer_numeric`.
 fn runs(method: Method, d: &Dataset, options: &InferenceOptions) -> Vec<(String, InferenceResult)> {
     let inference = method.build();
     let mut out = vec![("infer".to_string(), inference.infer(d, options).unwrap())];
-    for shards in [1usize, 2, 7] {
-        let sharded = inference.infer_sharded(&view(d, shards), options);
-        out.push((format!("{shards} shards"), sharded.unwrap()));
+    if d.task_type().is_categorical() {
+        for shards in [1usize, 2, 7] {
+            let sharded = inference.infer_sharded(&view(d, shards), options);
+            out.push((format!("{shards} shards"), sharded.unwrap()));
+        }
+    } else {
+        let num = Num::build("test", d, options, false).unwrap();
+        let numeric = inference.infer_numeric(&num, options);
+        out.push(("numeric view".to_string(), numeric.unwrap()));
     }
     out
 }
@@ -285,16 +312,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arrival order is not an input: any permutation of a log that
-    /// keeps each task's own answer order gives every categorical method
+    /// keeps each task's own answer order gives every method
     /// bit-identical posteriors, qualities, truths and iteration counts —
-    /// through `infer` and at 1, 2 and 7 shards. Each log also runs as a
-    /// decision-making copy, the only task type KOS, Multi, VI-BP and
-    /// VI-MF accept.
+    /// through `infer`, at 1, 2 and 7 shards, and through
+    /// `infer_numeric`. Each log also runs as a decision-making copy, the
+    /// only task type KOS, Multi, VI-BP and VI-MF accept, and as a
+    /// numeric copy for LFC_N, CATD, PM, Mean and Median.
     #[test]
     fn outputs_ignore_arrival_order_across_tasks((n, m, l, grouped) in arb_log()) {
         let permuted = interleaved(&grouped);
         let options = InferenceOptions::seeded(5);
-        for task_type in [TaskType::SingleChoice { choices: l }, TaskType::DecisionMaking] {
+        for task_type in [
+            TaskType::SingleChoice { choices: l },
+            TaskType::DecisionMaking,
+            TaskType::Numeric,
+        ] {
             let a = dataset(task_type, n, m, &grouped);
             let b = dataset(task_type, n, m, &permuted);
             for method in Method::ALL.into_iter().filter(|m| m.supports(task_type)) {
@@ -302,7 +334,7 @@ proptest! {
                 for (arrival, d) in [("grouped", &a), ("interleaved", &b)] {
                     for (path, r) in runs(method, d, &options) {
                         let at = format!("{} {task_type:?} {arrival} {path}", method.name());
-                        prop_assert_eq!(&reference.truths, &r.truths, "{}: truths", at);
+                        prop_assert_eq!(truth_bits(reference), truth_bits(&r), "{}: truths", at);
                         prop_assert_eq!(posterior_bits(reference), posterior_bits(&r), "{}: posteriors", at);
                         prop_assert_eq!(quality_bits(reference), quality_bits(&r), "{}: quality", at);
                         prop_assert_eq!(

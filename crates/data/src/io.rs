@@ -10,7 +10,7 @@
 //! densified to `0..n` indices on load (first-appearance order).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use crate::builder::DatasetBuilder;
@@ -21,39 +21,45 @@ use crate::model::{Answer, Dataset, TaskType};
 ///
 /// `task_type` decides how the `answer` column is parsed: as a label index
 /// for categorical types, as an `f64` for numeric. Lines are
-/// `task \t worker \t answer`; a single header line is skipped when its
-/// last field is not parseable as a number (i.e. always for our files),
-/// and blank lines are skipped.
+/// `task \t worker \t answer`; blank lines are skipped, and so is the
+/// first non-blank line when its last field is not parseable as a number
+/// (a header, i.e. always for our files).
 ///
 /// Every rejected row — unparseable, a label out of range, an answer of
 /// the wrong kind, a worker answering a task twice — is a
 /// [`DataError::Parse`] carrying the row's 1-based line in its file and
 /// naming the file's own task and worker ids.
+///
+/// Each file is read into one buffer that every row borrows its fields
+/// from, so reading allocates per file, not per row.
 pub fn read_tsv(
     answers_path: &Path,
     truths_path: Option<&Path>,
     task_type: TaskType,
     name: &str,
 ) -> Result<Dataset, DataError> {
-    let answer_rows = read_rows(answers_path, 3)?;
-    let truth_rows = match truths_path {
-        Some(p) => read_rows(p, 2)?,
-        None => Vec::new(),
+    let answers = std::fs::read_to_string(answers_path)?;
+    let answer_rows: Vec<Row<3>> = read_rows(&answers)?;
+    let truths = match truths_path {
+        Some(p) => std::fs::read_to_string(p)?,
+        None => String::new(),
     };
+    let truth_rows: Vec<Row<2>> = read_rows(&truths)?;
 
-    let mut task_ids: HashMap<String, usize> = HashMap::new();
-    let mut worker_ids: HashMap<String, usize> = HashMap::new();
-    for (_, row) in &answer_rows {
+    let mut task_ids: HashMap<&str, usize> =
+        HashMap::with_capacity(answer_rows.len() + truth_rows.len());
+    let mut worker_ids: HashMap<&str, usize> = HashMap::with_capacity(answer_rows.len());
+    for &(_, [task, worker, _]) in &answer_rows {
         let next = task_ids.len();
-        task_ids.entry(row[0].clone()).or_insert(next);
+        task_ids.entry(task).or_insert(next);
         let next = worker_ids.len();
-        worker_ids.entry(row[1].clone()).or_insert(next);
+        worker_ids.entry(worker).or_insert(next);
     }
     // Truth files may mention tasks that received no answers; they still
     // belong to the task universe.
-    for (_, row) in &truth_rows {
+    for &(_, [task, _]) in &truth_rows {
         let next = task_ids.len();
-        task_ids.entry(row[0].clone()).or_insert(next);
+        task_ids.entry(task).or_insert(next);
     }
 
     let mut builder = DatasetBuilder::with_capacity(
@@ -63,20 +69,17 @@ pub fn read_tsv(
         worker_ids.len(),
         answer_rows.len(),
     );
-    for &(line, ref row) in &answer_rows {
-        let task = task_ids[&row[0]];
-        let worker = worker_ids[&row[1]];
-        let answer = parse_answer(&row[2], task_type, line)?;
+    for &(line, [task, worker, answer]) in &answer_rows {
+        let answer = parse_answer(answer, task_type, line)?;
         builder
-            .add_answer(task, worker, answer)
-            .map_err(|e| rejected_row(line, &row[0], Some(&row[1]), e))?;
+            .add_answer(task_ids[task], worker_ids[worker], answer)
+            .map_err(|e| rejected_row(line, task, Some(worker), e))?;
     }
-    for &(line, ref row) in &truth_rows {
-        let task = task_ids[&row[0]];
-        let truth = parse_answer(&row[1], task_type, line)?;
+    for &(line, [task, truth]) in &truth_rows {
+        let truth = parse_answer(truth, task_type, line)?;
         builder
-            .set_truth(task, truth)
-            .map_err(|e| rejected_row(line, &row[0], None, e))?;
+            .set_truth(task_ids[task], truth)
+            .map_err(|e| rejected_row(line, task, None, e))?;
     }
     Ok(builder.build())
 }
@@ -144,32 +147,41 @@ fn parse_answer(s: &str, task_type: TaskType, line: usize) -> Result<Answer, Dat
     }
 }
 
-/// Read the rows of a TSV file as `(1-based line, fields)`, skipping blank
-/// lines and the first line if it looks like a header (non-numeric last
-/// field), and validating the column count.
-fn read_rows(path: &Path, cols: usize) -> Result<Vec<(usize, Vec<String>)>, DataError> {
-    let file = std::fs::File::open(path)?;
-    let reader = std::io::BufReader::new(file);
-    let mut rows = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
+/// A data row of a TSV file: its 1-based line and its `N` fields,
+/// borrowed from the file's text.
+type Row<'a, const N: usize> = (usize, [&'a str; N]);
+
+/// The data rows of a TSV file's text, skipping blank lines and the first
+/// non-blank line if it looks like a header (non-numeric last field),
+/// and validating the column count.
+fn read_rows<const N: usize>(text: &str) -> Result<Vec<Row<'_, N>>, DataError> {
+    let mut rows = Vec::with_capacity(text.lines().count());
+    let mut header_candidate = true;
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim_end_matches('\r');
+        if line.is_empty() {
             continue;
         }
-        let fields: Vec<String> = trimmed.split('\t').map(|f| f.to_string()).collect();
-        if i == 0
-            && fields
-                .last()
-                .map(|f| f.parse::<f64>().is_err())
-                .unwrap_or(false)
+        if std::mem::take(&mut header_candidate)
+            && line
+                .rsplit('\t')
+                .next()
+                .is_some_and(|f| f.parse::<f64>().is_err())
         {
             continue; // header
         }
-        if fields.len() != cols {
+        let mut fields = [""; N];
+        let mut count = 0;
+        for field in line.split('\t') {
+            if let Some(slot) = fields.get_mut(count) {
+                *slot = field;
+            }
+            count += 1;
+        }
+        if count != N {
             return Err(DataError::Parse {
                 line: i + 1,
-                detail: format!("expected {cols} tab-separated fields, got {}", fields.len()),
+                detail: format!("expected {N} tab-separated fields, got {count}"),
             });
         }
         rows.push((i + 1, fields));
@@ -304,6 +316,24 @@ mod tests {
         let (line, detail) = parse_error("truth", "q1\tann\t0\n", Some("question\ttruth\nq1\t9\n"));
         assert_eq!(line, 2, "{detail}");
         assert!(detail.contains("truth of task \"q1\""), "{detail}");
+    }
+
+    #[test]
+    fn header_after_leading_blank_lines_is_skipped() {
+        let dir = tmpdir("blankfirst");
+        let p = dir.join("answers.tsv");
+        std::fs::write(&p, "\nquestion\tworker\tanswer\nt0\tw0\t0\n").unwrap();
+        let read = read_tsv(&p, None, TaskType::DecisionMaking, "blank-first");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let d = read.expect("the first non-blank line is the header");
+        assert_eq!((d.num_tasks(), d.num_workers(), d.num_answers()), (1, 1, 1));
+        // A later non-numeric line is still a row, and still rejected.
+        let (line, detail) = parse_error(
+            "secondheader",
+            "\nquestion\tworker\tanswer\nquestion\tworker\tanswer\n",
+            None,
+        );
+        assert_eq!(line, 3, "{detail}");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! Method: install a counting global allocator and run each
 //! construction path — `CrowdSimulator::generate`, `DatasetBuilder::build`,
-//! `Dataset::with_records` and `subsample_redundancy` — on 100 and on
-//! 1,000 tasks at the same redundancy and worker count, and require the
-//! two allocation counts to be **equal**: a heap block per task or per
-//! answer would show up as `allocs(1000) > allocs(100)`.
+//! `Dataset::with_records`, `subsample_redundancy` and `read_tsv` of a
+//! `write_tsv` export — on 100 and on 1,000 tasks at the same redundancy
+//! and worker count, and require the two allocation counts to be
+//! **equal**: a heap block per task or per answer would show up as
+//! `allocs(1000) > allocs(100)`.
 //!
 //! Runs with `harness = false` so the whole process is single-threaded
 //! and no test-runner machinery allocates between the measurements.
@@ -15,6 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crowd_data::datasets::PaperDataset;
+use crowd_data::io::{read_tsv, write_tsv};
 use crowd_data::{subsample_redundancy, CrowdSimulator, DatasetBuilder};
 
 struct CountingAllocator;
@@ -61,8 +63,8 @@ fn simulator(id: PaperDataset, tasks: usize) -> CrowdSimulator {
 }
 
 /// Allocations of each construction path on `tasks` tasks of `id`:
-/// `[generate, build, with_records, subsample_redundancy]`.
-fn allocations(id: PaperDataset, tasks: usize) -> [u64; 4] {
+/// `[generate, build, with_records, subsample_redundancy, read_tsv]`.
+fn allocations(id: PaperDataset, tasks: usize) -> [u64; 5] {
     let mut sim = simulator(id, tasks);
     let (dataset, generate) = counted(|| sim.generate());
 
@@ -85,12 +87,27 @@ fn allocations(id: PaperDataset, tasks: usize) -> [u64; 4] {
 
     let (sub, subsample) = counted(|| subsample_redundancy(&dataset, 3, 1));
     assert!(sub.num_answers() <= 3 * tasks);
-    [generate, build, with_records, subsample]
+
+    let dir = std::env::temp_dir().join(format!("crowd_alloc_shape_{}", std::process::id()));
+    let answers = write_tsv(&dataset, &dir).unwrap();
+    let truths = dir.join("truths.tsv");
+    let truths = truths.exists().then_some(truths.as_path());
+    let (read, read_tsv) =
+        counted(|| read_tsv(&answers, truths, dataset.task_type(), "read").unwrap());
+    assert_eq!(read.num_answers(), dataset.num_answers());
+    std::fs::remove_dir_all(&dir).unwrap();
+    [generate, build, with_records, subsample, read_tsv]
 }
 
 fn main() {
     println!("per-dataset allocation audit (counting global allocator):");
-    const PATHS: [&str; 4] = ["generate", "build", "with_records", "subsample_redundancy"];
+    const PATHS: [&str; 5] = [
+        "generate",
+        "build",
+        "with_records",
+        "subsample_redundancy",
+        "read_tsv",
+    ];
     for id in PaperDataset::ALL {
         // Warm-up run absorbs any one-time lazy initialisation.
         let _ = allocations(id, 100);
@@ -108,13 +125,14 @@ fn main() {
             );
         }
         println!(
-            "  {:<10} generate {}, build {}, with_records {}, subsample_redundancy {} \
-             allocations at 100 and 1,000 tasks",
+            "  {:<10} generate {}, build {}, with_records {}, subsample_redundancy {}, \
+             read_tsv {} allocations at 100 and 1,000 tasks",
             id.name(),
             small[0],
             small[1],
             small[2],
-            small[3]
+            small[3],
+            small[4]
         );
     }
 }

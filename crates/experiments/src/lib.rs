@@ -14,14 +14,13 @@
 //! | [`hidden::hidden_sweep`] | Figures 7–9 — quality vs golden fraction `p%` |
 //! | [`extensions::assignment_comparison`] | §7(6) extension — assignment strategies at equal answer budget |
 //! | [`streaming::streaming_curve`] | §7(6) extension — accuracy vs answers seen, warm vs cold |
-//! | [`multi_tenant::multi_tenant_replay`] | service extension — every categorical dataset as one tenant of a shared `crowd-serve` |
 //!
 //! All runners are deterministic given an [`ExpConfig`] (scale, repeat
 //! count, base seed) and return plain data structures; the `crowd-repro`
 //! binary renders them as the same tables/series the paper prints.
 //!
 //! Every grid — Figures 4–6, Table 6, Table 7, Figures 7–9, the
-//! streaming and multi-tenant setup and the assignment extension —
+//! streaming setup and the assignment extension —
 //! executes on the async **sweep runner** ([`runner::SweepRunner`]):
 //! budgeted concurrency on the worker pool's owned-job queue, streaming
 //! per-cell progress, cooperative cancellation, and per-cell panic
@@ -34,7 +33,6 @@
 pub mod extensions;
 pub mod full_eval;
 pub mod hidden;
-pub mod multi_tenant;
 pub mod qualification;
 pub mod report;
 pub mod run;

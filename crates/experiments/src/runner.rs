@@ -35,29 +35,14 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crowd_core::exec::{JobOutcome, JobTicket, WorkerPool};
 
-fn obs_cell_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("exp.sweep.cell_seconds"))
-}
-
-fn obs_cells() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("exp.sweep.cells_total"))
-}
-
-fn obs_panics() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("exp.sweep.cell_panics_total"))
-}
-
-fn obs_cancelled() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("exp.sweep.cells_cancelled_total"))
-}
+crowd_obs::handle!(obs_cell_seconds, histogram, "exp.sweep.cell_seconds");
+crowd_obs::handle!(obs_cells, counter, "exp.sweep.cells_total");
+crowd_obs::handle!(obs_panics, counter, "exp.sweep.cell_panics_total");
+crowd_obs::handle!(obs_cancelled, counter, "exp.sweep.cells_cancelled_total");
 
 /// Cooperative cancellation flag shared between a sweep's driver and its
 /// in-flight cells. Cloning shares the flag.

@@ -36,7 +36,8 @@
 //!
 //! Metric names are `layer.component.metric` (e.g.
 //! `serve.wal.append_seconds`, `core.pool.queue_depth`); histograms of
-//! durations end in `_seconds`, counters in `_total`. See
+//! durations end in `_seconds`, counters in `_total`. Each call site
+//! holds its metric through a [`handle!`] function. See
 //! ARCHITECTURE.md §observability for the full catalogue.
 //!
 //! ```
@@ -114,6 +115,45 @@ pub fn enabled() -> bool {
 /// metrics-on vs metrics-off overhead in one process.
 pub fn set_enabled(on: bool) {
     enabled_flag().store(on, Ordering::Relaxed);
+}
+
+/// Define a cached metric handle: a function returning a `&'static`
+/// [`Counter`], [`Gauge`] or [`Histogram`] that registers `name` on first
+/// use and reads a `OnceLock` after that, so a hot path pays a couple of
+/// atomic ops and never the registry's map lock. Doc attributes and a
+/// visibility pass through to the function.
+///
+/// ```
+/// crowd_obs::handle!(
+///     /// Requests served.
+///     requests, counter, "doc.handle.requests_total"
+/// );
+/// requests().inc();
+/// assert!(crowd_obs::snapshot().counter("doc.handle.requests_total") >= 1);
+/// ```
+#[macro_export]
+macro_rules! handle {
+    ($(#[$attr:meta])* $vis:vis $fn_name:ident, counter, $name:literal) => {
+        $(#[$attr])*
+        $vis fn $fn_name() -> &'static $crate::Counter {
+            static H: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::counter($name))
+        }
+    };
+    ($(#[$attr:meta])* $vis:vis $fn_name:ident, gauge, $name:literal) => {
+        $(#[$attr])*
+        $vis fn $fn_name() -> &'static $crate::Gauge {
+            static H: ::std::sync::OnceLock<$crate::Gauge> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::gauge($name))
+        }
+    };
+    ($(#[$attr:meta])* $vis:vis $fn_name:ident, histogram, $name:literal) => {
+        $(#[$attr])*
+        $vis fn $fn_name() -> &'static $crate::Histogram {
+            static H: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::histogram($name))
+        }
+    };
 }
 
 #[cfg(test)]

@@ -31,6 +31,26 @@ fn session_batches(seed: u64, batch_count: usize) -> (StreamConfig, Vec<Vec<Answ
     (config, batches)
 }
 
+/// An S_Rel-shaped session (ℓ = 4) whose answers arrive round-robin
+/// across tasks: each task's own answer order is kept, and answers to
+/// different tasks interleave.
+fn round_robin_session(seed: u64, batch_count: usize) -> (StreamConfig, Vec<Vec<AnswerRecord>>) {
+    let d = PaperDataset::SRel.generate(0.01, seed);
+    let config = StreamConfig::new(Method::Ds, d.task_type(), d.num_tasks(), d.num_workers());
+    let mut by_task: Vec<_> = (0..d.num_tasks()).map(|t| d.answers_for_task(t)).collect();
+    let mut arrival: Vec<AnswerRecord> = Vec::with_capacity(d.num_answers());
+    while arrival.len() < d.num_answers() {
+        arrival.extend(
+            by_task
+                .iter_mut()
+                .filter_map(|answers| answers.next().copied()),
+        );
+    }
+    let batch_size = arrival.len().div_ceil(batch_count).max(1);
+    let batches = arrival.chunks(batch_size).map(<[_]>::to_vec).collect();
+    (config, batches)
+}
+
 /// Posterior matrix as raw bits, for exact comparison.
 fn posterior_bits(p: &Option<Arc<DMat>>) -> Vec<Vec<u64>> {
     p.as_ref()
@@ -154,7 +174,8 @@ proptest! {
     /// K concurrent sessions ≡ K sequential replays, bit for bit — over
     /// random session counts, shard counts, batch splits, and iteration
     /// budgets (including budgets small enough to force multi-tick
-    /// resumes).
+    /// resumes). One more session is single-choice with round-robin
+    /// arrival across tasks.
     #[test]
     fn concurrent_sessions_match_sequential_replay(
         k in 2usize..=4,
@@ -164,9 +185,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let budget = [3, 25, usize::MAX][budget_sel];
-        let sessions: Vec<_> = (0..k)
+        let mut sessions: Vec<_> = (0..k)
             .map(|i| session_batches(seed * 7 + i as u64, batch_count))
             .collect();
+        sessions.push(round_robin_session(seed, batch_count));
         let served = run_served(shards, budget, &sessions);
         let sequential = run_sequential(budget, &sessions);
         prop_assert_eq!(served, sequential);

@@ -7,39 +7,40 @@ use crowd_data::{Answer, AnswerRecord, TaskType};
 
 use crate::StreamError;
 
-use std::sync::OnceLock;
-
 // Cached `stream.engine.*` metric handles (see ARCHITECTURE.md §
 // Observability for the naming scheme). Registration happens once per
 // process; the hot paths below touch only atomics.
-fn obs_batches() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("stream.engine.batches_total"))
-}
-fn obs_batch_answers() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("stream.engine.batch_answers_total"))
-}
-fn obs_push_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("stream.engine.batch_push_seconds"))
-}
-fn obs_converge_seconds() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("stream.engine.converge_seconds"))
-}
-fn obs_converge_iterations() -> &'static crowd_obs::Histogram {
-    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::histogram("stream.engine.converge_iterations"))
-}
-fn obs_warm_resumes() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("stream.engine.warm_resumes_total"))
-}
-fn obs_cold_converges() -> &'static crowd_obs::Counter {
-    static H: OnceLock<crowd_obs::Counter> = OnceLock::new();
-    H.get_or_init(|| crowd_obs::counter("stream.engine.cold_converges_total"))
-}
+crowd_obs::handle!(obs_batches, counter, "stream.engine.batches_total");
+crowd_obs::handle!(
+    obs_batch_answers,
+    counter,
+    "stream.engine.batch_answers_total"
+);
+crowd_obs::handle!(
+    obs_push_seconds,
+    histogram,
+    "stream.engine.batch_push_seconds"
+);
+crowd_obs::handle!(
+    obs_converge_seconds,
+    histogram,
+    "stream.engine.converge_seconds"
+);
+crowd_obs::handle!(
+    obs_converge_iterations,
+    histogram,
+    "stream.engine.converge_iterations"
+);
+crowd_obs::handle!(
+    obs_warm_resumes,
+    counter,
+    "stream.engine.warm_resumes_total"
+);
+crowd_obs::handle!(
+    obs_cold_converges,
+    counter,
+    "stream.engine.cold_converges_total"
+);
 
 /// Pseudo-count governing how fast warm worker state earns full trust:
 /// a worker's warm quality keeps weight `c / (c + 12)` after `c`
@@ -811,7 +812,7 @@ mod tests {
         let mut e = StreamEngine::new(cfg).unwrap();
         e.push(0, 0, Answer::Label(1)).unwrap();
         // Typed error, not an index panic (the batch path rejects the
-        // same input via validate_common).
+        // same input through `infer`).
         assert!(matches!(
             e.converge(),
             Err(StreamError::Inference(
