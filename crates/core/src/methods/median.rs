@@ -1,7 +1,7 @@
 //! Median — the robust direct baseline for numeric tasks (Section 5.1).
 
 use crowd_data::TaskType;
-use crowd_stats::summary::median;
+use crowd_stats::summary::median_in_place;
 
 use crate::framework::{
     validate_view, InferenceError, InferenceOptions, InferenceResult, TruthInference, WorkerQuality,
@@ -27,10 +27,13 @@ impl TruthInference for MedianAgg {
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
         validate_view(self, num, options)?;
+        // One sort buffer, sized for the busiest task and reused by all.
+        let mut values = Vec::with_capacity((0..num.n).map(|t| num.task_len(t)).max().unwrap_or(0));
         let estimates: Vec<f64> = (0..num.n)
             .map(|t| {
-                let values: Vec<f64> = num.task(t).map(|(_, v)| v).collect();
-                median(&values)
+                values.clear();
+                values.extend(num.task(t).map(|(_, v)| v));
+                median_in_place(&mut values)
             })
             .collect();
         Ok(InferenceResult {

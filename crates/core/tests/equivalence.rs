@@ -267,3 +267,87 @@ fn all_methods_match_pre_refactor_fixture_contract() {
         "only {checked} fixture cells checked — coverage collapsed"
     );
 }
+
+/// FNV-1a over an inference result: every posterior cell, then every
+/// worker's quality entries (a confusion matrix row-major, a skill
+/// vector in order) as little-endian `f64` bits, then the truth labels
+/// and the iteration count.
+#[cfg(not(feature = "fast-math"))]
+fn fnv1a(r: &crowd_core::InferenceResult) -> u64 {
+    use crowd_core::WorkerQuality;
+    fn eat(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn float(hash: &mut u64, x: f64) {
+        eat(hash, &x.to_bits().to_le_bytes());
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let post = r.posteriors.as_ref().expect("categorical posteriors");
+    for &p in post.data() {
+        float(&mut hash, p);
+    }
+    for q in &r.worker_quality {
+        match q {
+            WorkerQuality::Confusion(m) => m.iter().flatten().for_each(|&x| float(&mut hash, x)),
+            WorkerQuality::Skills(s) => s.iter().for_each(|&x| float(&mut hash, x)),
+            other => panic!("unexpected worker quality {other:?}"),
+        }
+    }
+    for a in &r.truths {
+        eat(&mut hash, &[a.label().expect("categorical")]);
+    }
+    eat(&mut hash, &(r.iterations as u64).to_le_bytes());
+    hash
+}
+
+/// BCC, CBCC and Multi keep every output bit — posteriors, worker
+/// matrices and skill vectors, not only the truths and quality scalars
+/// `equivalence.tsv` pins — at ℓ = 2 (D_Product) and 4 (S_Rel), the
+/// paper's widths, and at ℓ = 3 and 6 (simulated streams), and Multi at
+/// every `dims` of `crowd-repro`'s ablation plus the default. The hashes
+/// were taken from the nested-table samplers these passes replaced.
+#[cfg(not(feature = "fast-math"))]
+#[test]
+fn gibbs_and_multi_outputs_keep_their_bits() {
+    use crowd_core::methods::{Bcc, Cbcc, Multi};
+    use crowd_core::TruthInference;
+    use crowd_data::StreamSim;
+
+    let datasets = [
+        ("D_Product", PaperDataset::DProduct.generate(0.05, 7)),
+        ("S_Rel", PaperDataset::SRel.generate(0.02, 7)),
+        ("l3", StreamSim::new(11, 300, 25, 3, 5).to_dataset("l3")),
+        ("l6", StreamSim::new(11, 300, 25, 6, 5).to_dataset("l6")),
+    ];
+    let multi = |dims| Multi {
+        dims,
+        ..Default::default()
+    };
+    let (bcc, cbcc) = (Bcc::default(), Cbcc::default());
+    let (m1, m2, m3, m4, m8) = (multi(1), multi(2), multi(3), multi(4), multi(8));
+    let pinned: [(&str, &dyn TruthInference, usize, u64); 13] = [
+        ("BCC", &bcc, 0, 0x6419_1785_5702_6055),
+        ("BCC", &bcc, 1, 0x44b3_39d8_3170_b73e),
+        ("BCC", &bcc, 2, 0x1fe3_efac_4fd3_8760),
+        ("BCC", &bcc, 3, 0xf8de_0dcb_41a0_6bad),
+        ("CBCC", &cbcc, 0, 0xb253_8c18_36f6_5581),
+        ("CBCC", &cbcc, 1, 0xd547_6f04_fae1_598c),
+        ("CBCC", &cbcc, 2, 0x689e_af0d_17ea_a171),
+        ("CBCC", &cbcc, 3, 0x2a49_d133_07d0_102f),
+        ("Multi/1", &m1, 0, 0x7911_abcd_672e_ccdc),
+        ("Multi/2", &m2, 0, 0xcdd6_863d_7dd5_e86d),
+        ("Multi/3", &m3, 0, 0x7d8b_a6a0_9d6f_03e3),
+        ("Multi/4", &m4, 0, 0xb33f_8dae_77cf_37bb),
+        ("Multi/8", &m8, 0, 0x6660_9b59_7364_8a83),
+    ];
+    for (label, method, d, want) in pinned {
+        let (name, dataset) = &datasets[d];
+        let r = method
+            .infer(dataset, &InferenceOptions::seeded(3))
+            .expect("method runs");
+        assert_eq!(fnv1a(&r), want, "{label} on {name}: {:#018x}", fnv1a(&r));
+    }
+}

@@ -68,23 +68,41 @@ pub fn sample_beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
 /// # Panics
 /// Panics if `alpha` is empty or contains non-positive entries.
 pub fn sample_dirichlet<R: Rng + ?Sized>(rng: &mut R, alpha: &[f64]) -> Vec<f64> {
+    let mut draws = vec![0.0; alpha.len()];
+    sample_dirichlet_into(rng, alpha, &mut draws);
+    draws
+}
+
+/// [`sample_dirichlet`] into a caller-owned buffer: the same draws, in
+/// the same order, with no allocation — what the Gibbs samplers call
+/// once per confusion row per sweep.
+///
+/// # Panics
+/// Panics if `alpha` is empty, contains non-positive entries, or differs
+/// in length from `out`.
+pub fn sample_dirichlet_into<R: Rng + ?Sized>(rng: &mut R, alpha: &[f64], out: &mut [f64]) {
     assert!(
         !alpha.is_empty(),
         "sample_dirichlet requires a non-empty alpha"
     );
-    let mut draws: Vec<f64> = alpha.iter().map(|&a| sample_gamma(rng, a, 1.0)).collect();
-    let total: f64 = draws.iter().sum();
+    assert_eq!(
+        alpha.len(),
+        out.len(),
+        "sample_dirichlet_into needs one output cell per alpha entry"
+    );
+    for (d, &a) in out.iter_mut().zip(alpha) {
+        *d = sample_gamma(rng, a, 1.0);
+    }
+    let total: f64 = out.iter().sum();
     if total > 0.0 {
-        for d in &mut draws {
+        for d in out.iter_mut() {
             *d /= total;
         }
     } else {
         // All gammas underflowed (extremely small alphas): fall back to
         // a uniform vector rather than returning NaNs.
-        let uniform = 1.0 / alpha.len() as f64;
-        draws.fill(uniform);
+        out.fill(1.0 / alpha.len() as f64);
     }
-    draws
 }
 
 /// Sample an index from an *unnormalized* non-negative weight vector.

@@ -30,16 +30,21 @@ pub fn stddev(xs: &[f64]) -> f64 {
 /// Median; `0.0` on an empty slice. Averages the two central order
 /// statistics for even lengths.
 pub fn median(xs: &[f64]) -> f64 {
+    median_in_place(&mut xs.to_vec())
+}
+
+/// [`median`] of a caller-owned buffer, sorting it in place instead of
+/// sorting a copy.
+pub fn median_in_place(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
-    let n = sorted.len();
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+    let n = xs.len();
     if n % 2 == 1 {
-        sorted[n / 2]
+        xs[n / 2]
     } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+        0.5 * (xs[n / 2 - 1] + xs[n / 2])
     }
 }
 
