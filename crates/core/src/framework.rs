@@ -350,7 +350,8 @@ impl AnswerSet for Dataset {
 /// The typed errors every entry returns, in this order: the task type
 /// must be supported, there must be answers, and a qualification vector
 /// must match the worker count (or the per-worker init loops would index
-/// past its end).
+/// past its end) and hold only finite scores (a NaN survives the
+/// methods' clamps and spreads through every estimate).
 pub(crate) fn validate_view<M: TruthInference + ?Sized>(
     method: &M,
     answers: &impl AnswerSet,
@@ -374,6 +375,11 @@ pub(crate) fn validate_view<M: TruthInference + ?Sized>(
                     q.len(),
                     answers.num_workers()
                 ),
+            });
+        }
+        if let Some(w) = q.iter().position(|x| x.is_some_and(|x| !x.is_finite())) {
+            return Err(InferenceError::BadOptions {
+                detail: format!("qualification score of worker {w} is {:?}", q[w]),
             });
         }
     }
@@ -483,7 +489,7 @@ mod tests {
     /// A prebuilt view through its entry — `infer_sharded` for a
     /// categorical view, `infer_numeric` for a numeric one — returns what
     /// `infer` returns on the dataset: `EmptyDataset`, `BadOptions` for a
-    /// qualification vector of the wrong length, and
+    /// qualification vector of the wrong length or with a NaN score, and
     /// `UnsupportedTaskType` from every method without a path for the
     /// view's kind.
     #[test]
@@ -496,16 +502,31 @@ mod tests {
         };
         let default = InferenceOptions::default();
         let unanswered = |task_type| DatasetBuilder::new("unanswered", task_type, 3, 2).build();
+        let (product, emotion) = (
+            PaperDataset::DProduct.generate(0.02, 3),
+            PaperDataset::NEmotion.generate(0.05, 3),
+        );
+        let nan_score = |d: &Dataset| {
+            let mut scores = vec![Some(0.8); d.num_workers()];
+            scores[1] = Some(f64::NAN);
+            InferenceOptions {
+                quality_init: QualityInit::Qualification(scores),
+                ..InferenceOptions::default()
+            }
+        };
+        let (nan_product, nan_emotion) = (nan_score(&product), nan_score(&emotion));
         let cases = [
-            (PaperDataset::DProduct.generate(0.02, 3), &bad_qualification),
-            (PaperDataset::SRel.generate(0.02, 3), &bad_qualification),
-            (unanswered(TaskType::DecisionMaking), &default),
-            (PaperDataset::NEmotion.generate(0.05, 3), &bad_qualification),
-            (unanswered(TaskType::Numeric), &default),
+            (&product, &bad_qualification),
+            (&PaperDataset::SRel.generate(0.02, 3), &bad_qualification),
+            (&unanswered(TaskType::DecisionMaking), &default),
+            (&emotion, &bad_qualification),
+            (&unanswered(TaskType::Numeric), &default),
+            (&product, &nan_product),
+            (&emotion, &nan_emotion),
             // Well-formed: only the methods without a path for the kind
             // fail.
-            (PaperDataset::DProduct.generate(0.02, 3), &default),
-            (PaperDataset::NEmotion.generate(0.05, 3), &default),
+            (&product, &default),
+            (&emotion, &default),
         ];
         for method in crate::Method::ALL.map(|m| m.build()) {
             for (d, options) in &cases {

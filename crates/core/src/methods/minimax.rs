@@ -99,8 +99,6 @@ impl TruthInference for Minimax {
         }
         let mut grad_tau = DMat::zeros(view.n, l);
         let mut grad_sigma = DMat::zeros(view.m * l, l);
-        // Scratch for one posterior row (dynamic-width fallback).
-        let mut logp = vec![0.0f64; l];
         // Per-task list of the truth hypotheses with non-negligible
         // posterior mass, as `(j, q_i(j))` in ascending-`j` order. The
         // posterior is fixed for the whole dual-ascent pass, so the
@@ -116,9 +114,9 @@ impl TruthInference for Minimax {
         // kernel call instead of one dispatch per row. Sized once for
         // the largest flush ([`ROW_BLOCK`] rows, or one task's worth if
         // a task alone exceeds the block).
-        let max_task_len = (0..view.n).map(|t| view.task_len(t)).max().unwrap_or(0);
-        let mut row_buf: Vec<f64> = vec![0.0; ROW_BLOCK.max(l * max_task_len) * l];
-        let mut lse_buf: Vec<f64> = vec![0.0; l * max_task_len];
+        let task_rows = l * view.max_task_degree();
+        let mut row_buf = vec![0.0; ROW_BLOCK.max(task_rows) * l];
+        let mut lse_buf = vec![0.0; task_rows];
 
         let mut post = view.majority_posteriors();
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
@@ -158,28 +156,19 @@ impl TruthInference for Minimax {
                 st.active_off[task + 1] = st.active.len();
             }
 
-            // The two hot passes are specialised by ℓ so the model rows
-            // live in fixed-size stack arrays (no bounds checks, unrolled
-            // lanes); every dataset in the benchmark has ℓ ∈ {2, 3, 4}.
-            // The dynamic fallback performs the identical operations in
-            // the identical order on slices for any other ℓ (exercised by
-            // the `six_choice_fallback_runs` test).
+            // ℓ = 4 gets a constant width: S_Rel and S_Adult, the two
+            // slowest Minimax cells of table6, run measurably faster with
+            // it than at `L = 0`. Every other ℓ, the paper's ℓ = 2
+            // included, runs the same bodies at `L = 0`: an ℓ = 2 arm
+            // moved its cells by less than their run-to-run spread.
             match l {
-                2 => {
-                    dual_ascent::<2>(self, view, &mut st);
-                    truth_update::<2>(view, &mut st);
-                }
-                3 => {
-                    dual_ascent::<3>(self, view, &mut st);
-                    truth_update::<3>(view, &mut st);
-                }
                 4 => {
                     dual_ascent::<4>(self, view, &mut st);
                     truth_update::<4>(view, &mut st);
                 }
                 _ => {
-                    dual_ascent_dyn(self, view, &mut st);
-                    truth_update_dyn(view, &mut st, &mut logp);
+                    dual_ascent::<0>(self, view, &mut st);
+                    truth_update::<0>(view, &mut st);
                 }
             }
             view.clamp_golden(st.post);
@@ -209,10 +198,8 @@ impl TruthInference for Minimax {
     }
 }
 
-/// The mutable EM state threaded through the hot passes. Keeping the
-/// matrices behind one struct lets the specialised and dynamic passes
-/// share a signature while the borrow checker still sees disjoint
-/// fields.
+/// The mutable EM state threaded through the hot passes, one struct so
+/// the borrow checker still sees disjoint fields inside them.
 struct State<'a> {
     tau: &'a mut DMat,
     sigma: &'a mut DMat,
@@ -223,19 +210,18 @@ struct State<'a> {
     active_off: &'a mut [usize],
     task_deg: &'a [f64],
     worker_deg: &'a [f64],
-    row_buf: &'a mut Vec<f64>,
-    lse_buf: &'a mut Vec<f64>,
+    row_buf: &'a mut [f64],
+    lse_buf: &'a mut [f64],
 }
 
-/// Rows gathered per batched-softmax flush in the specialised hot
-/// passes. Large enough to amortise the kernel dispatch and make the
-/// sub-vector remainder negligible, small enough to stay L1-resident
-/// (512 rows × 4 lanes × 8 B = 16 KB).
+/// Rows gathered per batched-softmax flush in the dual ascent. Large
+/// enough to amortise the kernel dispatch and make the sub-vector
+/// remainder negligible, small enough to stay L1-resident (512 rows ×
+/// 4 lanes × 8 B = 16 KB).
 const ROW_BLOCK: usize = 512;
 
 /// The regularised multiplier updates after one gradient accumulation
-/// (cold relative to the accumulation itself, so kept dynamic and
-/// shared by both paths).
+/// (cold relative to the accumulation itself, so not width-generic).
 fn update_multipliers(mm: &Minimax, view: &ShardedView, st: &mut State) {
     let l = st.tau.cols();
     for t in 0..view.n {
@@ -260,30 +246,26 @@ fn update_multipliers(mm: &Minimax, view: &ShardedView, st: &mut State) {
     }
 }
 
-/// One dual-ascent pass (`gradient_steps` accumulate/update rounds),
-/// specialised by ℓ: model rows are `[f64; L]` stack arrays and every
-/// row borrow is a checked-once fixed-width conversion. Arithmetic and
-/// evaluation order match [`dual_ascent_dyn`] exactly.
+/// One dual-ascent pass (`gradient_steps` accumulate/update rounds) at
+/// width `L` (`L = 0`: the runtime ℓ).
 ///
-/// Per task, the (answer, hypothesis) model rows are gathered into one
-/// flat batch and softmaxed with a single
-/// [`log_normalize_rows_flat`] call — the values and the gradient
-/// accumulation order are exactly those of the old softmax-per-pair
-/// loop, but the kernel dispatch (and under `fast-math-avx2` the
-/// whole `#[target_feature]` region, with the per-row `ln` vectorised
-/// across rows) is paid once per task instead of once per pair.
+/// Tasks are processed in blocks whose (answer, hypothesis) model rows
+/// fill [`ROW_BLOCK`]; each block is softmaxed with one
+/// [`log_normalize_rows_flat`] call, which gives every row the bits it
+/// would get alone, so the gradient accumulation matches a
+/// softmax-per-pair loop exactly while the kernel dispatch (and under
+/// `fast-math-avx2` the `#[target_feature]` region, with the per-row
+/// `ln` vectorised across rows) is paid once per block.
 fn dual_ascent<const L: usize>(mm: &Minimax, view: &ShardedView, st: &mut State) {
+    let l = if L == 0 { st.tau.cols() } else { L };
     for _ in 0..mm.gradient_steps {
         st.grad_tau.fill(0.0);
         st.grad_sigma.fill(0.0);
 
-        // Tasks are processed in blocks whose model rows fill
-        // [`ROW_BLOCK`] (the scratch was sized in `infer_sharded`): one batched
-        // softmax per block amortises the kernel dispatch over ~hundreds
-        // of rows and leaves at most 3 sub-vector remainder rows per
-        // flush instead of per task.
         let mut start = 0;
         while start < view.n {
+            // A task whose rows alone exceed the block is a block of its
+            // own (the scratch was sized for it in `infer_sharded`).
             let mut rows = 0usize;
             let mut end = start;
             while end < view.n {
@@ -295,55 +277,41 @@ fn dual_ascent<const L: usize>(mm: &Minimax, view: &ShardedView, st: &mut State)
                 end += 1;
             }
 
-            let mut out = st.row_buf[..rows * L].chunks_exact_mut(L);
+            let block = &mut st.row_buf[..rows * l];
+            let mut out = block.chunks_exact_mut(l);
             for task in start..end {
                 let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
-                let tau_row: &[f64; L] = st.tau.row(task).try_into().expect("row width ℓ");
+                let tau_row = &st.tau.row(task)[..l];
                 for &(worker, _) in view.task_row(task) {
-                    let base = worker as usize * L;
-                    for &(j, _) in acts.iter() {
+                    let base = worker as usize * l;
+                    for &(j, _) in acts {
                         // Model distribution for this (i, w, j).
-                        let sig_row: &[f64; L] = st
-                            .sigma
-                            .row(base + j as usize)
-                            .try_into()
-                            .expect("row width ℓ");
-                        let row: &mut [f64; L] = out
-                            .next()
-                            .expect("scratch row")
-                            .try_into()
-                            .expect("width ℓ");
-                        for k in 0..L {
-                            row[k] = tau_row[k] + sig_row[k];
+                        let sig_row = &st.sigma.row(base + j as usize)[..l];
+                        let row = out.next().expect("one scratch row per pair");
+                        for ((x, &t), &s) in row.iter_mut().zip(tau_row).zip(sig_row) {
+                            *x = t + s;
                         }
                     }
                 }
             }
-            log_normalize_rows_flat(L, &mut st.row_buf[..rows * L]); // now probabilities
+            log_normalize_rows_flat(l, block); // now probabilities
 
-            let mut lps = st.row_buf[..rows * L].chunks_exact(L);
+            let mut probs = block.chunks_exact(l);
             for task in start..end {
                 let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
-                let gt_row: &mut [f64; L] =
-                    st.grad_tau.row_mut(task).try_into().expect("row width ℓ");
+                let gt_row = &mut st.grad_tau.row_mut(task)[..l];
                 for &(worker, label) in view.task_row(task) {
-                    let base = worker as usize * L;
-                    for &(j, qj) in acts.iter() {
-                        let lp: &[f64; L] = lps
-                            .next()
-                            .expect("one row per (answer, hypothesis) pair")
-                            .try_into()
-                            .expect("row width ℓ");
-                        let gs_row: &mut [f64; L] = st
-                            .grad_sigma
-                            .row_mut(base + j as usize)
-                            .try_into()
-                            .expect("row width ℓ");
-                        for k in 0..L {
+                    let base = worker as usize * l;
+                    for &(j, qj) in acts {
+                        let row = probs.next().expect("one row per (answer, hypothesis) pair");
+                        let gs_row = &mut st.grad_sigma.row_mut(base + j as usize)[..l];
+                        for (k, ((&p, gt), gs)) in
+                            row.iter().zip(gt_row.iter_mut()).zip(gs_row).enumerate()
+                        {
                             let obs = if k == label as usize { 1.0 } else { 0.0 };
-                            let diff = qj * (obs - lp[k]);
-                            gt_row[k] += diff;
-                            gs_row[k] += diff;
+                            let diff = qj * (obs - p);
+                            *gt += diff;
+                            *gs += diff;
                         }
                     }
                 }
@@ -356,66 +324,13 @@ fn dual_ascent<const L: usize>(mm: &Minimax, view: &ShardedView, st: &mut State)
     }
 }
 
-/// Dynamic-width fallback for [`dual_ascent`] (ℓ outside the
-/// specialised range): same operations, same order, slice-based.
-fn dual_ascent_dyn(mm: &Minimax, view: &ShardedView, st: &mut State) {
-    let l = st.tau.cols();
-    for _ in 0..mm.gradient_steps {
-        st.grad_tau.fill(0.0);
-        st.grad_sigma.fill(0.0);
-
-        for task in 0..view.n {
-            let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
-            let answers = view.task_row(task);
-            if acts.is_empty() || answers.is_empty() {
-                continue;
-            }
-            let tau_row = st.tau.row(task);
-            st.row_buf.clear();
-            st.row_buf.reserve(answers.len() * acts.len() * l);
-            for &(worker, _) in answers {
-                let base = worker as usize * l;
-                for &(j, _) in acts.iter() {
-                    let sig_row = st.sigma.row(base + j as usize);
-                    for (&t, &s) in tau_row.iter().zip(sig_row) {
-                        st.row_buf.push(t + s);
-                    }
-                }
-            }
-            log_normalize_rows_flat(l, st.row_buf); // now probabilities
-
-            let gt_row = st.grad_tau.row_mut(task);
-            let mut rows = st.row_buf.chunks_exact(l);
-            for &(worker, label) in answers {
-                let base = worker as usize * l;
-                for &(j, qj) in acts.iter() {
-                    let lp = rows.next().expect("one row per (answer, hypothesis) pair");
-                    let gs_row = st.grad_sigma.row_mut(base + j as usize);
-                    for (k, ((&p, gt), gs)) in lp
-                        .iter()
-                        .zip(gt_row.iter_mut())
-                        .zip(gs_row.iter_mut())
-                        .enumerate()
-                    {
-                        let obs = if k == label as usize { 1.0 } else { 0.0 };
-                        let diff = qj * (obs - p);
-                        *gt += diff;
-                        *gs += diff;
-                    }
-                }
-            }
-        }
-
-        update_multipliers(mm, view, st);
-    }
-}
-
-/// Truth update, specialised by ℓ. Only the answered label's model
-/// probability is needed, so per (answer, j) the pass evaluates the
-/// log-sum-exp of the model row once and exponentiates a single
-/// element — the same values the full row-normalise produced, minus
-/// ℓ−1 unused `exp`s and `ln`s per row.
+/// Truth update at width `L` (`L = 0`: the runtime ℓ). Only the
+/// answered label's model probability is needed, so per (answer, j) the
+/// pass evaluates the log-sum-exp of the model row once and
+/// exponentiates a single element — the same values the full
+/// row-normalise produced, minus ℓ−1 unused `exp`s and `ln`s per row.
 fn truth_update<const L: usize>(view: &ShardedView, st: &mut State) {
+    let l = if L == 0 { st.tau.cols() } else { L };
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
     let mut fused_rows = 0u64;
     for task in 0..view.n {
@@ -424,82 +339,35 @@ fn truth_update<const L: usize>(view: &ShardedView, st: &mut State) {
         }
         fused_rows += 1;
         let answers = view.task_row(task);
-        let tau_row: &[f64; L] = st.tau.row(task).try_into().expect("row width ℓ");
+        let tau_row = &st.tau.row(task)[..l];
         // Gather the ℓ model rows of every answer into one flat batch
-        // and log-sum-exp them in a single kernel call; only the
-        // answered label's probability is read out afterwards. The
-        // scratch was sized in `infer_sharded` for the largest task.
-        let rows = answers.len() * L;
-        let mut out = st.row_buf[..rows * L].chunks_exact_mut(L);
-        for &(worker, _) in answers {
-            let base = worker as usize * L;
-            for j in 0..L {
-                let sig_row: &[f64; L] = st.sigma.row(base + j).try_into().expect("row width ℓ");
-                let row: &mut [f64; L] = out
-                    .next()
-                    .expect("scratch row")
-                    .try_into()
-                    .expect("width ℓ");
-                for k in 0..L {
-                    row[k] = tau_row[k] + sig_row[k];
-                }
-            }
-        }
-        log_sum_exp_rows_flat(L, &st.row_buf[..rows * L], &mut st.lse_buf[..rows]);
-
-        let mut logp = [0.0f64; L];
-        for (r, &(_, label)) in answers.iter().enumerate() {
-            for (j, lp) in logp.iter_mut().enumerate() {
-                let lse = st.lse_buf[r * L + j];
-                // Mirror log_normalize's degenerate-input branch
-                // (all -inf → uniform mass).
-                let p = if lse.is_finite() {
-                    kernels::exp(st.row_buf[(r * L + j) * L + label as usize] - lse)
-                } else {
-                    1.0 / L as f64
-                };
-                *lp += kernels::safe_ln(p);
-            }
-        }
-        log_normalize(&mut logp);
-        st.post.row_mut(task).copy_from_slice(&logp);
-    }
-    crate::methods::obs_fused_rows().add(fused_rows);
-}
-
-/// Dynamic-width fallback for [`truth_update`].
-fn truth_update_dyn(view: &ShardedView, st: &mut State, logp: &mut [f64]) {
-    let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-    let mut fused_rows = 0u64;
-    let l = st.tau.cols();
-    for task in 0..view.n {
-        if view.golden()[task].is_some() || view.task_len(task) == 0 {
-            continue;
-        }
-        fused_rows += 1;
-        let answers = view.task_row(task);
-        let tau_row = st.tau.row(task);
-        st.row_buf.clear();
-        st.row_buf.reserve(answers.len() * l * l);
+        // and log-sum-exp them in a single kernel call. The scratch was
+        // sized in `infer_sharded` for the largest task.
+        let rows = answers.len() * l;
+        let block = &mut st.row_buf[..rows * l];
+        let mut out = block.chunks_exact_mut(l);
         for &(worker, _) in answers {
             let base = worker as usize * l;
             for j in 0..l {
-                let sig_row = st.sigma.row(base + j);
-                for (&t, &s) in tau_row.iter().zip(sig_row) {
-                    st.row_buf.push(t + s);
+                let sig_row = &st.sigma.row(base + j)[..l];
+                let row = out.next().expect("one scratch row per (answer, j)");
+                for ((x, &t), &s) in row.iter_mut().zip(tau_row).zip(sig_row) {
+                    *x = t + s;
                 }
             }
         }
-        st.lse_buf.clear();
-        st.lse_buf.resize(answers.len() * l, 0.0);
-        log_sum_exp_rows_flat(l, st.row_buf, st.lse_buf);
+        let lses = &mut st.lse_buf[..rows];
+        log_sum_exp_rows_flat(l, block, lses);
 
+        let logp = &mut st.post.row_mut(task)[..l];
         logp.fill(0.0);
         for (r, &(_, label)) in answers.iter().enumerate() {
             for (j, lp) in logp.iter_mut().enumerate() {
-                let lse = st.lse_buf[r * l + j];
+                let lse = lses[r * l + j];
+                // Mirror log_normalize's degenerate-input branch
+                // (all -inf → uniform mass).
                 let p = if lse.is_finite() {
-                    kernels::exp(st.row_buf[(r * l + j) * l + label as usize] - lse)
+                    kernels::exp(block[(r * l + j) * l + label as usize] - lse)
                 } else {
                     1.0 / l as f64
                 };
@@ -507,7 +375,6 @@ fn truth_update_dyn(view: &ShardedView, st: &mut State, logp: &mut [f64]) {
             }
         }
         log_normalize(logp);
-        st.post.row_mut(task).copy_from_slice(logp);
     }
     crate::methods::obs_fused_rows().add(fused_rows);
 }
@@ -565,8 +432,8 @@ mod tests {
 
     #[test]
     fn six_choice_fallback_runs() {
-        // ℓ = 6 is outside the specialised dispatch range, so this
-        // exercises the dynamic-width passes end to end.
+        // ℓ = 6 has no width arm of its own, so this runs the `L = 0`
+        // bodies end to end.
         use crowd_data::{DatasetBuilder, TaskType};
         let mut b = DatasetBuilder::new("six", TaskType::SingleChoice { choices: 6 }, 12, 5);
         for t in 0..12usize {
@@ -587,7 +454,7 @@ mod tests {
             .unwrap();
         assert_result_sane(&d, &r);
         let acc = accuracy(&d, &r);
-        assert!(acc > 0.5, "6-choice fallback accuracy {acc}");
+        assert!(acc > 0.5, "6-choice accuracy {acc}");
     }
 
     #[test]

@@ -296,11 +296,6 @@ impl ShardedView {
         shard_of(&self.starts, t)
     }
 
-    /// Answers in shard `s`.
-    pub fn shard_num_answers(&self, s: usize) -> usize {
-        self.shards[s].task_adj.num_entries()
-    }
-
     /// Global answer offset of shard `s` in canonical task-major order —
     /// the cursor base for answer-major scratch buffers (GLAD's σ/log
     /// tables).

@@ -25,7 +25,7 @@ use crowd_core::methods::{
 };
 use crowd_core::{InferenceOptions, InferenceResult, TruthInference};
 use crowd_data::datasets::PaperDataset;
-use crowd_data::Dataset;
+use crowd_data::{Dataset, StreamSim};
 
 struct CountingAllocator;
 
@@ -170,9 +170,12 @@ fn main() {
     assert_iteration_alloc_free(&ViBp::default(), &categorical);
     assert_iteration_alloc_free(&Multi::default(), &categorical);
     assert_iteration_alloc_free(&Minimax::default(), &categorical);
-    // ℓ = 4: Minimax's other specialised width.
+    // Minimax at ℓ = 4, its one fixed width, and at ℓ = 6 on the
+    // `L = 0` body D_Product's ℓ = 2 above runs too.
     let single_choice = PaperDataset::SRel.generate(0.02, 7);
     assert_iteration_alloc_free(&Minimax::default(), &single_choice);
+    let six_choices = StreamSim::new(11, 300, 25, 6, 5).to_dataset("l6");
+    assert_iteration_alloc_free(&Minimax::default(), &six_choices);
     for dataset in [&categorical, &single_choice] {
         assert_sweep_alloc_free(dataset, |samples| Bcc {
             burn_in: 2,

@@ -303,16 +303,18 @@ fn fnv1a(r: &crowd_core::InferenceResult) -> u64 {
     hash
 }
 
-/// BCC, CBCC and Multi keep every output bit — posteriors, worker
-/// matrices and skill vectors, not only the truths and quality scalars
-/// `equivalence.tsv` pins — at ℓ = 2 (D_Product) and 4 (S_Rel), the
-/// paper's widths, and at ℓ = 3 and 6 (simulated streams), and Multi at
-/// every `dims` of `crowd-repro`'s ablation plus the default. The hashes
-/// were taken from the nested-table samplers these passes replaced.
+/// BCC, CBCC, Minimax and Multi keep every output bit — posteriors,
+/// worker matrices and skill vectors, not only the truths and quality
+/// scalars `equivalence.tsv` pins — at ℓ = 2 (D_Product) and 4 (S_Rel),
+/// the paper's widths, and at ℓ = 3 and 6 (simulated streams), and Multi
+/// at every `dims` of `crowd-repro`'s ablation plus the default. Every
+/// width each method compiles runs here, and so does its generic body.
+/// The hashes were taken from the code the current passes replaced: the
+/// nested-table samplers, and Minimax's runtime-width twins.
 #[cfg(not(feature = "fast-math"))]
 #[test]
 fn gibbs_and_multi_outputs_keep_their_bits() {
-    use crowd_core::methods::{Bcc, Cbcc, Multi};
+    use crowd_core::methods::{Bcc, Cbcc, Minimax, Multi};
     use crowd_core::TruthInference;
     use crowd_data::StreamSim;
 
@@ -326,9 +328,9 @@ fn gibbs_and_multi_outputs_keep_their_bits() {
         dims,
         ..Default::default()
     };
-    let (bcc, cbcc) = (Bcc::default(), Cbcc::default());
+    let (bcc, cbcc, minimax) = (Bcc::default(), Cbcc::default(), Minimax::default());
     let (m1, m2, m3, m4, m8) = (multi(1), multi(2), multi(3), multi(4), multi(8));
-    let pinned: [(&str, &dyn TruthInference, usize, u64); 13] = [
+    let pinned: [(&str, &dyn TruthInference, usize, u64); 17] = [
         ("BCC", &bcc, 0, 0x6419_1785_5702_6055),
         ("BCC", &bcc, 1, 0x44b3_39d8_3170_b73e),
         ("BCC", &bcc, 2, 0x1fe3_efac_4fd3_8760),
@@ -337,6 +339,10 @@ fn gibbs_and_multi_outputs_keep_their_bits() {
         ("CBCC", &cbcc, 1, 0xd547_6f04_fae1_598c),
         ("CBCC", &cbcc, 2, 0x689e_af0d_17ea_a171),
         ("CBCC", &cbcc, 3, 0x2a49_d133_07d0_102f),
+        ("Minimax", &minimax, 0, 0x4f06_6714_704c_5861),
+        ("Minimax", &minimax, 1, 0xfa7e_6370_aa8d_0689),
+        ("Minimax", &minimax, 2, 0x8aa1_35a4_8666_7448),
+        ("Minimax", &minimax, 3, 0xbe26_f2f5_fd89_40fe),
         ("Multi/1", &m1, 0, 0x7911_abcd_672e_ccdc),
         ("Multi/2", &m2, 0, 0xcdd6_863d_7dd5_e86d),
         ("Multi/3", &m3, 0, 0x7d8b_a6a0_9d6f_03e3),

@@ -27,7 +27,7 @@ pub struct QualificationResult {
 /// Simulate a qualification test via bootstrap sampling, exactly as in
 /// §6.3.2: for each worker draw `test_size` of her (answer, truth) pairs
 /// with replacement — only answers whose task has known truth participate
-/// — and compute her score.
+/// — and compute her score. A test of size 0 scores nobody.
 pub fn bootstrap_qualification(
     dataset: &Dataset,
     test_size: usize,
@@ -42,7 +42,7 @@ pub fn bootstrap_qualification(
             .answers_by_worker(w)
             .filter_map(|r| dataset.truth(r.task).map(|t| (&r.answer, t)))
             .collect();
-        if scorable.is_empty() {
+        if scorable.is_empty() || test_size == 0 {
             continue;
         }
         let mut correct = 0usize;
@@ -142,6 +142,15 @@ mod tests {
         let a: Vec<f64> = q.accuracy.iter().map(|x| x.unwrap()).collect();
         assert!(a[2] > a[1] && a[1] > a[0], "got {a:?}");
         assert!((a[2] - 1.0).abs() < 1e-9, "w3 is perfect: {}", a[2]);
+    }
+
+    #[test]
+    fn empty_qualification_test_scores_nobody() {
+        for d in [datasets::d_product(0.05, 7), datasets::n_emotion(0.2, 7)] {
+            let q = bootstrap_qualification(&d, 0, 5);
+            assert_eq!(q.accuracy, vec![None; d.num_workers()], "{}", d.name());
+            assert_eq!(q.rmse, vec![None; d.num_workers()], "{}", d.name());
+        }
     }
 
     #[test]

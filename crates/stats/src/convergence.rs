@@ -20,12 +20,6 @@ pub struct ConvergenceTracker {
 }
 
 impl ConvergenceTracker {
-    /// Create a tracker with the paper's defaults: threshold `1e-3` and at
-    /// most 100 iterations.
-    pub fn with_defaults() -> Self {
-        Self::new(1e-3, 100)
-    }
-
     /// Create a tracker with an explicit threshold and iteration cap.
     ///
     /// # Panics

@@ -178,7 +178,7 @@ pub struct StreamReport {
     /// The inference output over every answer seen so far.
     pub result: InferenceResult,
     /// Whether the run resumed from a warm state (false for the first
-    /// converge and after [`StreamEngine::reset_warm`]).
+    /// converge and for [`StreamEngine::converge_cold`]).
     pub warm: bool,
     /// Answers incorporated in this converge.
     pub answers_seen: usize,
@@ -537,11 +537,6 @@ impl StreamEngine {
     /// baseline the streaming benchmarks compare against.
     pub fn converge_cold(&mut self) -> Result<StreamReport, StreamError> {
         self.run_capped(&mut None, self.config.options.max_iterations)
-    }
-
-    /// Drop the warm state (the next converge restarts cold).
-    pub fn reset_warm(&mut self) {
-        self.warm = None;
     }
 
     /// Export the warm-resumable state for durable snapshots (see
