@@ -2,7 +2,7 @@
 //! dump, the CI obs-smoke gate.
 //!
 //! Accepts either a bare registry snapshot (the `crowd-repro --metrics`
-//! output) or a `BENCH_serve.json` whose top level embeds one under
+//! output) or a bench artifact whose top level embeds one under
 //! `"obs"`. Checks, exiting non-zero on the first violation:
 //!
 //! - the dump parses and carries `"schema": "crowd-obs/v1"`;
@@ -13,10 +13,7 @@
 //! - histograms are internally consistent: quantiles finite,
 //!   non-negative, and monotone (p50 ≤ p95 ≤ p99), `sum`/`max`
 //!   non-negative, every rendered bucket non-empty with `lo ≤ hi`, and
-//!   the bucket counts adding up to `count` exactly;
-//! - when the input is a serve-bench artifact, the
-//!   `obs_overhead_within_bound` headline boolean exists (the
-//!   regression gate separately pins it `true` against the baseline).
+//!   the bucket counts adding up to `count` exactly.
 //!
 //! Usage: `crowd-obs-check <dump.json> [--expect-serve]`
 
@@ -205,15 +202,8 @@ fn run() -> Result<(), String> {
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let root = json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
 
-    // Every bench artifact embeds the snapshot under "obs"; the serve
-    // artifact (recognised by its schema) must additionally carry the
-    // overhead headline the regression gate pins.
+    // Every bench artifact embeds the snapshot under "obs".
     let snap = root.get("obs").unwrap_or(&root);
-    if root.get("schema").and_then(Json::as_str) == Some("crowd-bench/serve/v1") {
-        field(&root, "obs_overhead_within_bound", "serve artifact")?
-            .as_bool()
-            .ok_or("serve artifact: \"obs_overhead_within_bound\" is not a boolean")?;
-    }
     let (nc, ng, nh) = check_snapshot(snap, expect_serve)?;
     println!(
         "obs-check OK: {path} valid ({nc} counters, {ng} gauges, {nh} histograms{})",

@@ -15,8 +15,9 @@
 //! absorbs the cache-hierarchy falloff of working sets outgrowing LLC;
 //! what it must catch is the failure mode that matters, accidentally
 //! superlinear work (an O(n²) regression craters the ratio by orders of
-//! magnitude). Committed `true` in the baseline, so the `shard-scaling`
-//! CI gate fails if streaming scale is ever lost.
+//! magnitude). The binary exits non-zero when it is false, which makes
+//! it the `shard-scaling` CI gate: both throughputs come from one run,
+//! so it needs no baseline.
 //!
 //! The sweep also asserts outright that every shard count of a given
 //! size decodes the same truths — the bit-identity contract, enforced on
@@ -33,6 +34,7 @@
 //! Usage: `cargo run --release -p crowd-bench --bin crowd-shard-bench`
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use crowd_core::methods::Ds;
@@ -72,15 +74,11 @@ struct Row {
     accuracy_mean: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let scale = crowd_bench::env_scale(0.1);
     let out_path =
         std::env::var("CROWD_SHARD_OUT").unwrap_or_else(|_| "BENCH_shard.json".to_string());
-    let repeats: usize = std::env::var("CROWD_BENCH_REPEATS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(2)
-        .max(1);
+    let repeats = crowd_bench::env_repeats(2);
     eprintln!("crowd-shard-bench: scale={scale} repeats={repeats} out={out_path}");
 
     let mut options = InferenceOptions::seeded(7);
@@ -173,7 +171,7 @@ fn main() {
         if ratio < FLATNESS_FLOOR {
             scaling_flat = false;
             eprintln!(
-                "  WARNING: shards={shards} throughput fell to {ratio:.3}× of the smallest \
+                "  FAILED: shards={shards} throughput fell to {ratio:.3}× of the smallest \
                  size's ({:.0} vs {:.0} answers/s) — below the {FLATNESS_FLOOR} floor",
                 last.answers_per_sec, first.answers_per_sec
             );
@@ -216,4 +214,9 @@ fn main() {
          (scaling flat: {scaling_flat})",
         rows.len()
     );
+    if scaling_flat {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

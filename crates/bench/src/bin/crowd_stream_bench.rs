@@ -4,9 +4,11 @@
 //! replayed as a live answer stream at several batch sizes; after each
 //! batch the engine re-converges **cold** (from majority vote — the
 //! restart-from-scratch baseline) and **warm** (from the previous
-//! converged state — the `crowd-stream` path). The output pins the two
-//! headline numbers of the streaming subsystem: iterations-to-reconverge
-//! and wall clock per batch, warm vs cold.
+//! converged state — the `crowd-stream` path). The output records the
+//! two headline numbers of the streaming subsystem: iterations to
+//! re-converge and wall clock per batch, warm vs cold. That warm starts
+//! take fewer iterations is pinned by the `crowd-stream` unit test
+//! `warm_converges_use_fewer_iterations_over_a_replayed_stream`.
 //!
 //! Configuration (environment variables, all optional):
 //!
@@ -55,7 +57,6 @@ fn main() {
 
     let sweep_start = Instant::now();
     let mut rows: Vec<Row> = Vec::new();
-    let mut warm_wins_everywhere = true;
 
     for dataset_id in PaperDataset::ALL {
         if !dataset_id.task_type().is_categorical() {
@@ -136,13 +137,6 @@ fn main() {
                     row.seconds_warm_total / row.batches as f64 * 1e3,
                     row.seconds_cold_total / row.batches as f64 * 1e3,
                 );
-                if row.iterations_warm_total >= row.iterations_cold_total {
-                    warm_wins_everywhere = false;
-                    eprintln!(
-                        "    WARNING: warm did not beat cold on {} / {} at {} batches",
-                        row.dataset, row.method, row.batches
-                    );
-                }
                 rows.push(row);
             }
         }
@@ -154,10 +148,6 @@ fn main() {
     let _ = writeln!(json, "  \"schema\": \"crowd-bench/stream/v1\",");
     let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"total_seconds\": {total_seconds:.6},");
-    let _ = writeln!(
-        json,
-        "  \"warm_fewer_iterations_everywhere\": {warm_wins_everywhere},"
-    );
     let _ = writeln!(json, "  \"obs\": {},", crowd_obs::snapshot().to_json());
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -184,7 +174,7 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write stream bench output");
     eprintln!(
-        "crowd-stream-bench: wrote {} rows to {out_path} in {total_seconds:.1}s (warm beats cold everywhere: {warm_wins_everywhere})",
+        "crowd-stream-bench: wrote {} rows to {out_path} in {total_seconds:.1}s",
         rows.len()
     );
 }

@@ -1,12 +1,12 @@
-//! A minimal JSON reader for the `BENCH_*.json` artifacts.
+//! A minimal JSON reader for `crowd-obs` metrics dumps.
 //!
-//! The workspace has no serde (offline build environment), and the bench
-//! binaries *write* their JSON by hand; this module is the matching read
-//! side, sufficient for the regression comparator: full JSON syntax,
-//! numbers as `f64`, object keys kept in document order. It is not a
-//! general-purpose parser (no `\u` surrogate pairs, numbers via
-//! `str::parse::<f64>`), which is exactly as much JSON as the artifacts
-//! contain.
+//! The workspace has no serde (offline build environment), and
+//! `crowd-obs` and the bench binaries *write* their JSON by hand; this
+//! module is the matching read side, sufficient for `crowd-obs-check`:
+//! full JSON syntax, numbers as `f64`, object keys kept in document
+//! order. It is not a general-purpose parser (no `\u` surrogate pairs,
+//! numbers via `str::parse::<f64>`), which is exactly as much JSON as
+//! the dumps contain.
 
 use std::fmt;
 
@@ -48,14 +48,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -291,7 +283,7 @@ mod tests {
             Some("crowd-bench/stream/v1")
         );
         assert_eq!(v.get("scale").unwrap().as_num(), Some(0.1));
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         let rows = v.get("results").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("seconds").unwrap().as_num(), Some(1.5e-3));
@@ -322,11 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn real_committed_artifacts_parse() {
-        for path in ["../../BENCH_table6.json", "../../BENCH_stream.json"] {
-            let text = std::fs::read_to_string(path).expect("committed artifact");
-            let v = parse(&text).expect("artifact parses");
-            assert!(v.get("results").unwrap().as_arr().unwrap().len() > 4);
+    fn real_obs_snapshot_parses() {
+        // The document `crowd-obs-check` reads: the registry snapshot, as
+        // `crowd-repro --metrics` prints it and every bench binary embeds
+        // it. One series of each kind makes every section non-empty.
+        crowd_obs::counter("bench.json_test.total").inc();
+        crowd_obs::gauge("bench.json_test.depth").set(3);
+        crowd_obs::histogram("bench.json_test.seconds").record(2.5e-3);
+        let v = parse(&crowd_obs::snapshot().to_json()).expect("snapshot parses");
+        assert_eq!(v.get("schema").unwrap().as_str(), Some("crowd-obs/v1"));
+        for section in ["counters", "gauges", "histograms"] {
+            let fields = v.get(section).unwrap().fields().unwrap();
+            assert!(!fields.is_empty(), "{section} is empty");
         }
     }
 }

@@ -131,7 +131,8 @@ fn fast_math_tolerance(method: &str) -> FastMathTolerance {
 }
 
 /// Compare one method run against its fixture cell. Default build:
-/// bit-for-bit string equality. `fast-math`: pinned tolerances.
+/// bit-for-bit string equality. `fast-math`: pinned tolerances. Both
+/// builds: the `converged` flag is pinned exactly.
 fn check_cell(
     dataset: &Dataset,
     method: &str,
@@ -140,6 +141,16 @@ fn check_cell(
     fixture: &Fixture,
     r: &crowd_core::InferenceResult,
 ) {
+    // Every cell converges except GLAD's six that stop at its
+    // iteration cap (see the iteration-cap note on `Glad`), on every
+    // kernel backend: a cell that newly runs to its cap fails here even
+    // when its outputs stay within the fast-math tolerances.
+    let capped = method == "GLAD" && matches!(key, "toy" | "dprod005" | "srel002");
+    assert_eq!(
+        r.converged, !capped,
+        "{method} on {key} seed {seed}: converged flag changed ({} iterations)",
+        r.iterations
+    );
     let got_truths = encode_truths(dataset, &r.truths);
     let got_scalars: Vec<String> = r
         .worker_quality

@@ -496,7 +496,7 @@ fn run_hidden(config: &ExpConfig, datasets: &[PaperDataset], figure: &str) {
 fn run_streaming(config: &ExpConfig, progress: bool) {
     println!("== Streaming grid: warm vs cold re-convergence (sweep runner) ==");
     // Every categorical Table-6 dataset × D&S — the headline warm-start
-    // comparison of BENCH_stream.json, replayed live on the runner.
+    // comparison of `crowd-stream-bench`, replayed live on the runner.
     let pairs: Vec<(PaperDataset, Method)> = PaperDataset::ALL
         .into_iter()
         .filter(|d| d.task_type().is_categorical())

@@ -429,7 +429,7 @@ mod tests {
         }
         // BCC accuracy should not collapse at the high-sample end (the
         // quality/time tradeoff is flat-to-rising; wall-clock growth is
-        // asserted by the criterion benches where timing is controlled).
+        // left unasserted, since test timings are noisy).
         let bcc = abl.iter().find(|a| a.name == "BCC Gibbs samples").unwrap();
         let first = bcc.points.first().unwrap().accuracy;
         let last = bcc.points.last().unwrap().accuracy;

@@ -15,9 +15,9 @@
 //! 1. **No dependencies** beyond `std` and the bucketing math shared
 //!    with [`crowd_stats::buckets`] — the build environment is offline.
 //! 2. **Cheap enough to leave on**: every record path is a handful of
-//!    relaxed atomic ops; the serve bench gates the mem-mode throughput
-//!    delta with metrics on vs off at ≤ 3% (`obs_overhead_within_bound`
-//!    in `BENCH_serve.json`).
+//!    relaxed atomic ops; `crowd-serve-bench` prices them as
+//!    `obs_overhead_ratio`, the mem-mode wall time with metrics on over
+//!    metrics off.
 //! 3. **Observation only**: nothing in this crate feeds back into
 //!    inference — enabling or disabling metrics cannot perturb any
 //!    output bit (pinned by the determinism guard in

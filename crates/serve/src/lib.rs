@@ -56,8 +56,8 @@
 //! Determinism: a session's batches are applied in submission order and
 //! each converge is bit-identical at any thread count, so every session's
 //! outputs equal a sequential single-session replay of the same batch
-//! sequence — property-tested in `tests/multi_session.rs` and measured by
-//! `crowd-serve-bench` (`BENCH_serve.json`).
+//! sequence — property-tested in `tests/multi_session.rs` and checked end
+//! to end by perfbench's `serve` workload (a standalone-engine replay).
 //!
 //! ```
 //! use crowd_core::Method;

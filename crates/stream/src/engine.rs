@@ -233,9 +233,9 @@ impl SeenSet {
 /// [`converge`](Self::converge) per batch: the engine brings its
 /// [`ShardedView`] up to date — rebuilding only the shards that received
 /// answers — and re-converges the method **from the previous converged
-/// state** (posteriors + worker quality), which takes a small fraction
-/// of the cold iteration count once the stream has warmed up (see
-/// `BENCH_stream.json`).
+/// state** (posteriors + worker quality), which takes a fraction of the
+/// cold iteration count once the stream has warmed up (pinned for D&S,
+/// LFC and ZC by `warm_converges_use_fewer_iterations_over_a_replayed_stream`).
 #[derive(Debug)]
 pub struct StreamEngine {
     config: StreamConfig,
@@ -844,27 +844,34 @@ mod tests {
 
     #[test]
     fn warm_converges_use_fewer_iterations_over_a_replayed_stream() {
+        // Every streamable method whose warm start can save iterations.
+        // MV is one direct pass either way, and GLAD runs every batch of
+        // this replay to its 100-iteration cap warm and cold alike (599
+        // vs 599 in total), so neither has iterations to save.
         let d = PaperDataset::DProduct.generate(0.08, 11);
-        let mut engine =
-            StreamEngine::new(decision_config(Method::Ds, d.num_tasks(), d.num_workers())).unwrap();
-        let mut warm_total = 0usize;
-        let mut cold_total = 0usize;
-        let mut batches = 0usize;
-        for batch in StreamSession::from_dataset(&d, d.num_answers().div_ceil(6)) {
-            engine.push_batch(&batch.records).expect("valid replay");
-            let cold = engine.converge_cold().unwrap();
-            let warm = engine.converge().unwrap();
-            assert_eq!(warm.answers_seen, cold.answers_seen);
-            warm_total += warm.result.iterations;
-            cold_total += cold.result.iterations;
-            batches += 1;
+        for method in [Method::Ds, Method::Lfc, Method::Zc] {
+            let cfg = decision_config(method, d.num_tasks(), d.num_workers());
+            let mut engine = StreamEngine::new(cfg).unwrap();
+            let mut warm_total = 0usize;
+            let mut cold_total = 0usize;
+            let mut batches = 0usize;
+            for batch in StreamSession::from_dataset(&d, d.num_answers().div_ceil(6)) {
+                engine.push_batch(&batch.records).expect("valid replay");
+                let cold = engine.converge_cold().unwrap();
+                let warm = engine.converge().unwrap();
+                assert_eq!(warm.answers_seen, cold.answers_seen);
+                warm_total += warm.result.iterations;
+                cold_total += cold.result.iterations;
+                batches += 1;
+            }
+            assert_eq!(batches, 6);
+            assert!(
+                warm_total < cold_total,
+                "{}: warm {warm_total} vs cold {cold_total} total iterations",
+                method.name()
+            );
+            assert_eq!(engine.answers_seen(), d.num_answers());
         }
-        assert_eq!(batches, 6);
-        assert!(
-            warm_total < cold_total,
-            "warm {warm_total} vs cold {cold_total} total iterations"
-        );
-        assert_eq!(engine.answers_seen(), d.num_answers());
     }
 
     #[test]
