@@ -6,12 +6,13 @@
 //! `BENCH_kernels.json` artifact. Buffers are sized so one sweep costs
 //! on the order of a millisecond, well above timer jitter.
 //!
-//! The `crowd-bench/kernels/v2` schema records a *backend matrix*: in a
-//! `fast-math` build with AVX2+FMA available, every kernel row is
-//! measured twice — once on the `fast-math-avx2` leg and once with the
-//! vector unit vetoed (`fast-math-scalar`, via the same runtime switch
-//! `CROWD_FORCE_SCALAR` flips) — and each row carries its `backend`,
-//! `lanes` and `ns_per_elem`, so the legs can be compared row by row.
+//! The `crowd-bench/kernels/v2` schema records a *backend matrix*: when
+//! the vector leg is available, every kernel row is measured twice —
+//! once on the default dispatch (`std-avx2`) and once with the vector
+//! leg vetoed (`std`, via the same runtime switch `CROWD_FORCE_SCALAR`
+//! flips) — and each row carries its `backend`, `lanes` and
+//! `ns_per_elem`, so the legs can be compared row by row. Both legs
+//! return libm's bits; only their speed differs.
 //!
 //! Configuration (environment variables, all optional):
 //!
@@ -19,7 +20,7 @@
 //!   minimum is the reported number).
 //! - `CROWD_KERNELS_OUT`   — output path (default `BENCH_kernels.json`).
 //!
-//! Usage: `cargo run --release -p crowd-bench --features fast-math --bin crowd-kernels-bench`
+//! Usage: `cargo run --release -p crowd-bench --bin crowd-kernels-bench`
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -84,12 +85,12 @@ fn main() {
         std::env::var("CROWD_KERNELS_OUT").unwrap_or_else(|_| "BENCH_kernels.json".to_string());
 
     // Backend legs. `force_scalar(false)` clears any ambient veto so the
-    // primary leg is whatever the build + machine can do; when that is
-    // the AVX2 leg, a second pass re-measures everything with the vector
-    // unit vetoed, so the scalar-polynomial fallback stays pinned too.
+    // primary leg is whatever the machine can do; when that is the
+    // vector leg, a second pass re-measures everything with it vetoed,
+    // so the scalar leg's rows are recorded too.
     kernels::force_scalar(false);
     let mut legs = vec![false];
-    if kernels::backend_name() == "fast-math-avx2" {
+    if kernels::lanes_active() > 1 {
         legs.push(true);
     }
     eprintln!(
@@ -219,8 +220,8 @@ fn main() {
         // unfused row reproduces the per-row `log_normalize` loop the
         // matrix walk used to be (one dispatch and two heap-free but
         // separate exp passes per 4-wide row), the fused row is the
-        // shipping `log_normalize_rows` (packed rows on the AVX2 leg,
-        // staged four-row blocks on the scalar legs).
+        // shipping `log_normalize_rows` (packed rows on the vector leg,
+        // staged four-row blocks on the scalar leg).
         bench("log_normalize_rows_unfused", &mut || {
             rows.data_mut().copy_from_slice(&log_inputs);
             for r in 0..rows.rows() {

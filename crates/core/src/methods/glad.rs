@@ -10,7 +10,6 @@
 //! Table 6.
 
 use crowd_data::TaskType;
-use crowd_stats::kernels;
 use crowd_stats::{
     exp_map_into, fused_two_term_rows, ln_map_into, sigmoid_map_into, ConvergenceTracker,
 };
@@ -67,9 +66,9 @@ impl Default for Glad {
 
 fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
-        1.0 / (1.0 + kernels::exp(-x))
+        1.0 / (1.0 + (-x).exp())
     } else {
-        let e = kernels::exp(x);
+        let e = x.exp();
         e / (1.0 + e)
     }
 }
@@ -138,7 +137,7 @@ impl TruthInference for Glad {
         let init_acc = initial_accuracy(options, view.m, sigmoid(1.0));
         let mut alpha: Vec<f64> = init_acc
             .iter()
-            .map(|&a| kernels::ln(a / (1.0 - a)).clamp(-4.0, 4.0))
+            .map(|&a| (a / (1.0 - a)).ln().clamp(-4.0, 4.0))
             .collect();
         if let Some(warm) = &options.warm_start {
             for (w, a) in alpha.iter_mut().enumerate() {
@@ -146,7 +145,7 @@ impl TruthInference for Glad {
                     // σ⁻¹ round-trips the reported quality back to α; the
                     // wider clamp matches the loop's own ±8 bound.
                     let p = p.clamp(1e-4, 1.0 - 1e-4);
-                    *a = kernels::ln(p / (1.0 - p)).clamp(-8.0, 8.0);
+                    *a = (p / (1.0 - p)).ln().clamp(-8.0, 8.0);
                 }
             }
         }

@@ -153,7 +153,7 @@ impl TruthInference for Kos {
         // Posteriors from margins via a logistic squash (diagnostic only).
         let mut post = DMat::zeros(view.n, 2);
         for (task, &s) in margins.iter().enumerate() {
-            let p = 1.0 / (1.0 + crowd_stats::kernels::exp(-s));
+            let p = 1.0 / (1.0 + (-s).exp());
             post.row_mut(task).copy_from_slice(&[p, 1.0 - p]);
         }
 

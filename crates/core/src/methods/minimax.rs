@@ -22,7 +22,9 @@
 //!    minimax conditional entropy" follow-up).
 
 use crowd_data::TaskType;
-use crowd_stats::kernels::{self, log_normalize, log_normalize_rows_flat, log_sum_exp_rows_flat};
+use crowd_stats::kernels::{
+    exp_slice, log_normalize, log_normalize_rows_flat, log_sum_exp_rows_flat, safe_ln_slice,
+};
 use crowd_stats::{ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,10 +115,11 @@ impl TruthInference for Minimax {
         // into this scratch and softmax/lse them with one batched
         // kernel call instead of one dispatch per row. Sized once for
         // the largest flush ([`ROW_BLOCK`] rows, or one task's worth if
-        // a task alone exceeds the block).
+        // a task alone exceeds the block). The second half of `lse_buf`
+        // holds the truth update's per-row log-probabilities.
         let task_rows = l * view.max_task_degree();
         let mut row_buf = vec![0.0; ROW_BLOCK.max(task_rows) * l];
-        let mut lse_buf = vec![0.0; task_rows];
+        let mut lse_buf = vec![0.0; 2 * task_rows];
 
         let mut post = view.majority_posteriors();
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
@@ -254,7 +257,7 @@ fn update_multipliers(mm: &Minimax, view: &ShardedView, st: &mut State) {
 /// [`log_normalize_rows_flat`] call, which gives every row the bits it
 /// would get alone, so the gradient accumulation matches a
 /// softmax-per-pair loop exactly while the kernel dispatch (and under
-/// `fast-math-avx2` the `#[target_feature]` region, with the per-row
+/// the vector leg the `#[target_feature]` region, with the per-row
 /// `ln` vectorised across rows) is paid once per block.
 fn dual_ascent<const L: usize>(mm: &Minimax, view: &ShardedView, st: &mut State) {
     let l = if L == 0 { st.tau.cols() } else { L };
@@ -329,6 +332,8 @@ fn dual_ascent<const L: usize>(mm: &Minimax, view: &ShardedView, st: &mut State)
 /// pass evaluates the log-sum-exp of the model row once and
 /// exponentiates a single element — the same values the full
 /// row-normalise produced, minus ℓ−1 unused `exp`s and `ln`s per row.
+/// Those single elements are gathered per task and run through the
+/// slice kernels, one `exp` and one `ln` pass per task.
 fn truth_update<const L: usize>(view: &ShardedView, st: &mut State) {
     let l = if L == 0 { st.tau.cols() } else { L };
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
@@ -356,22 +361,32 @@ fn truth_update<const L: usize>(view: &ShardedView, st: &mut State) {
                 }
             }
         }
-        let lses = &mut st.lse_buf[..rows];
+        let (lses, logps) = st.lse_buf.split_at_mut(st.lse_buf.len() / 2);
+        let (lses, logps) = (&mut lses[..rows], &mut logps[..rows]);
         log_sum_exp_rows_flat(l, block, lses);
+
+        // ln p of the answered label per (answer, j) row: exp(x − lse),
+        // with log_normalize's degenerate-input branch (all -inf →
+        // uniform mass) written over a non-finite lse, then clamped ln.
+        for (r, &(_, label)) in answers.iter().enumerate() {
+            for j in 0..l {
+                let i = r * l + j;
+                logps[i] = block[i * l + label as usize] - lses[i];
+            }
+        }
+        exp_slice(logps);
+        for (p, lse) in logps.iter_mut().zip(lses.iter()) {
+            if !lse.is_finite() {
+                *p = 1.0 / l as f64;
+            }
+        }
+        safe_ln_slice(logps);
 
         let logp = &mut st.post.row_mut(task)[..l];
         logp.fill(0.0);
-        for (r, &(_, label)) in answers.iter().enumerate() {
-            for (j, lp) in logp.iter_mut().enumerate() {
-                let lse = lses[r * l + j];
-                // Mirror log_normalize's degenerate-input branch
-                // (all -inf → uniform mass).
-                let p = if lse.is_finite() {
-                    kernels::exp(block[(r * l + j) * l + label as usize] - lse)
-                } else {
-                    1.0 / l as f64
-                };
-                *lp += kernels::safe_ln(p);
+        for row in logps.chunks_exact(l) {
+            for (lp, &x) in logp.iter_mut().zip(row) {
+                *lp += x;
             }
         }
         log_normalize(logp);

@@ -2,17 +2,9 @@
 //! posterior/confusion matrices, in-place hot loops, batched
 //! transcendental kernels) must produce **bit-identical** truths and
 //! worker-quality scalars to the pre-refactor nested-`Vec`
-//! implementation — in the default build.
-//!
-//! Under the `fast-math` feature the kernels swap libm for the
-//! polynomial cores (≤ 4 ULP per call), so trajectories drift by design
-//! and bit equality is replaced by **pinned per-method tolerances**
-//! (see [`FastMathTolerance`]): a bound on every worker-quality
-//! scalar's divergence and on the fraction of flipped labels. Methods
-//! whose decisions pass through discrete resamplers (the Gibbs pair
-//! BCC/CBCC, or gradient ascent over many capped iterations) amplify
-//! per-call ULPs into genuinely different trajectories and carry the
-//! loose bounds; closed-form EM methods stay tight.
+//! implementation, on both kernel legs: the vector leg returns libm's
+//! bits, so the same fixture holds with the AVX2 leg taken and with
+//! `CROWD_FORCE_SCALAR=1` (CI runs both).
 //!
 //! The golden outputs live in `tests/fixtures/equivalence.tsv`, captured
 //! from the nested-`Vec` code path before the refactor landed (see
@@ -79,60 +71,8 @@ fn encode_truths(dataset: &Dataset, truths: &[crowd_data::Answer]) -> String {
     }
 }
 
-/// Pinned `fast-math` divergence bounds for one method.
-#[cfg(feature = "fast-math")]
-struct FastMathTolerance {
-    /// Max |Δ| on any worker-quality scalar vs the fixture.
-    scalar_abs: f64,
-    /// Max fraction of labels (or numeric truths beyond `scalar_abs`)
-    /// that may disagree with the fixture.
-    label_flip_frac: f64,
-}
-
-/// The pinned per-method `fast-math` contract. Bounds were measured
-/// over the full fixture grid (both seeds, all supported datasets) and
-/// pinned with generous headroom over the observed drift; tightening a
-/// bound below the measured drift is a test failure, loosening one
-/// requires editing this table (i.e. it is a reviewed decision, not
-/// drift). Measured on this grid: every method except GLAD stays
-/// within 1e-15 of the std trajectory and flips zero labels; GLAD —
-/// gradient ascent run to its 100-iteration cap, with saturating
-/// sigmoids against the ±8 clamps — reaches scalar drift 0.46 and a
-/// 2.5% label-flip fraction, which is the honest cost of `fast-math`
-/// on a capped non-converged trajectory (cf. the iteration-cap note on
-/// the `Glad` struct).
-#[cfg(feature = "fast-math")]
-fn fast_math_tolerance(method: &str) -> FastMathTolerance {
-    let (scalar_abs, label_flip_frac) = match method {
-        // Vote/median/mean paths take no transcendental at all.
-        "MV" | "Mean" | "Median" => (0.0, 0.0),
-        // Closed-form EM / squash-only paths over the kernels: per-call
-        // ULPs stay ULPs (measured ≤ 4e-16).
-        "ZC" | "D&S" | "LFC" | "VI-MF" | "VI-BP" | "LFC_N" | "KOS" => (1e-9, 0.0),
-        // Contracting gradient/coordinate descent: measured ≤ 1e-15,
-        // but an exact-tie vote cascade (PM/CATD) or a late clamp graze
-        // (Minimax/Multi) may legitimately reroute a label under a
-        // different ≤4-ULP backend.
-        "PM" | "CATD" | "Minimax" | "Multi" => (1e-6, 0.01),
-        // Capped non-converged gradient ascent: trajectories genuinely
-        // walk apart (measured 0.46 / 2.5% on dprod005).
-        "GLAD" => (0.75, 0.06),
-        // Gibbs samplers: measured 0 on this grid (the perturbed
-        // weights did not flip any categorical draw), but one flipped
-        // draw reroutes the whole chain, so the pin bounds
-        // accuracy-level agreement rather than trajectory closeness.
-        "BCC" | "CBCC" => (0.5, 0.25),
-        other => panic!("no fast-math tolerance pinned for method {other}"),
-    };
-    FastMathTolerance {
-        scalar_abs,
-        label_flip_frac,
-    }
-}
-
-/// Compare one method run against its fixture cell. Default build:
-/// bit-for-bit string equality. `fast-math`: pinned tolerances. Both
-/// builds: the `converged` flag is pinned exactly.
+/// Compare one method run against its fixture cell: bit-for-bit string
+/// equality of the truths and worker scalars, and the `converged` flag.
 fn check_cell(
     dataset: &Dataset,
     method: &str,
@@ -142,9 +82,7 @@ fn check_cell(
     r: &crowd_core::InferenceResult,
 ) {
     // Every cell converges except GLAD's six that stop at its
-    // iteration cap (see the iteration-cap note on `Glad`), on every
-    // kernel backend: a cell that newly runs to its cap fails here even
-    // when its outputs stay within the fast-math tolerances.
+    // iteration cap (see the iteration-cap note on `Glad`).
     let capped = method == "GLAD" && matches!(key, "toy" | "dprod005" | "srel002");
     assert_eq!(
         r.converged, !capped,
@@ -160,85 +98,19 @@ fn check_cell(
             None => "-".to_string(),
         })
         .collect();
-    #[cfg(not(feature = "fast-math"))]
-    {
-        assert_eq!(
-            got_truths, fixture.truths,
-            "truths diverged from pre-refactor output: {method} on {key} seed {seed}"
-        );
-        assert_eq!(
-            got_scalars.join(","),
-            fixture.scalars,
-            "worker scalars diverged from pre-refactor output: {method} on {key} seed {seed}"
-        );
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        let tol = fast_math_tolerance(method);
-        let decode = |s: &str| -> Vec<Option<f64>> {
-            s.split(',')
-                .map(|tok| {
-                    (tok != "-")
-                        .then(|| f64::from_bits(u64::from_str_radix(tok, 16).expect("hex scalar")))
-                })
-                .collect()
-        };
-        // Truths: count disagreements (exact for labels, beyond
-        // scalar_abs for numeric estimates).
-        let (got_kind, got_vals) = got_truths.split_at(2);
-        let (want_kind, want_vals) = fixture.truths.split_at(2);
-        assert_eq!(got_kind, want_kind, "{method} on {key} seed {seed}");
-        let flips = if got_kind == "L:" {
-            got_vals
-                .split(',')
-                .zip(want_vals.split(','))
-                .filter(|(a, b)| a != b)
-                .count()
-        } else {
-            got_vals
-                .split(',')
-                .zip(want_vals.split(','))
-                .filter(|(a, b)| {
-                    let a = f64::from_bits(u64::from_str_radix(a, 16).expect("hex"));
-                    let b = f64::from_bits(u64::from_str_radix(b, 16).expect("hex"));
-                    (a - b).abs() > tol.scalar_abs
-                })
-                .count()
-        };
-        let n = got_vals.split(',').count().max(1);
-        assert!(
-            flips as f64 / n as f64 <= tol.label_flip_frac,
-            "{method} on {key} seed {seed}: {flips}/{n} truths flipped under fast-math \
-             (pinned fraction {})",
-            tol.label_flip_frac
-        );
-        // Worker scalars: absolute bound.
-        for (w, (got, want)) in decode(&got_scalars.join(","))
-            .into_iter()
-            .zip(decode(&fixture.scalars))
-            .enumerate()
-        {
-            match (got, want) {
-                (Some(g), Some(e)) => assert!(
-                    (g - e).abs() <= tol.scalar_abs,
-                    "{method} on {key} seed {seed}: worker {w} scalar {g} vs {e} \
-                     (pinned |Δ| {})",
-                    tol.scalar_abs
-                ),
-                (g, e) => assert_eq!(
-                    g.is_some(),
-                    e.is_some(),
-                    "{method} on {key} seed {seed}: worker {w} scalar presence changed"
-                ),
-            }
-        }
-    }
+    assert_eq!(
+        got_truths, fixture.truths,
+        "truths diverged from pre-refactor output: {method} on {key} seed {seed}"
+    );
+    assert_eq!(
+        got_scalars.join(","),
+        fixture.scalars,
+        "worker scalars diverged from pre-refactor output: {method} on {key} seed {seed}"
+    );
 }
 
 #[test]
 fn all_methods_match_pre_refactor_fixture_contract() {
-    // Default build: bit-for-bit. `fast-math`: the pinned per-method
-    // tolerances (the name stays honest in both CI legs).
     let fixtures = load_fixtures();
     assert!(
         !fixtures.is_empty(),
@@ -283,7 +155,6 @@ fn all_methods_match_pre_refactor_fixture_contract() {
 /// worker's quality entries (a confusion matrix row-major, a skill
 /// vector in order) as little-endian `f64` bits, then the truth labels
 /// and the iteration count.
-#[cfg(not(feature = "fast-math"))]
 fn fnv1a(r: &crowd_core::InferenceResult) -> u64 {
     use crowd_core::WorkerQuality;
     fn eat(hash: &mut u64, bytes: &[u8]) {
@@ -322,7 +193,6 @@ fn fnv1a(r: &crowd_core::InferenceResult) -> u64 {
 /// width each method compiles runs here, and so does its generic body.
 /// The hashes were taken from the code the current passes replaced: the
 /// nested-table samplers, and Minimax's runtime-width twins.
-#[cfg(not(feature = "fast-math"))]
 #[test]
 fn gibbs_and_multi_outputs_keep_their_bits() {
     use crowd_core::methods::{Bcc, Cbcc, Minimax, Multi};

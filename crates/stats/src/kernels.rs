@@ -3,34 +3,31 @@
 //! Every iterative method in the benchmark spends its inner time on
 //! `exp`/`ln` over per-task posterior rows (the E-step) and per-edge
 //! likelihood terms. This module is the one place that work happens:
-//! branch-free 4-lane array kernels over contiguous slices (the rows of
-//! a [`DMat`]), written so the element loops have constant trip counts
-//! and no data-dependent branches — the shape LLVM autovectorises.
+//! 4-lane array kernels over contiguous slices (the rows of a [`DMat`]),
+//! written so the element loops have constant trip counts.
 //!
-//! Three backends — one compile-time fork, one runtime fork:
+//! # One contract, two legs
 //!
-//! - **default (`std`)**: every lane calls the platform
-//!   `f64::exp`/`f64::ln`. Results are **bit-identical** to the scalar
-//!   code the methods used before (the kernels only batch, never
-//!   reassociate: elementwise ops are applied element by element, and
-//!   the [`log_sum_exp`] reduction keeps the exact left-to-right
-//!   summation order). The equivalence fixtures
-//!   (`crowd-core/tests/fixtures/equivalence.tsv`) pin this.
-//! - **`fast-math` feature, scalar leg (`fast-math-scalar`)**: a
-//!   self-contained polynomial implementation of `exp`/`ln`
-//!   (fdlibm-style Cody–Waite range reduction, see [`fast`]) with a
-//!   documented error bound of **≤ 4 ULP** against the
-//!   correctly-rounded result (the observed bound in the property tests
-//!   is ≤ 2 ULP; 4 is the pinned contract). Under this feature the
-//!   fixtures are compared with per-method tolerances instead of bit
-//!   equality.
-//! - **`fast-math` feature, vector leg (`fast-math-avx2`)**: the same
-//!   polynomial evaluated four lanes at a time with explicit AVX2
-//!   intrinsics (see [`simd`]), selected by one-time runtime feature
-//!   detection (`avx2 && fma`, vetoed by `CROWD_FORCE_SCALAR` in the
-//!   environment). The vector cores are **bit-identical to the scalar
-//!   polynomial**, so which leg ran is unobservable in the output and
-//!   the `fast-math` fixture tolerances hold on every CPU.
+//! Every kernel returns the bits of the platform libm — `f64::exp` and
+//! `f64::ln` applied element by element, in the scalar code's order.
+//! The kernels only batch, never reassociate: elementwise ops are
+//! applied element by element, and the [`log_sum_exp`] reduction keeps
+//! the exact left-to-right summation order. The equivalence fixtures
+//! (`crowd-core/tests/fixtures/equivalence.tsv`) pin this. Two legs keep
+//! the contract, chosen once per process at run time:
+//!
+//! - **scalar (`std`)**: every lane calls `f64::exp`/`f64::ln`. This is
+//!   the reference, and the leg on every host the vector leg does not
+//!   cover.
+//! - **vector (`std-avx2`)**: [`simd`] evaluates glibc's own `exp` and
+//!   `log` algorithms (the `__exp_fma`/`__log_fma` builds of Arm's
+//!   optimized-routines, over the same 128-entry tables) four lanes at a
+//!   time with AVX2 and FMA intrinsics, and hands every lane off their
+//!   main paths to libm. It is taken when the CPU has AVX2 and FMA and a
+//!   one-time probe finds the mirror bit-identical to the linked libm on
+//!   inputs reaching every table entry; `CROWD_FORCE_SCALAR` in the
+//!   environment, or [`force_scalar`] at run time, vetoes it. A host whose
+//!   libm is another algorithm fails the probe and keeps the scalar leg.
 //!
 //! [`backend_name`]/[`lanes_active`] report which leg the dispatchers
 //! take, for bench artifacts and tests.
@@ -86,77 +83,51 @@ pub mod fused;
 
 pub use simd::force_scalar;
 
-/// Name of the leg the slice dispatchers take right now: `"std"`
-/// (default build), `"fast-math-scalar"` (polynomial, no vector unit),
-/// or `"fast-math-avx2"` (polynomial, AVX2 lanes). Recorded per row in
-/// the kernels bench artifact.
+/// Name of the leg the slice dispatchers take right now: `"std"` (libm
+/// per element) or `"std-avx2"` (glibc's algorithms on AVX2 lanes, the
+/// same bits). Recorded per row in the kernels bench artifact.
 pub fn backend_name() -> &'static str {
-    #[cfg(not(feature = "fast-math"))]
-    {
+    if simd::avx2_active() {
+        "std-avx2"
+    } else {
         "std"
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        if simd::avx2_active() {
-            "fast-math-avx2"
-        } else {
-            "fast-math-scalar"
-        }
     }
 }
 
-/// Vector width of the active leg: 4 under `fast-math-avx2`, 1 for
-/// both scalar legs (the 4-lane chunking of the scalar loops is a code
-/// shape, not a hardware width).
+/// Vector width of the active leg: 4 on `std-avx2`, 1 on `std` (the
+/// 4-lane chunking of the scalar loops is a code shape, not a hardware
+/// width).
 pub fn lanes_active() -> usize {
-    if cfg!(feature = "fast-math") && simd::avx2_active() {
+    if simd::avx2_active() {
         LANES
     } else {
         1
     }
 }
 
-/// Scalar `exp` routed through the active backend (`std` by default,
-/// the polynomial core under `fast-math`). Use this instead of
-/// `f64::exp` in inference code so a feature flip retargets every call
-/// site at once.
-#[inline(always)]
-pub fn exp(x: f64) -> f64 {
-    #[cfg(not(feature = "fast-math"))]
-    {
-        x.exp()
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        fast::exp(x)
-    }
-}
-
-/// Scalar `ln` routed through the active backend (see [`exp`]).
-#[inline(always)]
-pub fn ln(x: f64) -> f64 {
-    #[cfg(not(feature = "fast-math"))]
-    {
-        x.ln()
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        fast::ln(x)
-    }
-}
-
-/// The `x.max(1e-12).ln()` clamp idiom, centralised. Identical to the
-/// open-coded form in default mode; `fast-math` swaps the `ln`.
+/// The `x.max(1e-12).ln()` clamp idiom, centralised.
 #[inline(always)]
 pub fn safe_ln(x: f64) -> f64 {
-    ln(x.max(SAFE_LN_EPS))
+    x.max(SAFE_LN_EPS).ln()
 }
 
 /// [`safe_ln`] with a caller-chosen floor (VI-MF's qualification
 /// initialisation clamps at `1e-9` rather than the common `1e-12`).
 #[inline(always)]
 pub fn safe_ln_eps(x: f64, eps: f64) -> f64 {
-    ln(x.max(eps))
+    x.max(eps).ln()
+}
+
+/// The overflow-stable two-sided logistic `σ(x) = 1/(1+exp(−x))`: both
+/// sides evaluate `exp(−|x|)` and differ only in the final select.
+#[inline(always)]
+fn sigmoid(x: f64) -> f64 {
+    let e = (-x.abs()).exp();
+    if x >= 0.0 {
+        1.0 / (1.0 + e)
+    } else {
+        e / (1.0 + e)
+    }
 }
 
 /// Apply `f` to every element, 4 lanes at a time. The chunk is
@@ -179,31 +150,31 @@ fn map_lanes(xs: &mut [f64], f: impl Fn(f64) -> f64) {
 
 /// `x[i] ← exp(x[i])` in place.
 pub fn exp_slice(xs: &mut [f64]) {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::avx2_active() {
         // SAFETY: detection verified avx2+fma.
         unsafe { simd::exp_slice_avx2(xs) };
         return;
     }
-    map_lanes(xs, exp);
+    map_lanes(xs, f64::exp);
 }
 
 /// `x[i] ← ln(x[i])` in place.
 pub fn ln_slice(xs: &mut [f64]) {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::avx2_active() {
         // SAFETY: detection verified avx2+fma.
         unsafe { simd::ln_slice_avx2(xs) };
         return;
     }
-    map_lanes(xs, ln);
+    map_lanes(xs, f64::ln);
 }
 
 /// `x[i] ← ln(max(x[i], 1e-12))` in place — the row-batched form of
 /// [`safe_ln`], used to refresh whole log-domain confusion tables in
 /// one sweep.
 pub fn safe_ln_slice(xs: &mut [f64]) {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::avx2_active() {
         // SAFETY: detection verified avx2+fma.
         unsafe { simd::safe_ln_slice_avx2(xs, SAFE_LN_EPS) };
@@ -215,23 +186,15 @@ pub fn safe_ln_slice(xs: &mut [f64]) {
 /// `x[i] ← σ(x[i]) = 1/(1+exp(−x[i]))` in place, in the
 /// overflow-stable two-sided form. Bit-identical to the scalar
 /// `sigmoid` the logistic methods (GLAD, Multi) used: both sides
-/// evaluate `exp(−|x|)` and differ only in the final select, which is
-/// branch-free here.
+/// evaluate `exp(−|x|)` and differ only in the final select.
 pub fn sigmoid_slice(xs: &mut [f64]) {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::avx2_active() {
         // SAFETY: detection verified avx2+fma.
         unsafe { simd::sigmoid_slice_avx2(xs) };
         return;
     }
-    map_lanes(xs, |x| {
-        let e = exp(-x.abs());
-        if x >= 0.0 {
-            1.0 / (1.0 + e)
-        } else {
-            e / (1.0 + e)
-        }
-    });
+    map_lanes(xs, sigmoid);
 }
 
 /// Numerically stable `log(Σ exp(x_i))`.
@@ -244,7 +207,7 @@ pub fn sigmoid_slice(xs: &mut [f64]) {
 /// skipped; this changes no bit of the sum.
 #[inline]
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if xs.len() == LANES && simd::avx2_active() {
         let row: &[f64; LANES] = xs.try_into().expect("length checked");
         // SAFETY: detection verified avx2+fma.
@@ -264,19 +227,18 @@ pub(crate) fn log_sum_exp_scalar(xs: &[f64]) -> f64 {
     }
     let sum: f64 = xs
         .iter()
-        .map(|&x| if x == max { 1.0 } else { exp(x - max) })
+        .map(|&x| if x == max { 1.0 } else { (x - max).exp() })
         .sum();
-    max + ln(sum)
+    max + sum.ln()
 }
 
 /// Convert a log-probability vector into a normalized probability
 /// vector in place, stably. Degenerate input (all `-inf`, or an empty
 /// slice) spreads mass uniformly. The ℓ = 4 posterior shape takes an
-/// in-register vector path under `fast-math-avx2` (bit-identical to
-/// the scalar leg; see [`simd::log_normalize4`]).
+/// in-register vector path on `std-avx2` (see [`simd::log_normalize4`]).
 #[inline]
 pub fn log_normalize(xs: &mut [f64]) {
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if xs.len() == LANES && simd::avx2_active() {
         let row: &mut [f64; LANES] = xs.try_into().expect("length checked");
         // SAFETY: detection verified avx2+fma.
@@ -296,7 +258,7 @@ pub(crate) fn log_normalize_scalar(xs: &mut [f64]) {
         xs.iter_mut().for_each(|x| *x = uniform);
         return;
     }
-    map_lanes(xs, |x| exp(x - lse));
+    map_lanes(xs, |x| (x - lse).exp());
 }
 
 /// [`log_normalize`] applied to every row of a matrix — the whole-
@@ -330,21 +292,20 @@ fn staged_log_sum_exp<const L: usize>(rows: &[[f64; L]; STAGE_ROWS]) -> [f64; ST
     for ((t, row), &m) in terms.iter_mut().zip(rows).zip(&max) {
         if m.is_finite() {
             for (t, &x) in t.iter_mut().zip(row) {
-                *t = if x == m { 1.0 } else { exp(x - m) };
+                *t = if x == m { 1.0 } else { (x - m).exp() };
             }
         }
     }
     let mut lse = max;
     for (lse, t) in lse.iter_mut().zip(&terms) {
         if lse.is_finite() {
-            *lse += ln(t.iter().sum::<f64>());
+            *lse += t.iter().sum::<f64>().ln();
         }
     }
     lse
 }
 
-/// The scalar legs (`std`, `fast-math-scalar`) of
-/// [`log_normalize_rows_flat`]: staged blocks for `cols ≤ 4`, the
+/// The scalar leg (`std`) of [`log_normalize_rows_flat`]: staged blocks for `cols ≤ 4`, the
 /// per-row kernel for wider rows.
 fn log_normalize_rows_scalar(cols: usize, data: &mut [f64]) {
     match cols {
@@ -356,7 +317,7 @@ fn log_normalize_rows_scalar(cols: usize, data: &mut [f64]) {
     }
 }
 
-/// The scalar legs of [`log_sum_exp_rows_flat`], split like
+/// The scalar leg of [`log_sum_exp_rows_flat`], split like
 /// [`log_normalize_rows_scalar`].
 fn log_sum_exp_rows_scalar(cols: usize, data: &[f64], out: &mut [f64]) {
     match cols {
@@ -386,7 +347,7 @@ fn log_normalize_rows_staged<const L: usize>(data: &mut [f64]) {
         for (row, lse) in block.iter_mut().zip(lses) {
             if lse.is_finite() {
                 for x in row.iter_mut() {
-                    *x = exp(*x - lse);
+                    *x = (*x - lse).exp();
                 }
             } else {
                 *row = [1.0 / L as f64; L];
@@ -419,11 +380,10 @@ fn log_sum_exp_rows_staged<const L: usize>(data: &[f64], out: &mut [f64]) {
 /// multi-row E-step kernels in [`fused`] a block of posterior rows).
 /// Narrow rows (`cols ≤ 4`, the posterior shapes) are batched:
 ///
-/// - under `fast-math-avx2`, four rows per vector iteration
+/// - on `std-avx2`, four rows per vector iteration
 ///   ([`simd::log_normalize_rows_packed`]): one dispatch for the whole
 ///   buffer, and the per-row `ln` vectorises **across** rows;
-/// - on the scalar legs (`std`, `fast-math-scalar`), four rows per
-///   staged block — every row's max, then every row's `exp(x − max)`
+/// - on `std`, four rows per staged block — every row's max, then every row's `exp(x − max)`
 ///   terms, then every row's `ln`, then every row's `exp(x − lse)` — so
 ///   neighbouring rows' `exp`/`ln` calls overlap instead of running at
 ///   libm latency.
@@ -442,7 +402,7 @@ pub fn log_normalize_rows_flat(cols: usize, data: &mut [f64]) {
         "flat buffer of {} elements is not rows of width {cols}",
         data.len()
     );
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if cols <= LANES && simd::avx2_active() {
         // SAFETY: detection verified avx2+fma; length checked above.
         unsafe {
@@ -475,7 +435,7 @@ pub fn log_sum_exp_rows_flat(cols: usize, data: &[f64], out: &mut [f64]) {
         data.len(),
         out.len()
     );
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if cols <= LANES && simd::avx2_active() {
         // SAFETY: detection verified avx2+fma; lengths checked above.
         unsafe {
@@ -493,8 +453,8 @@ pub fn log_sum_exp_rows_flat(cols: usize, data: &[f64], out: &mut [f64]) {
 
 /// `Σ_i w_i · ln(max(x_i, 1e-12))` — the expected-log-likelihood
 /// building block (posterior row dotted with a clamped log of a model
-/// row). Sequential accumulation; the `ln`s go through the active
-/// backend.
+/// row). Sequential accumulation; on `std-avx2` the `ln`s run four
+/// lanes at a time.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -504,26 +464,12 @@ pub fn weighted_log_dot(weights: &[f64], xs: &[f64]) -> f64 {
         xs.len(),
         "weighted_log_dot operand length mismatch"
     );
-    #[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::avx2_active() {
-        let mut acc = 0.0f64;
-        let mut i = 0;
-        'vector: {
-            while i + LANES <= xs.len() {
-                let w: &[f64; LANES] = weights[i..i + LANES].try_into().expect("len");
-                let x: &[f64; LANES] = xs[i..i + LANES].try_into().expect("len");
-                // SAFETY: detection verified avx2+fma.
-                match unsafe { simd::weighted_log_dot4(w, x, SAFE_LN_EPS, acc) } {
-                    Some(next) => acc = next,
-                    // A lane outside the ln window (+∞ input): redo
-                    // the whole thing scalar — rare and bit-identical.
-                    None => break 'vector,
-                }
-                i += LANES;
-            }
-            for (w, x) in weights[i..].iter().zip(&xs[i..]) {
-                acc += w * safe_ln(*x);
-            }
+        // SAFETY: detection verified avx2+fma; lengths checked above.
+        // `None` (a +∞ input) redoes the whole sum on libm: rare, same
+        // bits.
+        if let Some(acc) = unsafe { simd::weighted_log_dot_avx2(weights, xs, SAFE_LN_EPS) } {
             return acc;
         }
     }
@@ -534,9 +480,10 @@ pub fn weighted_log_dot(weights: &[f64], xs: &[f64]) -> f64 {
 /// NaN == NaN as zero and mismatched special-value classes (one NaN,
 /// or one infinite) as `u64::MAX`.
 ///
-/// Test support for the ULP-contract checks (shared by the in-module
-/// unit tests and `tests/kernel_properties.rs` so the comparison
-/// semantics cannot drift apart); hidden from the documented API.
+/// Test support for the bit-contract checks in
+/// `tests/kernel_properties.rs`, where NaN results of the kernels and
+/// the libm reference count as equal whatever their payload; hidden from
+/// the documented API.
 #[doc(hidden)]
 pub fn ulp_diff(a: f64, b: f64) -> u64 {
     if a == b || (a.is_nan() && b.is_nan()) {
@@ -551,147 +498,22 @@ pub fn ulp_diff(a: f64, b: f64) -> u64 {
     key(ia).abs_diff(key(ib))
 }
 
-/// Polynomial `exp`/`ln` cores (the `fast-math` backend).
-///
-/// Both follow the classic fdlibm/musl algorithms — Cody–Waite range
-/// reduction with a split `ln 2`, then a short minimax polynomial —
-/// which bound the error below 1 ULP in their reference form; the
-/// pinned contract here is **≤ 4 ULP** against the correctly-rounded
-/// result, verified over adversarial inputs by the property tests in
-/// `tests/kernel_properties.rs`. Special values (NaN, ±∞, zeros,
-/// subnormals, overflow/underflow thresholds) follow IEEE semantics and
-/// are handled by an explicit guard before the branch-free core, so the
-/// common path stays straight-line arithmetic.
-///
-/// Compiled in every configuration (the feature only decides whether
-/// the `kernels::exp`/`kernels::ln` dispatchers route here), so the
-/// property tests can compare both backends from one build.
-pub mod fast {
-    // All constants are the canonical fdlibm bit patterns, spelled as
-    // bits so a mistyped decimal digit cannot silently cost ULPs. They
-    // are `pub(crate)` because the AVX2 lanes in [`super::simd`]
-    // evaluate the *same* polynomials — one source of truth keeps the
-    // two legs bit-identical.
-    pub(crate) const LN2_HI: f64 = f64::from_bits(0x3FE62E42FEE00000); // 6.93147180369123816490e-1
-    pub(crate) const LN2_LO: f64 = f64::from_bits(0x3DEA39EF35793C76); // 1.90821492927058770002e-10
-    pub(crate) const INV_LN2: f64 = f64::from_bits(0x3FF71547652B82FE); // 1.44269504088896338700e0
-    pub(crate) const P1: f64 = f64::from_bits(0x3FC555555555553E); // 1.66666666666666019037e-1
-    pub(crate) const P2: f64 = f64::from_bits(0xBF66C16C16BEBD93); // -2.77777777770155933842e-3
-    pub(crate) const P3: f64 = f64::from_bits(0x3F11566AAF25DE2C); // 6.61375632143793436117e-5
-    pub(crate) const P4: f64 = f64::from_bits(0xBEBBBD41C5D26BF1); // -1.65339022054652515390e-6
-    pub(crate) const P5: f64 = f64::from_bits(0x3E66376972BEA4D0); // 4.13813679705723846039e-8
-    pub(crate) const LG1: f64 = f64::from_bits(0x3FE5555555555593); // 6.666666666666735130e-1
-    pub(crate) const LG2: f64 = f64::from_bits(0x3FD999999997FA04); // 3.999999999940941908e-1
-    pub(crate) const LG3: f64 = f64::from_bits(0x3FD2492494229359); // 2.857142874366239149e-1
-    pub(crate) const LG4: f64 = f64::from_bits(0x3FCC71C51D8E78AF); // 2.222219843214978396e-1
-    pub(crate) const LG5: f64 = f64::from_bits(0x3FC7466496CB03DE); // 1.818357216161805012e-1
-    pub(crate) const LG6: f64 = f64::from_bits(0x3FC39A09D078C69F); // 1.531383769920937332e-1
-    pub(crate) const LG7: f64 = f64::from_bits(0x3FC2F112DF3E5244); // 1.479819860511658591e-1
-
-    /// `exp(x)` via `x = k·ln2 + r`, `|r| ≤ ln2/2`, and the fdlibm
-    /// degree-5 rational core `exp(r) = 1 + r·c/(2−c)` with
-    /// `c = r − r²·P(r²)`.
-    ///
-    /// `k` is rounded ties-to-even so this leg agrees bit-for-bit with
-    /// the AVX2 lanes (`_mm256_round_pd` rounds halves to even; either
-    /// `k` at an exact tie is a valid reduction within the ≤4-ULP
-    /// contract, but the legs must pick the same one).
-    pub fn exp(x: f64) -> f64 {
-        if x.is_nan() {
-            return f64::NAN;
-        }
-        if x > 709.782_712_893_384 {
-            return f64::INFINITY; // overflows even after reduction
-        }
-        if x < -745.133_219_101_941_2 {
-            return 0.0; // underflows past the smallest subnormal
-        }
-        let k = (INV_LN2 * x).round_ties_even();
-        let hi = x - k * LN2_HI;
-        let lo = k * LN2_LO;
-        let r = hi - lo;
-        let rr = r * r;
-        let c = r - rr * (P1 + rr * (P2 + rr * (P3 + rr * (P4 + rr * P5))));
-        let y = 1.0 + (r * c / (2.0 - c) - lo + hi);
-        scale_by_pow2(y, k as i32)
-    }
-
-    /// `y · 2^k` without going through `powi`, handling the subnormal
-    /// underflow range by splitting the scale.
-    fn scale_by_pow2(y: f64, k: i32) -> f64 {
-        if (-1021..=1023).contains(&k) {
-            return y * f64::from_bits(((k + 1023) as u64) << 52);
-        }
-        if k > 1023 {
-            // y·2^k with k > 1023 only arises just below the overflow
-            // guard; two normal-range scales cover it.
-            return y
-                * f64::from_bits((2046u64) << 52)
-                * f64::from_bits(((k - 1023 + 1023) as u64) << 52);
-        }
-        // Deep underflow: scale into the subnormal range in two steps
-        // so the intermediate stays normal.
-        let first = y * f64::from_bits(2u64 << 52); // 2^-1021
-        first * f64::from_bits(((k + 1021 + 1023).max(0) as u64) << 52)
-    }
-
-    /// `ln(x)` via the fdlibm reduction `x = 2^k · (1+f)`,
-    /// `1+f ∈ [√2/2, √2)`, and the degree-14 minimax polynomial in
-    /// `s = f/(2+f)`.
-    pub fn ln(x: f64) -> f64 {
-        if x.is_nan() || x < 0.0 {
-            return f64::NAN;
-        }
-        if x == 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        if x.is_infinite() {
-            return f64::INFINITY;
-        }
-        // Normalise subnormals so the exponent extraction below is exact.
-        let (x, sub_adjust) = if x < f64::MIN_POSITIVE {
-            (x * f64::from_bits((54 + 1023) << 52), -54.0)
-        } else {
-            (x, 0.0)
-        };
-        let bits = x.to_bits();
-        let mut k = ((bits >> 52) as i32) - 1023;
-        let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
-        // Keep the significand in [√2/2, √2) so |f| stays small.
-        if m > std::f64::consts::SQRT_2 {
-            m *= 0.5;
-            k += 1;
-        }
-        let f = m - 1.0;
-        let hfsq = 0.5 * f * f;
-        let s = f / (2.0 + f);
-        let z = s * s;
-        let w = z * z;
-        let t1 = w * (LG2 + w * (LG4 + w * LG6));
-        let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-        let r = t2 + t1;
-        let dk = k as f64 + sub_adjust;
-        dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The slice-vs-scalar and sigmoid-vs-reference comparisons live in
     // `tests/kernel_properties.rs`, which covers them over adversarial
-    // inputs in both backends; the unit tests here pin the pieces the
-    // property file does not reach (the clamp idiom, row semantics, and
-    // the fast cores directly).
+    // inputs on both legs; the unit tests here pin the pieces the
+    // property file does not reach (the clamp idiom and row semantics).
 
     #[test]
     fn safe_ln_matches_the_clamp_idiom() {
         for &x in &[0.0, 1e-300, 1e-12, 0.5, 1.0, 3.7] {
-            assert_eq!(safe_ln(x).to_bits(), ln(x.max(1e-12)).to_bits());
+            assert_eq!(safe_ln(x).to_bits(), x.max(1e-12).ln().to_bits());
         }
         assert_eq!(safe_ln(0.0), 1e-12f64.ln());
-        assert_eq!(safe_ln_eps(0.0, 1e-9), ln(1e-9));
+        assert_eq!(safe_ln_eps(0.0, 1e-9), 1e-9f64.ln());
     }
 
     #[test]
@@ -781,42 +603,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn weighted_log_dot_rejects_ragged_operands() {
         weighted_log_dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn fast_exp_edge_cases_and_ulp() {
-        // The fast core is compiled in tests regardless of the feature.
-        assert!(fast::exp(f64::NAN).is_nan());
-        assert_eq!(fast::exp(f64::INFINITY), f64::INFINITY);
-        assert_eq!(fast::exp(f64::NEG_INFINITY), 0.0);
-        assert_eq!(fast::exp(0.0), 1.0);
-        assert_eq!(fast::exp(710.0), f64::INFINITY);
-        assert_eq!(fast::exp(-746.0), 0.0);
-        let mut worst = 0u64;
-        let mut x = -708.0;
-        while x < 708.0 {
-            worst = worst.max(ulp_diff(fast::exp(x), x.exp()));
-            x += 0.618;
-        }
-        assert!(worst <= 4, "fast exp worst error {worst} ULP");
-    }
-
-    #[test]
-    fn fast_ln_edge_cases_and_ulp() {
-        assert!(fast::ln(f64::NAN).is_nan());
-        assert!(fast::ln(-1.0).is_nan());
-        assert_eq!(fast::ln(0.0), f64::NEG_INFINITY);
-        assert_eq!(fast::ln(f64::INFINITY), f64::INFINITY);
-        assert_eq!(fast::ln(1.0), 0.0);
-        let mut worst = 0u64;
-        for i in 1..2000 {
-            let x = i as f64 * 0.37e-2;
-            worst = worst.max(ulp_diff(fast::ln(x), x.ln()));
-        }
-        // Subnormals go through the rescale path.
-        for &x in &[1e-310, 5e-320, f64::MIN_POSITIVE, 1e300, 1e-300] {
-            worst = worst.max(ulp_diff(fast::ln(x), x.ln()));
-        }
-        assert!(worst <= 4, "fast ln worst error {worst} ULP");
     }
 }

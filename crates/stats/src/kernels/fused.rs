@@ -22,16 +22,15 @@
 //!
 //! The multi-row kernels accumulate `ROW_BLOCK` rows at a time into a
 //! stack block and normalise the block with one
-//! [`super::log_normalize_rows_flat`] call: the staged four-row legs on
-//! the scalar backends, one packed-kernel dispatch under
-//! `fast-math-avx2`.
+//! [`super::log_normalize_rows_flat`] call: the staged four-row blocks
+//! on the scalar leg, one packed-kernel dispatch on the vector leg.
 //!
 //! Every fused kernel is **bit-identical** to the multi-pass
-//! composition it replaces, in every backend: the element operations,
+//! composition it replaces, on both legs: the element operations,
 //! their association, and the summation orders are unchanged — only
-//! the number of times the data crosses the cache changes. Under
-//! `fast-math-avx2` the transcendental legs run on the vector cores
-//! (which are themselves bit-identical to the scalar polynomial).
+//! the number of times the data crosses the cache changes. On the
+//! vector leg the transcendentals run on the AVX2 mirror of libm
+//! (itself bit-identical to libm).
 
 use super::{
     exp_slice, ln_slice, log_normalize, log_normalize_rows_flat, safe_ln_slice, sigmoid_slice,

@@ -1,18 +1,14 @@
 //! Property tests for the batched transcendental kernels: batched
-//! results must match the scalar-std reference elementwise over
+//! results must match the scalar libm reference elementwise over
 //! adversarial inputs — subnormals, ±∞, NaN, ±700-magnitude arguments
 //! (the exp overflow/underflow region), empty slices, and 1..=7-length
 //! tails that never reach the 4-lane body.
 //!
-//! The comparison contract depends on the backend the crate was built
-//! with:
-//!
-//! - **default**: bit-identical (0 ULP) — the kernels batch the exact
-//!   std calls, so any difference is a kernel bug;
-//! - **`fast-math`**: ≤ [`ULP_BOUND`] = 4 ULP against std for finite
-//!   results, with exact agreement on the special-value classes
-//!   (NaN/±∞/zero). This is the pinned error contract documented on
-//!   `crowd_stats::kernels`.
+//! The contract is bit identity (0 ULP, NaN payloads aside) on both
+//! legs: the scalar leg calls libm, and the vector leg mirrors glibc's
+//! algorithms lane for lane, so any difference is a kernel bug. The
+//! `simd_vs_scalar` module below drives the vector leg directly over
+//! deterministic sweeps of every table entry and path boundary.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -20,8 +16,8 @@ use proptest::test_runner::TestCaseError;
 use crowd_stats::kernels::{self, ulp_diff};
 use crowd_stats::DMat;
 
-/// Pinned per-element error bound against the scalar std reference.
-const ULP_BOUND: u64 = if cfg!(feature = "fast-math") { 4 } else { 0 };
+/// Per-element error bound against the scalar libm reference.
+const ULP_BOUND: u64 = 0;
 
 fn assert_close(got: f64, want: f64, ctx: &str) -> Result<(), TestCaseError> {
     let d = ulp_diff(got, want);
@@ -158,18 +154,7 @@ proptest! {
             .zip(&x)
             .map(|(&w, &x)| w * x.max(1e-12).ln())
             .sum();
-        if ULP_BOUND == 0 {
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
-        } else {
-            // Accumulated fast-math error over up to 22 terms; equal
-            // special values (±inf from infinite inputs, NaN) pass.
-            prop_assert!(
-                got == want
-                    || (got.is_nan() && want.is_nan())
-                    || (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                "{got} vs {want}"
-            );
-        }
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
     }
 }
 
@@ -299,33 +284,27 @@ proptest! {
     }
 }
 
-/// SIMD-vs-scalar leg equivalence: the AVX2 slice drivers must be
-/// **bit-identical** (0 ULP) to the dispatcher's scalar polynomial leg
-/// on every input — dispatch may never change results. The exhaustive
-/// test walks every alignment offset of the slice start (the drivers
-/// use unaligned loads; a 64-byte window of element offsets covers
-/// every 32-byte-alignment phase) crossed with every length through
-/// two 16-wide chunks, both 4-wide tail shapes, and the scalar
-/// remainder, over inputs that mix in-window values with the screen's
-/// demotion triggers (NaN, ±∞, ±700-magnitudes, subnormals, zeros) so
-/// whole-chunk scalar demotion is exercised mid-slice. Compiled only
-/// into fast-math x86_64 builds and skipped at runtime when the vector
-/// leg is unavailable (no AVX2+FMA, or `CROWD_FORCE_SCALAR` vetoed it).
-#[cfg(all(feature = "fast-math", target_arch = "x86_64"))]
+/// SIMD-vs-scalar leg equivalence: the AVX2 drivers must be
+/// **bit-identical** to `f64::exp`/`f64::ln` per element on every input —
+/// dispatch may never change results. Compiled on every x86_64 build and
+/// skipped at run time when the vector leg is off (no AVX2+FMA, a libm
+/// the probe rejects, or `CROWD_FORCE_SCALAR`).
+#[cfg(target_arch = "x86_64")]
 mod simd_vs_scalar {
     use super::*;
     use crowd_stats::kernels::simd;
 
-    /// The dispatcher's scalar legs, replicated per element (the lane
-    /// shape of `map_lanes` is unobservable for elementwise ops).
+    const OPS: [&str; 4] = ["exp", "ln", "safe_ln", "sigmoid"];
+
+    /// The scalar leg, per element: libm itself.
     fn scalar_leg(op: &str, xs: &mut [f64]) {
         for x in xs.iter_mut() {
             *x = match op {
-                "exp" => kernels::exp(*x),
-                "ln" => kernels::ln(*x),
-                "safe_ln" => kernels::safe_ln(*x),
+                "exp" => x.exp(),
+                "ln" => x.ln(),
+                "safe_ln" => x.max(1e-12).ln(),
                 "sigmoid" => {
-                    let e = kernels::exp(-x.abs());
+                    let e = (-x.abs()).exp();
                     if *x >= 0.0 {
                         1.0 / (1.0 + e)
                     } else {
@@ -338,7 +317,8 @@ mod simd_vs_scalar {
     }
 
     fn simd_leg(op: &str, xs: &mut [f64]) {
-        // SAFETY: callers check `avx2_available()` first.
+        // SAFETY: every caller checks `avx2_available()` first, which
+        // detected AVX2 and FMA.
         unsafe {
             match op {
                 "exp" => simd::exp_slice_avx2(xs),
@@ -350,6 +330,49 @@ mod simd_vs_scalar {
         }
     }
 
+    fn vector_leg_on() -> bool {
+        let on = simd::avx2_available();
+        if !on {
+            eprintln!("skipping: vector leg unavailable");
+        }
+        on
+    }
+
+    /// Both legs of `op` over `xs`, compared bit for bit.
+    fn assert_legs_agree(op: &str, xs: &[f64], ctx: &str) {
+        let mut got = xs.to_vec();
+        let mut want = xs.to_vec();
+        simd_leg(op, &mut got);
+        scalar_leg(op, &mut want);
+        for (i, ((x, g), w)) in xs.iter().zip(&got).zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{op} {ctx} elem {i} of {x:e} ({:#018x}): simd {g:e} vs libm {w:e}",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// The neighbours of `x` one representable value below and above.
+    fn around(x: f64) -> [f64; 3] {
+        let up = |x: f64| {
+            if x >= 0.0 {
+                x.to_bits() + 1
+            } else {
+                x.to_bits() - 1
+            }
+        };
+        let down = |x: f64| {
+            if x > 0.0 {
+                x.to_bits() - 1
+            } else {
+                x.to_bits() + 1
+            }
+        };
+        [f64::from_bits(down(x)), x, f64::from_bits(up(x))]
+    }
+
     /// Value pool mixing the vector cores' domain with every demotion
     /// class; period 13 is coprime to the 16/4 chunk widths, so chunks
     /// see every rotation of the pattern as offset and length vary.
@@ -357,7 +380,7 @@ mod simd_vs_scalar {
         -0.5,
         27.3,
         -699.9,
-        700.0, // outside the exp window, inside ln's
+        700.0, // outside the exp main path, inside ln's table path
         709.5,
         f64::NAN,
         f64::INFINITY,
@@ -369,13 +392,16 @@ mod simd_vs_scalar {
         1.0,
     ];
 
+    /// Every alignment offset of the slice start crossed with every
+    /// length through two 16-wide chunks, both 4-wide tail shapes and
+    /// the scalar remainder, over inputs that mix mirrored lanes with
+    /// the screens' demotion triggers mid-slice.
     #[test]
     fn every_offset_and_tail_length_is_bit_identical() {
-        if !simd::avx2_available() {
-            eprintln!("skipping: AVX2 leg unavailable");
+        if !vector_leg_on() {
             return;
         }
-        for op in ["exp", "ln", "safe_ln", "sigmoid"] {
+        for op in OPS {
             for offset in 0..8 {
                 for len in 0..=40 {
                     let buf: Vec<f64> = (0..offset + len + 8)
@@ -389,10 +415,189 @@ mod simd_vs_scalar {
                         assert_eq!(
                             g.to_bits(),
                             w.to_bits(),
-                            "{op} offset {offset} len {len} elem {i}: \
-                             simd {g:e} vs scalar {w:e}"
+                            "{op} offset {offset} len {len} elem {i}: simd {g:e} vs libm {w:e}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `exp` on every table index across the main path, at the ±512
+    /// boundary (the last main-path value and the first fallback value
+    /// on each side), around |x| = 2⁻⁵⁴ (the tiny path's edge), and where
+    /// results go subnormal.
+    #[test]
+    fn exp_sweeps_every_table_index_and_path_edge() {
+        if !vector_leg_on() {
+            return;
+        }
+        // k = x·128/ln 2 steps by 37 (coprime to 128) across the whole
+        // main path, with r at both ends and the middle of its range.
+        let step = std::f64::consts::LN_2 / 128.0;
+        let mut xs: Vec<f64> = (-94_600i64..=94_600)
+            .step_by(37)
+            .flat_map(|k| [-0.49, 0.0, 0.31, 0.49].map(|r| (k as f64 + r) * step))
+            .collect();
+        xs.extend(around(512.0));
+        xs.extend(around(-512.0));
+        let tiny = f64::from_bits(0x3c90_0000_0000_0000); // 2⁻⁵⁴
+        xs.extend(around(tiny));
+        xs.extend(around(-tiny));
+        xs.extend([1e-300, -1e-300, 5e-324, -5e-324]);
+        xs.extend([-708.4, -708.5, -720.0, -740.0, -744.4, -745.1, -745.2]);
+        xs.extend([709.7, 709.8, 710.0]);
+        assert_legs_agree("exp", &xs, "sweep");
+        assert_legs_agree("sigmoid", &xs, "sweep");
+    }
+
+    /// `ln` on every table interval of `[0x1.6p-1, 0x1.6p0)` (start,
+    /// middle, last value at exponents across the normal range, and 256
+    /// points at exponents −1 and 1), the
+    /// near-1 window's edges ±1 ulp, a dense walk of the window, and 1.0
+    /// itself.
+    #[test]
+    fn ln_sweeps_every_table_interval_and_the_near_one_window() {
+        if !vector_leg_on() {
+            return;
+        }
+        let mut xs = Vec::new();
+        for i in 0..128u64 {
+            let z = 0x3fe6_0000_0000_0000 + (i << 45);
+            for bits in [z, z + (1 << 44), z + (1 << 45) - 1] {
+                for e in [-1020i64, -300, -1, 0, 1, 300, 1020] {
+                    xs.push(f64::from_bits(bits.wrapping_add((e << 52) as u64)));
+                }
+            }
+            // 256 points across the interval at results of magnitude
+            // below 1, where an entry off by a fraction of an ulp moves
+            // some rounding.
+            for j in 0..256u64 {
+                let bits = z + j * ((1 << 45) / 256) + 0x1_2345_6789;
+                xs.extend([-1i64, 1].map(|e| f64::from_bits(bits.wrapping_add((e << 52) as u64))));
+            }
+        }
+        for edge in [0x3fee_0000_0000_0000u64, 0x3ff1_0900_0000_0000] {
+            xs.extend(around(f64::from_bits(edge)));
+        }
+        xs.extend(around(1.0));
+        xs.extend((0..4096).map(|j| 0.9375 + j as f64 * (0.127 / 4096.0)));
+        xs.extend([f64::MIN_POSITIVE, f64::MAX, 1e-12, 1e-300, 1e300]);
+        assert_legs_agree("ln", &xs, "sweep");
+        assert_legs_agree("safe_ln", &xs, "sweep");
+    }
+
+    /// Each special value at every lane of a 4-lane chunk, of a 16-wide
+    /// chunk, and of the 0–3-element tail, among ordinary values.
+    #[test]
+    fn special_values_at_every_lane_and_in_the_tail() {
+        if !vector_leg_on() {
+            return;
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            1e-310,
+            -2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for op in OPS {
+            for special in specials {
+                for len in 1..=23usize {
+                    for at in 0..len {
+                        let mut xs: Vec<f64> = (0..len).map(|i| 0.75 + 0.1 * i as f64).collect();
+                        xs[at] = special;
+                        assert_legs_agree(op, &xs, &format!("{special:e} at {at} of {len}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-row reference of the packed kernels: the scalar kernel's
+    /// arithmetic, on libm.
+    fn reference_log_normalize(row: &mut [f64]) {
+        let lse = reference_log_sum_exp(row);
+        if !lse.is_finite() {
+            let uniform = 1.0 / row.len() as f64;
+            row.iter_mut().for_each(|x| *x = uniform);
+            return;
+        }
+        row.iter_mut().for_each(|x| *x = (*x - lse).exp());
+    }
+
+    /// The packed row kernels at ℓ = 1…4 with spreads on both sides of
+    /// their −510 screen (and past the `exp` main path), tied maxima and
+    /// special rows, at every row count through three four-row blocks.
+    #[test]
+    fn packed_rows_around_the_screen_match_per_row_reference() {
+        if !vector_leg_on() {
+            return;
+        }
+        let spreads = [
+            -0.25,
+            -509.0,
+            -509.999_999_999,
+            -510.0,
+            -510.000_000_001,
+            -510.5,
+            -511.9,
+            -512.0,
+            -513.0,
+            -745.5,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for l in 1..=4usize {
+            let mut pool = Vec::new();
+            for (s, &d) in spreads.iter().enumerate() {
+                let max = 3.25 - s as f64;
+                // The spread lane last, then first; the rest tie the max.
+                let mut row = vec![max; l];
+                row[l - 1] = max + d;
+                pool.push(row.clone());
+                row.reverse();
+                pool.push(row);
+            }
+            for rows in 0..=13usize {
+                for shift in 0..pool.len() {
+                    let data: Vec<f64> = (0..rows)
+                        .flat_map(|r| pool[(r + shift) % pool.len()].clone())
+                        .collect();
+                    let mut want = data.clone();
+                    want.chunks_exact_mut(l).for_each(reference_log_normalize);
+                    let mut got = data.clone();
+                    let want_lse: Vec<f64> =
+                        data.chunks_exact(l).map(reference_log_sum_exp).collect();
+                    let mut got_lse = vec![0.0; rows];
+                    // SAFETY: the vector leg is on (AVX2 and FMA were
+                    // detected); `data` is `rows` rows of width `l` and
+                    // `got_lse` has one slot per row.
+                    unsafe {
+                        match l {
+                            1 => {
+                                simd::log_normalize_rows_packed::<1>(&mut got);
+                                simd::log_sum_exp_rows_packed::<1>(&data, &mut got_lse);
+                            }
+                            2 => {
+                                simd::log_normalize_rows_packed::<2>(&mut got);
+                                simd::log_sum_exp_rows_packed::<2>(&data, &mut got_lse);
+                            }
+                            3 => {
+                                simd::log_normalize_rows_packed::<3>(&mut got);
+                                simd::log_sum_exp_rows_packed::<3>(&data, &mut got_lse);
+                            }
+                            _ => {
+                                simd::log_normalize_rows_packed::<4>(&mut got);
+                                simd::log_sum_exp_rows_packed::<4>(&data, &mut got_lse);
+                            }
+                        }
+                    }
+                    let ctx = format!("l = {l}, rows = {rows}, shift = {shift}");
+                    assert_eq!(bits(&want), bits(&got), "normalize {ctx}: {data:?}");
+                    assert_eq!(bits(&want_lse), bits(&got_lse), "lse {ctx}: {data:?}");
                 }
             }
         }
@@ -408,7 +613,7 @@ mod simd_vs_scalar {
             if !simd::avx2_available() {
                 return Ok(());
             }
-            for op in ["exp", "ln", "safe_ln", "sigmoid"] {
+            for op in OPS {
                 let mut got = xs.clone();
                 let mut want = xs.clone();
                 simd_leg(op, &mut got);
@@ -417,13 +622,36 @@ mod simd_vs_scalar {
                     prop_assert_eq!(
                         g.to_bits(),
                         w.to_bits(),
-                        "{} elem {} of {:e}: simd {:e} vs scalar {:e}",
+                        "{} elem {} of {:e}: simd {:e} vs libm {:e}",
                         op, i, xs[i], g, w
                     );
                 }
             }
         }
     }
+}
+
+/// On a glibc host with AVX2 and FMA and no veto, the probe must pass
+/// and the dispatchers must take the vector leg: a mirror that drifted
+/// from libm (a table typo, a changed contraction) fails here instead of
+/// silently running every kernel on the scalar leg.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[test]
+fn vector_leg_is_taken_on_avx2_fma_hosts() {
+    let vetoed = std::env::var("CROWD_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
+    let cpu =
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
+    if vetoed || !cpu {
+        eprintln!("skipping: vetoed ({vetoed}) or no AVX2+FMA ({cpu})");
+        return;
+    }
+    assert_eq!(
+        kernels::lanes_active(),
+        4,
+        "AVX2+FMA host, no veto, yet the vector leg is off: the probe found the mirror \
+         disagreeing with this libm"
+    );
+    assert_eq!(kernels::backend_name(), "std-avx2");
 }
 
 #[test]
@@ -443,7 +671,7 @@ fn empty_and_degenerate_slices() {
 #[test]
 fn saturation_thresholds_match_std() {
     // The exact overflow/underflow saturation classes must agree with
-    // std in both backends.
+    // libm on both legs.
     let mut xs = [709.0, 710.0, 745.0, -745.0, -746.0, -800.0];
     kernels::exp_slice(&mut xs);
     assert!(xs[0].is_finite());
